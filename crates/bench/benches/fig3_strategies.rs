@@ -37,8 +37,8 @@ fn bench_predict(c: &mut Criterion) {
     let sur = trained_surrogate();
     c.bench_function("surrogate_predict", |b| b.iter(|| sur.predict(&[0.3], 1.5)));
     let sweep: Vec<f64> = (1..=64).map(|k| k as f64 * 0.1).collect();
-    c.bench_function("surrogate_predict_sweep64", |b| {
-        b.iter(|| sur.predict_sweep(&[0.3], &sweep))
+    c.bench_function("surrogate_predict_grid64", |b| {
+        b.iter(|| sur.predict_grid(&[0.3], &sweep))
     });
 }
 

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use bench::experiments::micro_encoding;
 use problems::RelaxableProblem;
-use qubo::LocalFieldState;
+use qubo::QuboState;
 use solvers::da::{DaConfig, DigitalAnnealer};
 use solvers::qbsolv::{Qbsolv, QbsolvConfig};
 use solvers::sa::{SaConfig, SimulatedAnnealer};
@@ -51,7 +51,7 @@ fn bench_local_fields(c: &mut Criterion) {
     let n = qubo.num_vars();
     c.bench_function("local_field_flip_100vars", |b| {
         b.iter_batched(
-            || LocalFieldState::new(&qubo, vec![0; n]),
+            || QuboState::new(&qubo, vec![0; n]),
             |mut state| {
                 for i in 0..n {
                     state.flip(i % n);

@@ -13,7 +13,10 @@
 //!   a write buffer flushed as the socket drains;
 //! * a [`sys::WakePipe`] self-pipe: engine workers complete a prediction
 //!   and wake the poller through the job's completion hook, so the loop
-//!   never spins and never parks a thread per request;
+//!   never spins and never parks a thread per request. Answers the
+//!   engine produces on the loop thread itself (cache hits, a lone
+//!   predict on an idle engine) fire no hook: `EventLoop::drive`
+//!   pumps the emitter after staging, so they go out in the same pass;
 //! * backpressure end to end: a connection stops being read the moment
 //!   its staged-response window ([`EventLoopConfig::pipeline_depth`]) or
 //!   write buffer ([`EventLoopConfig::write_buf_bytes`]) fills, accepts
@@ -335,8 +338,8 @@ struct EventLoop<'a> {
     config: EventLoopConfig,
     poller: Poller,
     wake: WakePipe,
-    /// tokens of connections whose engine jobs completed; pushed by
-    /// worker threads through each request's completion hook, drained
+    /// tokens of connections whose queued engine jobs completed; pushed
+    /// by worker threads through each request's completion hook, drained
     /// by the loop after a wake
     completed: Arc<Mutex<Vec<u64>>>,
     conns: Vec<Option<Conn>>,

@@ -296,7 +296,7 @@ pub struct MetricsOut {
     pub qps: f64,
     pub latency_p50_us: Option<f64>,
     pub latency_p99_us: Option<f64>,
-    /// mean rows per worker forward pass (cache hits excluded)
+    /// mean rows per forward pass (cache hits excluded)
     pub batch_occupancy: f64,
     /// cache hits / accepted rows
     pub cache_hit_rate: f64,

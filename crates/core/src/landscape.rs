@@ -71,7 +71,7 @@ impl PredictedLandscape {
         let a: Vec<f64> = (0..points)
             .map(|k| (lo + (hi - lo) * k as f64 / (points - 1) as f64).exp())
             .collect();
-        let preds = surrogate.predict_sweep(features, &a);
+        let preds = surrogate.predict_grid(features, &a);
         let pf: Vec<f64> = preds.iter().map(|p| p.pf).collect();
         let e_avg: Vec<f64> = preds.iter().map(|p| p.e_avg).collect();
         let e_std: Vec<f64> = preds.iter().map(|p| p.e_std).collect();

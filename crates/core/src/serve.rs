@@ -15,11 +15,13 @@
 //! * **Micro-batching** — concurrent requests queue as jobs; a worker
 //!   drains several jobs at once, stacks their feature rows into one
 //!   matrix and answers them with a **single forward pass per head**
-//!   ([`crate::Surrogate::predict_many`]). Because every matrix row is
-//!   accumulated independently in the same operation order as a 1-row
-//!   forward, batching is **bit-invisible**: responses are exactly the
-//!   f64s a sequential per-request `predict` would produce, whatever the
-//!   batch boundaries happen to be.
+//!   ([`crate::Surrogate::predict_many`]). A lone request on an idle
+//!   engine (nothing queued, a worker parked) skips the hand-off: the
+//!   submitting thread runs it through the same batch path itself.
+//!   Because every matrix row is accumulated independently in the same
+//!   operation order as a 1-row forward, batching is **bit-invisible**:
+//!   responses are exactly the f64s a sequential per-request `predict`
+//!   would produce, whatever the batch boundaries happen to be.
 //! * **Bounded everything** — the job queue rejects with
 //!   [`QrossError::Overloaded`] once `queue_capacity` prediction rows are
 //!   pending (never unbounded growth, never OOM), and the prediction
@@ -66,6 +68,7 @@
 //! # Ok::<(), qross::QrossError>(())
 //! ```
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
@@ -80,7 +83,7 @@ use crate::online::{
     SurrogateCheckpoint,
 };
 use crate::pipeline::TrainedQross;
-use crate::surrogate::{FineTuneConfig, Surrogate, SurrogatePrediction};
+use crate::surrogate::{FineTuneConfig, PredictScratch, Surrogate, SurrogatePrediction};
 use crate::QrossError;
 
 /// The immutable model a [`ServeEngine`] serves.
@@ -232,9 +235,15 @@ impl TenantPolicy {
 }
 
 /// Completion hook a nonblocking front-end passes to
-/// [`ServeEngine::submit_opts`]: invoked (from a worker thread) after the
+/// [`ServeEngine::submit_opts`]: invoked from a worker thread after the
 /// request's result is delivered, e.g. to write a wake byte to an event
 /// loop's self-pipe. Must be cheap and must not block.
+///
+/// It fires only for jobs a worker completes. A request answered on the
+/// submitting thread (a full cache hit, an empty `a_values`, or a lone
+/// job on an idle engine) returns a handle whose
+/// [`PendingPrediction::try_wait`] is already `Some`, and the hook is
+/// never called: the submitter has the answer in hand.
 pub type CompletionNotify = Arc<dyn Fn() + Send + Sync>;
 
 /// Monotonic serving counters (a snapshot of [`ServeEngine::stats`]).
@@ -246,7 +255,8 @@ pub struct ServeStats {
     pub rows: usize,
     /// rows answered from the cache
     pub cache_hits: usize,
-    /// forward-pass batches executed by workers
+    /// forward-pass batches executed (by workers, or by a submitting
+    /// thread answering a lone job on an idle engine)
     pub batches: usize,
     /// requests rejected with [`QrossError::Overloaded`]
     /// (`rejected_quota + rejected_capacity`)
@@ -282,7 +292,7 @@ pub struct ServeObs {
     rows: Arc<obs::Counter>,
     cache_hits: Arc<obs::Counter>,
     batches: Arc<obs::Counter>,
-    /// rows answered by a worker forward pass (excludes cache hits) —
+    /// rows answered by a forward pass (excludes cache hits) —
     /// `batched_rows / batches` is the mean batch occupancy
     batched_rows: Arc<obs::Counter>,
     rejected_quota: Arc<obs::Counter>,
@@ -320,13 +330,10 @@ impl ServeObs {
                 "qross_serve_cache_hits_total",
                 "rows answered from the prediction cache",
             ),
-            batches: r.counter(
-                "qross_serve_batches_total",
-                "worker forward-pass batches executed",
-            ),
+            batches: r.counter("qross_serve_batches_total", "forward-pass batches executed"),
             batched_rows: r.counter(
                 "qross_serve_batched_rows_total",
-                "rows answered by worker forward passes (cache hits excluded)",
+                "rows answered by forward passes (cache hits excluded)",
             ),
             rejected_quota: r.counter(
                 obs::labeled("qross_serve_rejected_total", "reason", "quota"),
@@ -582,11 +589,18 @@ impl LruCache {
 // Engine internals
 // ---------------------------------------------------------------------------
 
-/// One queued request: a feature vector evaluated at one or more `A`
-/// values. `results[k]` is pre-filled for cache hits; workers compute the
-/// `None` slots. `model` is the versioned model captured at submit time —
-/// the generation this job is answered by, whatever swaps land while it
-/// waits.
+/// A finished request: its trace span and its predictions (or error).
+type Answer = (obs::Span, Result<Vec<SurrogatePrediction>, QrossError>);
+
+/// How a worker hands a queued job's answer back: the submitter's
+/// channel, then its optional wake hook.
+type Reply = (mpsc::Sender<Answer>, Option<CompletionNotify>);
+
+/// One request: a feature vector evaluated at one or more `A` values.
+/// `results[k]` is pre-filled for cache hits; [`Shared::process_batch`]
+/// computes the `None` slots. `model` is the versioned model captured at
+/// submit time — the generation this job is answered by, whatever swaps
+/// land while it waits.
 struct Job {
     features: Arc<Vec<f64>>,
     a_values: Vec<f64>,
@@ -596,8 +610,9 @@ struct Job {
     /// the request's trace span, accumulated through the pipeline and
     /// returned to the submitter alongside the result
     span: obs::Span,
-    notify: Option<CompletionNotify>,
-    tx: mpsc::Sender<(obs::Span, Result<Vec<SurrogatePrediction>, QrossError>)>,
+    /// set when the job is queued for a worker; `None` while the
+    /// submitting thread holds it (and for a job it runs itself)
+    reply: Option<Reply>,
 }
 
 impl Job {
@@ -605,7 +620,10 @@ impl Job {
         self.results.iter().filter(|r| r.is_none()).count()
     }
 
-    fn finish(self, serve_obs: &ServeObs) {
+    /// Records the finished job's latency and engine stages, then hands
+    /// its answer on: a queued job's goes down its channel (and wakes
+    /// the submitter), a job without a reply route gets it returned.
+    fn finish(self, serve_obs: &ServeObs) -> Option<Answer> {
         let out: Vec<SurrogatePrediction> = self
             .results
             .into_iter()
@@ -617,13 +635,18 @@ impl Job {
                 .record(self.submitted.elapsed().as_nanos() as u64);
             serve_obs.record_engine_stages(&self.span);
         }
+        let answer = (self.span, Ok(out));
+        let Some((tx, notify)) = self.reply else {
+            return Some(answer);
+        };
         // A dropped receiver just means the client went away; ignore.
-        let _ = self.tx.send((self.span, Ok(out)));
+        let _ = tx.send(answer);
         // Wake the submitter's event loop (if any) only after the result
         // is deliverable: a woken poller must find the response ready.
-        if let Some(notify) = self.notify {
+        if let Some(notify) = notify {
             notify();
         }
+        None
     }
 }
 
@@ -669,6 +692,9 @@ struct Queue {
     /// pending rows across all tenants (the global `queue_capacity`
     /// bound)
     pending_rows: usize,
+    /// workers waiting on `work_ready`: with one parked and nothing
+    /// queued, a submitter runs its job itself instead of waking it
+    parked: usize,
     shutdown: bool,
 }
 
@@ -686,6 +712,7 @@ impl Queue {
             by_name: HashMap::new(),
             active: VecDeque::new(),
             pending_rows: 0,
+            parked: 0,
             shutdown: false,
         };
         // The default tenant is index 0, always present.
@@ -867,6 +894,9 @@ struct OnlineShared {
     /// trainer-thread inbox; taken (and dropped) on engine shutdown so
     /// the trainer drains queued retrains and exits
     trainer_tx: Mutex<Option<mpsc::Sender<RetrainJob>>>,
+    /// makes the next retrain panic, to test trainer supervision
+    #[cfg(test)]
+    panic_next_retrain: std::sync::atomic::AtomicBool,
 }
 
 struct Shared {
@@ -904,10 +934,21 @@ impl Shared {
         Arc::clone(&lock(&self.slot))
     }
 
-    /// Validates and enqueues one request; returns the response channel.
+    /// Validates and admits one request; returns its response handle.
     ///
-    /// Fully-cached requests are answered inline without touching the
-    /// job queue (the fast path a warm serving process mostly runs).
+    /// Who computes the answer:
+    /// * nobody, for a fully-cached request or an empty `a_values` — the
+    ///   answer is assembled here (the fast path a warm serving process
+    ///   mostly runs);
+    /// * the submitting thread, when nothing is queued and a worker is
+    ///   parked — waking that worker would only add a context switch to
+    ///   a single-job batch;
+    /// * a worker otherwise: the job is queued, micro-batched and
+    ///   scheduled deficit-weighted round-robin across tenants.
+    ///
+    /// Every computed row goes through [`Shared::process_batch`], so the
+    /// answer bits do not depend on the path. Only the queued path fires
+    /// `notify`; the others return a handle that is already answered.
     fn submit_opts(
         self: &Arc<Self>,
         tenant: Option<&str>,
@@ -933,7 +974,6 @@ impl Shared {
             });
         }
         let submitted = Instant::now();
-        let (tx, rx) = mpsc::channel();
         // Accepted-work counters are bumped only once a request is
         // actually admitted (inline or enqueued): a rejected request must
         // show up in `rejected`, never in `requests`/`rows`. Per-tenant
@@ -960,11 +1000,7 @@ impl Shared {
             drop(q);
             self.obs.latency.record(0);
             self.obs.record_engine_stages(&span);
-            let _ = tx.send((span, Ok(Vec::new())));
-            if let Some(notify) = notify {
-                notify();
-            }
-            return Ok(PendingPrediction { rx });
+            return Ok(PendingPrediction::ready((span, Ok(Vec::new()))));
         }
 
         // Capture the model epoch this request is answered by. Everything
@@ -988,15 +1024,14 @@ impl Shared {
             span.record(obs::Stage::Cache, sw.elapsed_ns());
         }
 
-        let job = Job {
+        let mut job = Job {
             features: Arc::new(features),
             a_values,
             results,
             model,
             submitted,
             span,
-            notify,
-            tx,
+            reply: None,
         };
         let pending = job.pending_rows();
         if pending == 0 {
@@ -1005,8 +1040,7 @@ impl Shared {
             let idx = q.tenant_index(tenant, &self.policy);
             accept_tenant(&mut q, idx);
             drop(q);
-            job.finish(&self.obs);
-            return Ok(PendingPrediction { rx });
+            return Ok(PendingPrediction::ready(self.answer(job)));
         }
         if pending > self.config.queue_capacity {
             // Could never fit even in an empty queue: this is a malformed
@@ -1019,31 +1053,54 @@ impl Shared {
                 ),
             });
         }
-        {
-            let mut q = lock(&self.queue);
-            let idx = q.tenant_index(tenant, &self.policy);
-            // Admission control: the tenant's private token quota first,
-            // then the global bound. Both reject immediately (typed
-            // backpressure, never unbounded buffering).
-            let quota = q.tenants[idx].class.quota_rows;
-            if quota > 0 && q.tenants[idx].pending_rows + pending > quota {
-                q.tenants[idx].rejected_quota += 1;
-                self.obs.rejected_quota.inc();
-                return Err(QrossError::Overloaded { capacity: quota });
-            }
-            if q.pending_rows + pending > self.config.queue_capacity {
-                q.tenants[idx].rejected_capacity += 1;
-                self.obs.rejected_capacity.inc();
-                return Err(QrossError::Overloaded {
-                    capacity: self.config.queue_capacity,
-                });
-            }
-            accept_tenant(&mut q, idx);
-            q.push(idx, job);
+        let mut q = lock(&self.queue);
+        let idx = q.tenant_index(tenant, &self.policy);
+        // Admission control: the tenant's private token quota first,
+        // then the global bound. Both reject immediately (typed
+        // backpressure, never unbounded buffering).
+        let quota = q.tenants[idx].class.quota_rows;
+        if quota > 0 && q.tenants[idx].pending_rows + pending > quota {
+            q.tenants[idx].rejected_quota += 1;
+            self.obs.rejected_quota.inc();
+            return Err(QrossError::Overloaded { capacity: quota });
         }
+        if q.pending_rows + pending > self.config.queue_capacity {
+            q.tenants[idx].rejected_capacity += 1;
+            self.obs.rejected_capacity.inc();
+            return Err(QrossError::Overloaded {
+                capacity: self.config.queue_capacity,
+            });
+        }
+        accept_tenant(&mut q, idx);
+        if q.is_idle() && q.parked > 0 {
+            // A lone job on an idle engine: nothing to batch it with and
+            // no backlog to be fair to, so answer it here.
+            drop(q);
+            accept(hits);
+            return Ok(PendingPrediction::ready(self.answer(job)));
+        }
+        let (tx, rx) = mpsc::channel();
+        job.reply = Some((tx, notify));
+        q.push(idx, job);
+        drop(q);
         accept(hits);
         self.work_ready.notify_one();
-        Ok(PendingPrediction { rx })
+        Ok(PendingPrediction::queued(rx))
+    }
+
+    /// Computes a job's uncached rows on the calling thread (with that
+    /// thread's own [`PredictScratch`]) and returns its answer.
+    fn answer(&self, job: Job) -> Answer {
+        thread_local! {
+            static SCRATCH: RefCell<PredictScratch> = RefCell::new(PredictScratch::new());
+        }
+        let mut batch = [job];
+        if batch[0].pending_rows() > 0 {
+            SCRATCH.with(|scratch| self.process_batch(&mut scratch.borrow_mut(), &mut batch));
+        }
+        let [job] = batch;
+        job.finish(&self.obs)
+            .expect("a job the submitter holds has no reply route")
     }
 
     /// Point-in-time metrics snapshot. Counters are relaxed atomics and
@@ -1117,9 +1174,9 @@ impl Shared {
         // Per-worker input-staging scratch: batched predicts reuse one
         // buffer across this worker's lifetime instead of allocating per
         // drained batch (bit-invisible — see `PredictScratch`).
-        let mut scratch = crate::surrogate::PredictScratch::new();
+        let mut scratch = PredictScratch::new();
         loop {
-            let batch: Vec<Job> = {
+            let mut batch: Vec<Job> = {
                 let mut q = lock(&self.queue);
                 loop {
                     if !q.is_idle() {
@@ -1128,30 +1185,32 @@ impl Shared {
                     if q.shutdown {
                         return;
                     }
+                    q.parked += 1;
                     q = match self.work_ready.wait(q) {
                         Ok(guard) => guard,
                         Err(poisoned) => poisoned.into_inner(),
                     };
+                    q.parked -= 1;
                 }
                 q.drain_batch(self.config.max_batch_rows)
             };
-            self.process_batch(&mut scratch, batch);
+            self.process_batch(&mut scratch, &mut batch);
+            for job in batch {
+                job.finish(&self.obs);
+            }
         }
     }
 
     /// One stacked forward pass per model generation over every un-cached
-    /// row of `batch`, then scatter, cache, and respond.
+    /// row of `batch`, then scatter into the jobs' result slots and fill
+    /// the cache. The caller finishes the jobs.
     ///
     /// Jobs straddling a hot-swap may carry different generations in one
     /// drained batch; rows are grouped by the generation captured at
     /// submit time, so every job is answered by exactly the model it was
     /// admitted under (per-row bit-exactness is unaffected — matrix rows
     /// are accumulated independently).
-    fn process_batch(
-        self: &Arc<Self>,
-        scratch: &mut crate::surrogate::PredictScratch,
-        mut batch: Vec<Job>,
-    ) {
+    fn process_batch(&self, scratch: &mut PredictScratch, batch: &mut [Job]) {
         // Queue-wait stage: submit → drain. Measured before grouping so
         // assembly time lands in the batch stage, not here.
         if obs::ENABLED {
@@ -1227,9 +1286,6 @@ impl Shared {
                     }
                 }
             }
-        }
-        for job in batch {
-            job.finish(&self.obs);
         }
     }
 
@@ -1357,9 +1413,26 @@ impl Shared {
 
     /// Trainer-thread body: fine-tune → checkpoint → swap, one queued
     /// retrain at a time, until the engine drops its sender.
+    ///
+    /// A panicking retrain is caught and reported as
+    /// [`QrossError::Serve`]: its pending count is released and the
+    /// thread lives on, so one bad fine-tune cannot leave every later
+    /// `refresh` bouncing `Overloaded`. The slot is swapped only after a
+    /// retrain succeeds, so the old generation keeps serving.
     fn trainer_loop(self: &Arc<Self>, rx: mpsc::Receiver<RetrainJob>) {
         while let Ok(job) = rx.recv() {
-            let result = self.run_retrain(&job);
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_retrain(&job)))
+                    .unwrap_or_else(|panic| {
+                        let reason = panic
+                            .downcast_ref::<&str>()
+                            .map(|s| s.to_string())
+                            .or_else(|| panic.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "unknown cause".to_string());
+                        Err(QrossError::Serve {
+                            message: format!("online retrain panicked: {reason}"),
+                        })
+                    });
             if let Some(online) = &self.online {
                 online.pending_retrains.fetch_sub(1, Ordering::SeqCst);
             }
@@ -1373,6 +1446,10 @@ impl Shared {
     /// reloadable from disk.
     fn run_retrain(&self, job: &RetrainJob) -> Result<u64, QrossError> {
         let online = self.online.as_ref().expect("trainer only runs online");
+        #[cfg(test)]
+        if online.panic_next_retrain.swap(false, Ordering::SeqCst) {
+            panic!("injected retrain panic");
+        }
         let retrain_sw = obs::Stopwatch::start();
         let current = self.current_model();
         let dataset = merge_for_finetune(
@@ -1493,7 +1570,7 @@ pub struct EngineMetrics {
     pub qps: f64,
     pub latency_p50_us: Option<f64>,
     pub latency_p99_us: Option<f64>,
-    /// mean rows per worker forward pass (cache hits excluded)
+    /// mean rows per forward pass (cache hits excluded)
     pub batch_occupancy: f64,
     /// cache hits / accepted rows
     pub cache_hit_rate: f64,
@@ -1514,10 +1591,40 @@ pub struct EngineMetrics {
 /// A response handle returned by [`ServeEngine::submit`].
 #[derive(Debug)]
 pub struct PendingPrediction {
-    rx: mpsc::Receiver<(obs::Span, Result<Vec<SurrogatePrediction>, QrossError>)>,
+    state: Pending,
+}
+
+#[derive(Debug)]
+enum Pending {
+    /// answered on the submitting thread; `None` once taken
+    Ready(Option<Answer>),
+    /// queued for a worker, which sends the answer
+    Queued(mpsc::Receiver<Answer>),
+}
+
+/// What a handle yields when no answer will ever come.
+fn disconnected() -> Answer {
+    (
+        obs::Span::default(),
+        Err(QrossError::Serve {
+            message: "worker disconnected before answering".to_string(),
+        }),
+    )
 }
 
 impl PendingPrediction {
+    fn ready(answer: Answer) -> Self {
+        PendingPrediction {
+            state: Pending::Ready(Some(answer)),
+        }
+    }
+
+    fn queued(rx: mpsc::Receiver<Answer>) -> Self {
+        PendingPrediction {
+            state: Pending::Queued(rx),
+        }
+    }
+
     /// Blocks until the engine answers.
     ///
     /// # Errors
@@ -1525,28 +1632,18 @@ impl PendingPrediction {
     /// Propagates the engine's error for this request, or
     /// [`QrossError::Serve`] if the worker holding it died.
     pub fn wait(self) -> Result<Vec<SurrogatePrediction>, QrossError> {
-        self.rx
-            .recv()
-            .map(|(_, result)| result)
-            .unwrap_or_else(|_| {
-                Err(QrossError::Serve {
-                    message: "worker disconnected before answering".to_string(),
-                })
-            })
+        self.wait_spanned().1
     }
 
     /// [`PendingPrediction::wait`] plus the request's trace span, for
     /// blocking drivers that record encode time and feed the engine's
     /// [`obs::TraceLog`].
     pub fn wait_spanned(self) -> (obs::Span, Result<Vec<SurrogatePrediction>, QrossError>) {
-        self.rx.recv().unwrap_or_else(|_| {
-            (
-                obs::Span::default(),
-                Err(QrossError::Serve {
-                    message: "worker disconnected before answering".to_string(),
-                }),
-            )
-        })
+        match self.state {
+            Pending::Ready(answer) => answer,
+            Pending::Queued(rx) => rx.recv().ok(),
+        }
+        .unwrap_or_else(disconnected)
     }
 
     /// Non-blocking poll: `Some(result)` once the engine has answered,
@@ -1565,15 +1662,13 @@ impl PendingPrediction {
     pub fn try_wait_spanned(
         &mut self,
     ) -> Option<(obs::Span, Result<Vec<SurrogatePrediction>, QrossError>)> {
-        match self.rx.try_recv() {
-            Ok(answer) => Some(answer),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some((
-                obs::Span::default(),
-                Err(QrossError::Serve {
-                    message: "worker disconnected before answering".to_string(),
-                }),
-            )),
+        match &mut self.state {
+            Pending::Ready(answer) => Some(answer.take().unwrap_or_else(disconnected)),
+            Pending::Queued(rx) => match rx.try_recv() {
+                Ok(answer) => Some(answer),
+                Err(mpsc::TryRecvError::Empty) => None,
+                Err(mpsc::TryRecvError::Disconnected) => Some(disconnected()),
+            },
         }
     }
 }
@@ -1761,6 +1856,8 @@ impl ServeEngine {
                     }),
                     pending_retrains: AtomicU64::new(0),
                     trainer_tx: Mutex::new(None),
+                    #[cfg(test)]
+                    panic_next_retrain: std::sync::atomic::AtomicBool::new(false),
                 })
             }
         };
@@ -1873,10 +1970,12 @@ impl ServeEngine {
         self.shared.refresh()
     }
 
-    /// Enqueues one request (a feature vector at one or more `A` values)
+    /// Admits one request (a feature vector at one or more `A` values)
     /// and returns a handle to wait on. This is the non-blocking entry
     /// point protocol front-ends use to keep many requests in flight —
-    /// which is what gives workers batches to stack.
+    /// which is what gives workers batches to stack. On an idle engine
+    /// (nothing queued, a worker parked) the calling thread computes the
+    /// answer before returning.
     ///
     /// # Errors
     ///
@@ -1895,9 +1994,10 @@ impl ServeEngine {
 
     /// [`ServeEngine::submit`] with admission options: the requesting
     /// tenant (`None` = default tenant) and an optional completion hook,
-    /// invoked after the result becomes receivable — event-loop
+    /// invoked after a worker makes the result receivable — event-loop
     /// front-ends use it to wake their poller instead of parking a thread
-    /// per request.
+    /// per request. A request answered before this returns never fires
+    /// the hook (see [`CompletionNotify`]).
     ///
     /// # Errors
     ///
@@ -2836,6 +2936,185 @@ mod tests {
         assert_eq!(m.tenants[0].tenant, DEFAULT_TENANT);
         assert_eq!(m.tenants[0].requests, 20);
         assert_eq!(m.tenants[0].rows, 20);
+    }
+
+    /// Blocks until one of the engine's workers waits on `work_ready`.
+    fn wait_until_parked(shared: &Shared) {
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while lock(&shared.queue).parked == 0 {
+            assert!(Instant::now() < deadline, "no worker parked within 10 s");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// A completion hook that counts its calls.
+    fn counting_notify() -> (CompletionNotify, Arc<AtomicU64>) {
+        let fired = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&fired);
+        let notify: CompletionNotify = Arc::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        (notify, fired)
+    }
+
+    /// Plays the worker by hand on a workerless engine: drains one batch,
+    /// computes it and delivers every answer.
+    fn run_queued_by_hand(shared: &Shared) {
+        let mut batch = lock(&shared.queue).drain_batch(shared.config.max_batch_rows);
+        assert!(!batch.is_empty(), "nothing was queued");
+        shared.process_batch(&mut PredictScratch::new(), &mut batch);
+        for job in batch {
+            assert!(
+                job.finish(&shared.obs).is_none(),
+                "queued job kept its answer"
+            );
+        }
+    }
+
+    fn assert_bits(served: &SurrogatePrediction, direct: &SurrogatePrediction) {
+        assert_eq!(served.pf.to_bits(), direct.pf.to_bits());
+        assert_eq!(served.e_avg.to_bits(), direct.e_avg.to_bits());
+        assert_eq!(served.e_std.to_bits(), direct.e_std.to_bits());
+    }
+
+    /// `(requests, rows, pending_rows, rejected)` of one tenant.
+    fn tenant_counts(metrics: &EngineMetrics, name: &str) -> (u64, u64, usize, u64) {
+        let t = metrics
+            .tenants
+            .iter()
+            .find(|t| t.tenant == name)
+            .expect("tenant visible");
+        (t.requests, t.rows, t.pending_rows, t.rejected)
+    }
+
+    #[test]
+    fn lone_submit_on_an_idle_engine_is_answered_on_the_submitting_thread() {
+        let sur = tiny_surrogate();
+        let (f, a) = ([0.6, -0.4], 1.75);
+        let direct = sur.predict(&f, a);
+        let eng = engine(ServeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        wait_until_parked(&eng.shared);
+        let (notify, fired) = counting_notify();
+        let mut pending = eng
+            .submit_opts(Some("solo"), f.to_vec(), vec![a], Some(Arc::clone(&notify)))
+            .expect("admitted");
+        let served = pending
+            .try_wait()
+            .expect("answered before submit returned")
+            .expect("prediction");
+        assert_eq!(served.len(), 1);
+        assert_bits(&served[0], &direct);
+        // A repeat is a full cache hit: also answered at once.
+        let mut repeat = eng
+            .submit_opts(Some("solo"), f.to_vec(), vec![a], Some(notify))
+            .expect("admitted");
+        let cached = repeat.try_wait().expect("cache hit in hand").expect("ok");
+        assert_bits(&cached[0], &direct);
+        assert_eq!(
+            fired.load(Ordering::SeqCst),
+            0,
+            "inline answers woke nobody"
+        );
+
+        // The same two requests through the queue count the same.
+        let queued = workerless(TenantPolicy::default(), 1024);
+        for _ in 0..2 {
+            let mut pending = queued
+                .submit_opts(Some("solo"), f.to_vec(), vec![a], None, obs::Span::begin())
+                .expect("admitted");
+            assert!(pending.try_wait().is_none(), "workerless engine answered");
+            run_queued_by_hand(&queued);
+            assert_bits(&pending.wait().expect("answered")[0], &direct);
+        }
+        let (inline, by_worker) = (eng.stats(), queued.obs.snapshot());
+        assert_eq!(inline.requests, by_worker.requests);
+        assert_eq!(inline.rows, by_worker.rows);
+        assert_eq!(inline.rejected, by_worker.rejected);
+        // The workerless engine has no cache, so it ran the repeat too.
+        assert_eq!((inline.cache_hits, inline.batches), (1, 1));
+        assert_eq!((by_worker.cache_hits, by_worker.batches), (0, 2));
+        assert_eq!(
+            tenant_counts(&eng.metrics(), "solo"),
+            tenant_counts(&queued.metrics(), "solo")
+        );
+        assert_eq!(tenant_counts(&eng.metrics(), "solo"), (2, 2, 0, 0));
+    }
+
+    #[test]
+    fn workerless_engine_queues_the_lone_submit_and_notifies_once() {
+        let sur = tiny_surrogate();
+        let (f, a) = ([0.6, -0.4], 1.75);
+        let shared = workerless(TenantPolicy::default(), 1024);
+        let (notify, fired) = counting_notify();
+        let mut pending = shared
+            .submit_opts(
+                None,
+                f.to_vec(),
+                vec![a],
+                Some(Arc::clone(&notify)),
+                obs::Span::begin(),
+            )
+            .expect("admitted");
+        assert!(pending.try_wait().is_none());
+        assert_eq!(fired.load(Ordering::SeqCst), 0);
+        assert_eq!(shared.metrics().queue_depth, 1);
+        run_queued_by_hand(&shared);
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        let served = pending.try_wait().expect("answered").expect("ok");
+        assert_bits(&served[0], &sur.predict(&f, a));
+        // Answers already in hand never need a worker or a wake.
+        let mut empty = shared
+            .submit_opts(
+                None,
+                f.to_vec(),
+                Vec::new(),
+                Some(notify),
+                obs::Span::begin(),
+            )
+            .expect("admitted");
+        assert!(empty.try_wait().expect("in hand").expect("ok").is_empty());
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn panicking_retrain_is_reported_and_the_trainer_survives() {
+        let dir = temp_dir("panic");
+        let eng = ServeEngine::with_online(
+            ServeModel::Surrogate(Arc::new(tiny_surrogate())),
+            ServeConfig::default(),
+            OnlineConfig {
+                refresh_after: 0,
+                max_pending_retrains: 1,
+                ..online_config(&dir)
+            },
+            None,
+        )
+        .expect("online engine");
+        for k in 0..4 {
+            eng.submit_feedback(feedback(k)).expect("feedback");
+        }
+        let online = eng.shared.online.as_ref().expect("online");
+        online.panic_next_retrain.store(true, Ordering::SeqCst);
+        let err = eng.refresh().expect("queued").wait().unwrap_err();
+        assert!(
+            matches!(&err, QrossError::Serve { message } if message.contains("panicked")),
+            "{err}"
+        );
+        assert_eq!(eng.generation(), 0);
+        assert!(eng.predict(&[0.0, 0.0], 1.0).is_ok());
+        // The one retrain slot was released and the trainer still runs:
+        // the next refresh is admitted and installs a generation.
+        let gen = eng
+            .refresh()
+            .expect("refresh admitted after a panic")
+            .wait()
+            .expect("swap");
+        assert_eq!(gen, 1);
+        assert_eq!(eng.generation(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

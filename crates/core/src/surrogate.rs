@@ -516,18 +516,6 @@ impl Surrogate {
             .collect()
     }
 
-    /// Predicts a whole `A` sweep for one instance (single forward pass).
-    ///
-    /// Alias of [`Surrogate::predict_grid`], kept for callers written
-    /// against the original name.
-    ///
-    /// # Panics
-    ///
-    /// Panics on feature-width mismatch or a non-positive `a`.
-    pub fn predict_sweep(&self, features: &[f64], a_values: &[f64]) -> Vec<SurrogatePrediction> {
-        self.predict_grid(features, a_values)
-    }
-
     /// The fitted normalisation parameters.
     pub fn scalers(&self) -> &Scalers {
         &self.scalers
@@ -706,8 +694,6 @@ mod tests {
             assert!((grid[k].e_std - single.e_std).abs() < 1e-12);
         }
         assert!(sur.predict_grid(&f, &[]).is_empty());
-        // The alias stays in lock-step.
-        assert_eq!(sur.predict_sweep(&f, &a_values), grid);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use batch::ReplicaBatch;
 pub use ising::IsingModel;
 pub use model::{QuboBuilder, QuboModel};
 pub use program::{ConstrainedBinaryProgram, LinearConstraint};
-pub use state::{LocalFieldState, QuboState};
+pub use state::QuboState;
 
 /// Errors from QUBO construction and evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]

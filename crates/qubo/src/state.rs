@@ -32,9 +32,6 @@ use rand::Rng;
 use crate::model::QuboModel;
 use crate::QuboError;
 
-/// Former name of [`QuboState`], kept for source compatibility.
-pub type LocalFieldState<'m> = QuboState<'m>;
-
 /// A binary assignment with cached energy and flip-delta vector.
 ///
 /// # Examples

@@ -1,7 +1,7 @@
 //! Property-based tests for QUBO invariants.
 
 use proptest::prelude::*;
-use qubo::{ConstrainedBinaryProgram, LinearConstraint, LocalFieldState, QuboBuilder};
+use qubo::{ConstrainedBinaryProgram, LinearConstraint, QuboBuilder, QuboState};
 
 /// Strategy producing a random QUBO model description: `n`, linear terms
 /// and a sparse set of couplings.
@@ -43,7 +43,7 @@ proptest! {
         let model = build_model(n, &linear, &couplings);
         let x: Vec<u8> = init_bits.into_iter().take(n).collect();
         prop_assume!(x.len() == n);
-        let mut state = LocalFieldState::new(&model, x);
+        let mut state = QuboState::new(&model, x);
         for f in flips {
             let i = f % n;
             let predicted = state.flip_delta(i);
