@@ -14,9 +14,10 @@
 //! * a [`sys::WakePipe`] self-pipe: engine workers complete a prediction
 //!   and wake the poller through the job's completion hook, so the loop
 //!   never spins and never parks a thread per request. Answers the
-//!   engine produces on the loop thread itself (cache hits, a lone
-//!   predict on an idle engine) fire no hook: `EventLoop::drive`
-//!   pumps the emitter after staging, so they go out in the same pass;
+//!   loop thread produces itself fire no hook: a cache hit is answered
+//!   at staging, and a lone single-row predict that the engine held on
+//!   an idle engine is run on the loop thread as soon as nothing more is
+//!   buffered behind it, so both go out in the same pass;
 //! * backpressure end to end: a connection stops being read the moment
 //!   its staged-response window ([`EventLoopConfig::pipeline_depth`]) or
 //!   write buffer ([`EventLoopConfig::write_buf_bytes`]) fills, accepts
@@ -669,6 +670,9 @@ impl EventLoop<'_> {
                 }
                 continue;
             }
+            // Nothing more is buffered behind the last staged request: a
+            // lone one the engine held runs now, on this thread.
+            conn.emitter.run_held_last();
             if conn.eof && !conn.input_done {
                 conn.input_done = true;
                 if let Some(item) = conn.codec.finish() {

@@ -348,6 +348,19 @@ impl ResponseEmitter {
         self.queue.is_empty()
     }
 
+    /// Runs the most recently staged request on the calling thread if the
+    /// engine held it (see
+    /// [`qross::serve::PendingPrediction::run_if_held`]). Front-ends call
+    /// this once no further complete request is buffered: only then is
+    /// the request alone, and its answer is in hand before the next read.
+    /// Earlier held requests need no call: a request staged behind one
+    /// sends both to a worker batch.
+    pub fn run_held_last(&mut self) {
+        if let Some(Staged::Pending { pending, .. }) = self.queue.back_mut() {
+            pending.run_if_held();
+        }
+    }
+
     /// Appends every head-of-line-complete response to `out` (one NDJSON
     /// line or QBIN frame each) without blocking; returns how many
     /// responses were emitted. `serve_obs` is the engine's observability

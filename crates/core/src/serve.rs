@@ -15,9 +15,12 @@
 //! * **Micro-batching** — concurrent requests queue as jobs; a worker
 //!   drains several jobs at once, stacks their feature rows into one
 //!   matrix and answers them with a **single forward pass per head**
-//!   ([`crate::Surrogate::predict_many`]). A lone request on an idle
-//!   engine (nothing queued, a worker parked) skips the hand-off: the
-//!   submitting thread runs it through the same batch path itself.
+//!   ([`crate::Surrogate::predict_many`]). A lone single-row request on
+//!   an idle engine (nothing queued, a worker parked) is held: queued
+//!   without waking a worker. Its handle runs it through the same batch
+//!   path on the calling thread (the front-end, once nothing more is
+//!   staged behind it, or the first poll), unless another request
+//!   arrived first and woke a worker, which then batches the two.
 //!   Because every matrix row is accumulated independently in the same
 //!   operation order as a 1-row forward, batching is **bit-invisible**:
 //!   responses are exactly the f64s a sequential per-request `predict`
@@ -239,11 +242,11 @@ impl TenantPolicy {
 /// request's result is delivered, e.g. to write a wake byte to an event
 /// loop's self-pipe. Must be cheap and must not block.
 ///
-/// It fires only for jobs a worker completes. A request answered on the
-/// submitting thread (a full cache hit, an empty `a_values`, or a lone
-/// job on an idle engine) returns a handle whose
-/// [`PendingPrediction::try_wait`] is already `Some`, and the hook is
-/// never called: the submitter has the answer in hand.
+/// It fires only for jobs a worker completes. A full cache hit or an
+/// empty `a_values` returns a handle whose [`PendingPrediction::try_wait`]
+/// is already `Some`, and a held lone job that its handle runs on the
+/// calling thread ([`PendingPrediction::run_if_held`], or the first poll)
+/// is answered there; neither calls the hook.
 pub type CompletionNotify = Arc<dyn Fn() + Send + Sync>;
 
 /// Monotonic serving counters (a snapshot of [`ServeEngine::stats`]).
@@ -255,8 +258,8 @@ pub struct ServeStats {
     pub rows: usize,
     /// rows answered from the cache
     pub cache_hits: usize,
-    /// forward-pass batches executed (by workers, or by a submitting
-    /// thread answering a lone job on an idle engine)
+    /// forward-pass batches executed (by workers, or by the thread whose
+    /// handle runs a lone job held on an idle engine)
     pub batches: usize,
     /// requests rejected with [`QrossError::Overloaded`]
     /// (`rejected_quota + rejected_capacity`)
@@ -414,6 +417,25 @@ impl ServeObs {
         ] {
             self.stage[stage as usize].record(span.stage_ns(stage));
         }
+    }
+
+    /// Records a finished request's engine latency and stages and
+    /// assembles its answer from the filled result slots.
+    fn answer(
+        &self,
+        submitted: Instant,
+        span: obs::Span,
+        results: Vec<Option<SurrogatePrediction>>,
+    ) -> Answer {
+        let out: Vec<SurrogatePrediction> = results
+            .into_iter()
+            .map(|r| r.expect("all slots computed"))
+            .collect();
+        if obs::ENABLED {
+            self.latency.record(submitted.elapsed().as_nanos() as u64);
+            self.record_engine_stages(&span);
+        }
+        (span, Ok(out))
     }
 
     fn snapshot(&self) -> ServeStats {
@@ -596,11 +618,11 @@ type Answer = (obs::Span, Result<Vec<SurrogatePrediction>, QrossError>);
 /// channel, then its optional wake hook.
 type Reply = (mpsc::Sender<Answer>, Option<CompletionNotify>);
 
-/// One request: a feature vector evaluated at one or more `A` values.
-/// `results[k]` is pre-filled for cache hits; [`Shared::process_batch`]
-/// computes the `None` slots. `model` is the versioned model captured at
-/// submit time — the generation this job is answered by, whatever swaps
-/// land while it waits.
+/// One queued request: a feature vector evaluated at one or more `A`
+/// values. `results[k]` is pre-filled for cache hits;
+/// [`Shared::process_batch`] computes the `None` slots. `model` is the
+/// versioned model captured at submit time — the generation this job is
+/// answered by, whatever swaps land while it waits.
 struct Job {
     features: Arc<Vec<f64>>,
     a_values: Vec<f64>,
@@ -610,9 +632,7 @@ struct Job {
     /// the request's trace span, accumulated through the pipeline and
     /// returned to the submitter alongside the result
     span: obs::Span,
-    /// set when the job is queued for a worker; `None` while the
-    /// submitting thread holds it (and for a job it runs itself)
-    reply: Option<Reply>,
+    reply: Reply,
 }
 
 impl Job {
@@ -620,33 +640,24 @@ impl Job {
         self.results.iter().filter(|r| r.is_none()).count()
     }
 
-    /// Records the finished job's latency and engine stages, then hands
-    /// its answer on: a queued job's goes down its channel (and wakes
-    /// the submitter), a job without a reply route gets it returned.
-    fn finish(self, serve_obs: &ServeObs) -> Option<Answer> {
-        let out: Vec<SurrogatePrediction> = self
-            .results
-            .into_iter()
-            .map(|r| r.expect("all slots computed"))
-            .collect();
-        if obs::ENABLED {
-            serve_obs
-                .latency
-                .record(self.submitted.elapsed().as_nanos() as u64);
-            serve_obs.record_engine_stages(&self.span);
-        }
-        let answer = (self.span, Ok(out));
-        let Some((tx, notify)) = self.reply else {
-            return Some(answer);
-        };
-        // A dropped receiver just means the client went away; ignore.
-        let _ = tx.send(answer);
-        // Wake the submitter's event loop (if any) only after the result
-        // is deliverable: a woken poller must find the response ready.
-        if let Some(notify) = notify {
-            notify();
-        }
-        None
+    /// Records the computed job's latency and engine stages; returns its
+    /// answer and the route a worker delivers it on.
+    fn finish(self, serve_obs: &ServeObs) -> (Answer, Reply) {
+        (
+            serve_obs.answer(self.submitted, self.span, self.results),
+            self.reply,
+        )
+    }
+}
+
+/// Sends a worker-computed answer down its reply route.
+fn deliver((answer, (tx, notify)): (Answer, Reply)) {
+    // A dropped receiver just means the client went away; ignore.
+    let _ = tx.send(answer);
+    // Wake the submitter's event loop (if any) only after the answer is
+    // deliverable: a woken poller must find the response ready.
+    if let Some(notify) = notify {
+        notify();
     }
 }
 
@@ -692,9 +703,15 @@ struct Queue {
     /// pending rows across all tenants (the global `queue_capacity`
     /// bound)
     pending_rows: usize,
-    /// workers waiting on `work_ready`: with one parked and nothing
-    /// queued, a submitter runs its job itself instead of waking it
+    /// workers waiting on `work_ready`
     parked: usize,
+    /// ticket of the one job queued without waking a worker, while it is
+    /// still the only job queued; only then may its handle take the job
+    /// back (see [`Shared::claim`]). Any later push or drain clears it:
+    /// the woken worker answers the job (an unpolled one too)
+    held: Option<u64>,
+    /// tickets handed out so far
+    tickets: u64,
     shutdown: bool,
 }
 
@@ -713,6 +730,8 @@ impl Queue {
             active: VecDeque::new(),
             pending_rows: 0,
             parked: 0,
+            held: None,
+            tickets: 0,
             shutdown: false,
         };
         // The default tenant is index 0, always present.
@@ -769,8 +788,10 @@ impl Queue {
     }
 
     /// Enqueues `job` on tenant `idx` and links the tenant into the
-    /// active ring. Caller has already done quota accounting.
+    /// active ring. Caller has already done quota accounting and wakes a
+    /// worker; a held job stops being claimable.
     fn push(&mut self, idx: usize, job: Job) {
+        self.held = None;
         let rows = job.pending_rows();
         let tenant = &mut self.tenants[idx];
         tenant.pending_rows += rows;
@@ -792,6 +813,7 @@ impl Queue {
     /// job is served regardless of deficit (work conservation — fairness
     /// only arbitrates *contended* batches).
     fn drain_batch(&mut self, max_batch_rows: usize) -> Vec<Job> {
+        self.held = None;
         let mut batch = Vec::new();
         let mut rows = 0usize;
         // Every ring visit either serves ≥1 job or retires the tenant
@@ -940,15 +962,19 @@ impl Shared {
     /// * nobody, for a fully-cached request or an empty `a_values` — the
     ///   answer is assembled here (the fast path a warm serving process
     ///   mostly runs);
-    /// * the submitting thread, when nothing is queued and a worker is
-    ///   parked — waking that worker would only add a context switch to
-    ///   a single-job batch;
-    /// * a worker otherwise: the job is queued, micro-batched and
-    ///   scheduled deficit-weighted round-robin across tenants.
+    /// * the handle's thread, for a lone single-row job on an idle
+    ///   engine (nothing queued, a worker parked): the job is held —
+    ///   queued without waking the worker, since a wake would only add a
+    ///   context switch to a one-row batch — and the handle takes it back
+    ///   if it is still the only job queued when the front-end calls
+    ///   [`PendingPrediction::run_if_held`] or first polls it;
+    /// * a worker otherwise, or when any request arrives behind a held
+    ///   job: jobs are micro-batched and scheduled deficit-weighted
+    ///   round-robin across tenants.
     ///
     /// Every computed row goes through [`Shared::process_batch`], so the
-    /// answer bits do not depend on the path. Only the queued path fires
-    /// `notify`; the others return a handle that is already answered.
+    /// answer bits do not depend on the path. Only a worker fires
+    /// `notify`.
     fn submit_opts(
         self: &Arc<Self>,
         tenant: Option<&str>,
@@ -1024,23 +1050,16 @@ impl Shared {
             span.record(obs::Stage::Cache, sw.elapsed_ns());
         }
 
-        let mut job = Job {
-            features: Arc::new(features),
-            a_values,
-            results,
-            model,
-            submitted,
-            span,
-            reply: None,
-        };
-        let pending = job.pending_rows();
+        let pending = results.iter().filter(|r| r.is_none()).count();
         if pending == 0 {
             accept(hits);
             let mut q = lock(&self.queue);
             let idx = q.tenant_index(tenant, &self.policy);
             accept_tenant(&mut q, idx);
             drop(q);
-            return Ok(PendingPrediction::ready(self.answer(job)));
+            return Ok(PendingPrediction::ready(
+                self.obs.answer(submitted, span, results),
+            ));
         }
         if pending > self.config.queue_capacity {
             // Could never fit even in an empty queue: this is a malformed
@@ -1072,35 +1091,55 @@ impl Shared {
             });
         }
         accept_tenant(&mut q, idx);
-        if q.is_idle() && q.parked > 0 {
-            // A lone job on an idle engine: nothing to batch it with and
-            // no backlog to be fair to, so answer it here.
-            drop(q);
-            accept(hits);
-            return Ok(PendingPrediction::ready(self.answer(job)));
-        }
+        let hold = pending == 1 && q.is_idle() && q.parked > 0;
         let (tx, rx) = mpsc::channel();
-        job.reply = Some((tx, notify));
-        q.push(idx, job);
+        q.push(
+            idx,
+            Job {
+                features: Arc::new(features),
+                a_values,
+                results,
+                model,
+                submitted,
+                span,
+                reply: (tx, notify),
+            },
+        );
+        let held = hold.then(|| {
+            q.tickets += 1;
+            q.held = Some(q.tickets);
+            Held {
+                shared: Arc::clone(self),
+                ticket: q.tickets,
+            }
+        });
         drop(q);
         accept(hits);
-        self.work_ready.notify_one();
-        Ok(PendingPrediction::queued(rx))
+        if held.is_none() {
+            self.work_ready.notify_one();
+        }
+        Ok(PendingPrediction::queued(rx, held))
     }
 
-    /// Computes a job's uncached rows on the calling thread (with that
-    /// thread's own [`PredictScratch`]) and returns its answer.
-    fn answer(&self, job: Job) -> Answer {
+    /// Takes the held job `ticket` back from the queue and runs it on the
+    /// calling thread (with that thread's own [`PredictScratch`]), unless
+    /// another push or a drain came first: a worker then answers it
+    /// through the job's channel, and this returns `None`.
+    fn claim(&self, ticket: u64) -> Option<Answer> {
         thread_local! {
             static SCRATCH: RefCell<PredictScratch> = RefCell::new(PredictScratch::new());
         }
-        let mut batch = [job];
-        if batch[0].pending_rows() > 0 {
-            SCRATCH.with(|scratch| self.process_batch(&mut scratch.borrow_mut(), &mut batch));
-        }
-        let [job] = batch;
-        job.finish(&self.obs)
-            .expect("a job the submitter holds has no reply route")
+        let mut batch = {
+            let mut q = lock(&self.queue);
+            if q.held != Some(ticket) {
+                return None;
+            }
+            // A held job is the only one queued, so this drains it alone.
+            q.drain_batch(1)
+        };
+        SCRATCH.with(|scratch| self.process_batch(&mut scratch.borrow_mut(), &mut batch));
+        let job = batch.pop().expect("the held job was queued");
+        Some(job.finish(&self.obs).0)
     }
 
     /// Point-in-time metrics snapshot. Counters are relaxed atomics and
@@ -1196,7 +1235,7 @@ impl Shared {
             };
             self.process_batch(&mut scratch, &mut batch);
             for job in batch {
-                job.finish(&self.obs);
+                deliver(job.finish(&self.obs));
             }
         }
     }
@@ -1596,10 +1635,28 @@ pub struct PendingPrediction {
 
 #[derive(Debug)]
 enum Pending {
-    /// answered on the submitting thread; `None` once taken
+    /// answered in hand; `None` once taken
     Ready(Option<Answer>),
-    /// queued for a worker, which sends the answer
-    Queued(mpsc::Receiver<Answer>),
+    /// queued; a worker sends the answer unless `held` (a lone job queued
+    /// without a wake, not yet polled) lets the first poll run it here
+    Queued {
+        rx: mpsc::Receiver<Answer>,
+        held: Option<Held>,
+    },
+}
+
+/// The claim a held job's handle has on it (see [`Shared::claim`]).
+struct Held {
+    shared: Arc<Shared>,
+    ticket: u64,
+}
+
+impl std::fmt::Debug for Held {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Held")
+            .field("ticket", &self.ticket)
+            .finish_non_exhaustive()
+    }
 }
 
 /// What a handle yields when no answer will ever come.
@@ -1619,9 +1676,26 @@ impl PendingPrediction {
         }
     }
 
-    fn queued(rx: mpsc::Receiver<Answer>) -> Self {
+    fn queued(rx: mpsc::Receiver<Answer>, held: Option<Held>) -> Self {
         PendingPrediction {
-            state: Pending::Queued(rx),
+            state: Pending::Queued { rx, held },
+        }
+    }
+
+    /// Runs the request on the calling thread now if the engine held it
+    /// (a lone single-row job on an idle engine) and it is still the only
+    /// job queued; later polls then find the answer in hand. Otherwise a
+    /// no-op. Front-ends call this once nothing more is staged behind the
+    /// request, so a request with more input behind it stays queued for a
+    /// worker batch; the first poll does it too.
+    pub fn run_if_held(&mut self) {
+        let Pending::Queued { held, .. } = &mut self.state else {
+            return;
+        };
+        if let Some(Held { shared, ticket }) = held.take() {
+            if let Some(answer) = shared.claim(ticket) {
+                self.state = Pending::Ready(Some(answer));
+            }
         }
     }
 
@@ -1638,10 +1712,11 @@ impl PendingPrediction {
     /// [`PendingPrediction::wait`] plus the request's trace span, for
     /// blocking drivers that record encode time and feed the engine's
     /// [`obs::TraceLog`].
-    pub fn wait_spanned(self) -> (obs::Span, Result<Vec<SurrogatePrediction>, QrossError>) {
+    pub fn wait_spanned(mut self) -> (obs::Span, Result<Vec<SurrogatePrediction>, QrossError>) {
+        self.run_if_held();
         match self.state {
             Pending::Ready(answer) => answer,
-            Pending::Queued(rx) => rx.recv().ok(),
+            Pending::Queued { rx, .. } => rx.recv().ok(),
         }
         .unwrap_or_else(disconnected)
     }
@@ -1649,7 +1724,9 @@ impl PendingPrediction {
     /// Non-blocking poll: `Some(result)` once the engine has answered,
     /// `None` while the request is still in flight. Event-loop drivers
     /// call this after their wake pipe fires instead of parking a thread
-    /// per request. A dead worker reports as `Some(Err(Serve))`, matching
+    /// per request. The first poll of a held lone job runs it on the
+    /// polling thread (see [`PendingPrediction::run_if_held`]). A dead
+    /// worker reports as `Some(Err(Serve))`, matching
     /// [`PendingPrediction::wait`].
     pub fn try_wait(&mut self) -> Option<Result<Vec<SurrogatePrediction>, QrossError>> {
         self.try_wait_spanned().map(|(_, result)| result)
@@ -1662,9 +1739,10 @@ impl PendingPrediction {
     pub fn try_wait_spanned(
         &mut self,
     ) -> Option<(obs::Span, Result<Vec<SurrogatePrediction>, QrossError>)> {
+        self.run_if_held();
         match &mut self.state {
             Pending::Ready(answer) => Some(answer.take().unwrap_or_else(disconnected)),
-            Pending::Queued(rx) => match rx.try_recv() {
+            Pending::Queued { rx, .. } => match rx.try_recv() {
                 Ok(answer) => Some(answer),
                 Err(mpsc::TryRecvError::Empty) => None,
                 Err(mpsc::TryRecvError::Disconnected) => Some(disconnected()),
@@ -1973,9 +2051,11 @@ impl ServeEngine {
     /// Admits one request (a feature vector at one or more `A` values)
     /// and returns a handle to wait on. This is the non-blocking entry
     /// point protocol front-ends use to keep many requests in flight —
-    /// which is what gives workers batches to stack. On an idle engine
-    /// (nothing queued, a worker parked) the calling thread computes the
-    /// answer before returning.
+    /// which is what gives workers batches to stack. A lone single-row
+    /// request on an idle engine (nothing queued, a worker parked) wakes
+    /// no worker: its handle computes it
+    /// ([`PendingPrediction::run_if_held`], or the first poll), unless a
+    /// later submit woke a worker first.
     ///
     /// # Errors
     ///
@@ -1996,8 +2076,8 @@ impl ServeEngine {
     /// tenant (`None` = default tenant) and an optional completion hook,
     /// invoked after a worker makes the result receivable — event-loop
     /// front-ends use it to wake their poller instead of parking a thread
-    /// per request. A request answered before this returns never fires
-    /// the hook (see [`CompletionNotify`]).
+    /// per request. A request a worker does not answer never fires the
+    /// hook (see [`CompletionNotify`]).
     ///
     /// # Errors
     ///
@@ -2957,18 +3037,27 @@ mod tests {
         (notify, fired)
     }
 
+    /// Blocks until `fired` reaches `n`: a worker calls the hook just
+    /// after sending the answer, so `wait` can return first.
+    fn wait_for_notifies(fired: &AtomicU64, n: u64) {
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while fired.load(Ordering::SeqCst) < n {
+            assert!(Instant::now() < deadline, "no notify within 10 s");
+            std::thread::yield_now();
+        }
+    }
+
     /// Plays the worker by hand on a workerless engine: drains one batch,
-    /// computes it and delivers every answer.
-    fn run_queued_by_hand(shared: &Shared) {
+    /// computes it and delivers every answer; returns the batch's size.
+    fn run_queued_by_hand(shared: &Shared) -> usize {
         let mut batch = lock(&shared.queue).drain_batch(shared.config.max_batch_rows);
         assert!(!batch.is_empty(), "nothing was queued");
         shared.process_batch(&mut PredictScratch::new(), &mut batch);
+        let jobs = batch.len();
         for job in batch {
-            assert!(
-                job.finish(&shared.obs).is_none(),
-                "queued job kept its answer"
-            );
+            deliver(job.finish(&shared.obs));
         }
+        jobs
     }
 
     fn assert_bits(served: &SurrogatePrediction, direct: &SurrogatePrediction) {
@@ -2988,7 +3077,7 @@ mod tests {
     }
 
     #[test]
-    fn lone_submit_on_an_idle_engine_is_answered_on_the_submitting_thread() {
+    fn lone_submit_on_an_idle_engine_is_answered_by_its_first_poll() {
         let sur = tiny_surrogate();
         let (f, a) = ([0.6, -0.4], 1.75);
         let direct = sur.predict(&f, a);
@@ -3003,11 +3092,11 @@ mod tests {
             .expect("admitted");
         let served = pending
             .try_wait()
-            .expect("answered before submit returned")
+            .expect("answered by the first poll")
             .expect("prediction");
         assert_eq!(served.len(), 1);
         assert_bits(&served[0], &direct);
-        // A repeat is a full cache hit: also answered at once.
+        // A repeat is a full cache hit: answered at submit.
         let mut repeat = eng
             .submit_opts(Some("solo"), f.to_vec(), vec![a], Some(notify))
             .expect("admitted");
@@ -3016,7 +3105,7 @@ mod tests {
         assert_eq!(
             fired.load(Ordering::SeqCst),
             0,
-            "inline answers woke nobody"
+            "answers computed by the poller woke nobody"
         );
 
         // The same two requests through the queue count the same.
@@ -3029,18 +3118,74 @@ mod tests {
             run_queued_by_hand(&queued);
             assert_bits(&pending.wait().expect("answered")[0], &direct);
         }
-        let (inline, by_worker) = (eng.stats(), queued.obs.snapshot());
-        assert_eq!(inline.requests, by_worker.requests);
-        assert_eq!(inline.rows, by_worker.rows);
-        assert_eq!(inline.rejected, by_worker.rejected);
+        let (polled, by_worker) = (eng.stats(), queued.obs.snapshot());
+        assert_eq!(polled.requests, by_worker.requests);
+        assert_eq!(polled.rows, by_worker.rows);
+        assert_eq!(polled.rejected, by_worker.rejected);
         // The workerless engine has no cache, so it ran the repeat too.
-        assert_eq!((inline.cache_hits, inline.batches), (1, 1));
+        assert_eq!((polled.cache_hits, polled.batches), (1, 1));
         assert_eq!((by_worker.cache_hits, by_worker.batches), (0, 2));
         assert_eq!(
             tenant_counts(&eng.metrics(), "solo"),
             tenant_counts(&queued.metrics(), "solo")
         );
         assert_eq!(tenant_counts(&eng.metrics(), "solo"), (2, 2, 0, 0));
+    }
+
+    #[test]
+    fn a_submit_behind_a_held_job_wakes_a_worker_that_batches_both() {
+        let sur = tiny_surrogate();
+        let eng = engine(ServeConfig {
+            workers: 1,
+            cache_capacity: 0,
+            ..Default::default()
+        });
+        wait_until_parked(&eng.shared);
+        let (notify, fired) = counting_notify();
+        let queries = [([0.6, -0.4], 1.75), ([-0.2, 0.9], 0.5)];
+        // Submitted back to back, as a pipelining client's requests are:
+        // the first is held, the second wakes the worker.
+        let mut pending: Vec<PendingPrediction> = queries
+            .iter()
+            .map(|(f, a)| {
+                eng.submit_opts(None, f.to_vec(), vec![*a], Some(Arc::clone(&notify)))
+                    .expect("admitted")
+            })
+            .collect();
+        // Neither is held any more, so the front-end's nudge runs nothing.
+        for pending in &mut pending {
+            pending.run_if_held();
+        }
+        for (pending, (f, a)) in pending.into_iter().zip(&queries) {
+            assert_bits(&pending.wait().expect("answered")[0], &sur.predict(f, *a));
+        }
+        assert_eq!(eng.stats().batches, 1, "one stacked forward");
+        assert_eq!(eng.metrics().batch_occupancy, 2.0);
+        wait_for_notifies(&fired, 2);
+    }
+
+    #[test]
+    fn only_a_lone_single_row_job_is_held() {
+        let sur = tiny_surrogate();
+        let f = [0.6, -0.4];
+        let grid = [0.5, 1.75, 3.0];
+        let eng = engine(ServeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        wait_until_parked(&eng.shared);
+        let (notify, fired) = counting_notify();
+        // A grid is queued and woken for at once, so the event loop keeps
+        // decoding while a worker computes it.
+        let pending = eng
+            .submit_opts(None, f.to_vec(), grid.to_vec(), Some(notify))
+            .expect("admitted");
+        assert!(lock(&eng.shared.queue).held.is_none());
+        let served = pending.wait().expect("answered");
+        for (served, &a) in served.iter().zip(&grid) {
+            assert_bits(served, &sur.predict(&f, a));
+        }
+        wait_for_notifies(&fired, 1);
     }
 
     #[test]
@@ -3077,6 +3222,37 @@ mod tests {
             .expect("admitted");
         assert!(empty.try_wait().expect("in hand").expect("ok").is_empty());
         assert_eq!(fired.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn multi_job_batch_is_bit_identical_to_predict() {
+        // Several queued jobs (mixed grid sizes and tenants) drained into
+        // one stacked forward answer exactly what per-row predict does.
+        let sur = tiny_surrogate();
+        let shared = workerless(TenantPolicy::default(), 1024);
+        let requests: Vec<(Option<&str>, [f64; 2], Vec<f64>)> = vec![
+            (None, [0.6, -0.4], vec![1.75]),
+            (Some("b"), [-0.2, 0.9], vec![0.5, 2.0]),
+            (None, [0.0, 0.0], vec![1.0, 1.5, 4.0]),
+            (Some("b"), [1.3, -0.7], vec![0.25, 8.0]),
+        ];
+        let pending: Vec<PendingPrediction> = requests
+            .iter()
+            .map(|(tenant, f, grid)| {
+                shared
+                    .submit_opts(*tenant, f.to_vec(), grid.clone(), None, obs::Span::begin())
+                    .expect("admitted")
+            })
+            .collect();
+        assert_eq!(run_queued_by_hand(&shared), requests.len(), "one batch");
+        assert_eq!(shared.obs.snapshot().batches, 1);
+        for (pending, (_, f, grid)) in pending.into_iter().zip(&requests) {
+            let served = pending.wait().expect("answered");
+            assert_eq!(served.len(), grid.len());
+            for (served, &a) in served.iter().zip(grid) {
+                assert_bits(served, &sur.predict(f, a));
+            }
+        }
     }
 
     #[test]
