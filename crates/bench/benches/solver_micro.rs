@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the solver substrates: one solver call on a small
-//! TSP QUBO for each backend, plus the incremental-evaluation primitive.
+//! TSP QUBO for each backend, the Digital Annealer call at `tune-tsp`'s
+//! shape, plus the incremental-evaluation primitive.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -45,6 +46,19 @@ fn bench_solvers(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Digital Annealer call `tune-tsp` makes at quick scale: a 10-city
+/// TSP QUBO (100 variables), 1200 steps, 24 replicas.
+fn bench_da_tune_shape(c: &mut Criterion) {
+    let qubo = micro_encoding(10, 42).to_qubo(2.0);
+    let da = DigitalAnnealer::new(DaConfig {
+        steps: 1200,
+        ..Default::default()
+    });
+    let mut group = c.benchmark_group("solver_call_tsp10");
+    group.bench_function("da_tsp10_batch24", |b| b.iter(|| da.sample(&qubo, 24, 1)));
+    group.finish();
+}
+
 fn bench_local_fields(c: &mut Criterion) {
     let encoding = micro_encoding(10, 7);
     let qubo = encoding.to_qubo(2.0);
@@ -66,6 +80,6 @@ fn bench_local_fields(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_solvers, bench_local_fields
+    targets = bench_solvers, bench_da_tune_shape, bench_local_fields
 }
 criterion_main!(benches);

@@ -64,7 +64,10 @@ fn da_collection_bytes_invariant_to_lane_width() {
         ..Default::default()
     });
     let sequential = collect_bytes(&solver, 1);
-    for lanes in [3, solvers::DEFAULT_REPLICA_LANES] {
+    // 11 and 16 pad the replica batch to two 8-lane kernel blocks; with
+    // 5 replicas per call the first is partial (idle lanes masked) and
+    // the second unused.
+    for lanes in [3, solvers::DEFAULT_REPLICA_LANES, 11, 16] {
         assert_eq!(
             sequential,
             collect_bytes(&solver, lanes),

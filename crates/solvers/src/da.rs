@@ -16,9 +16,45 @@
 //!    local minima; any accepted move resets `E_off` to zero.
 //!
 //! The hardware runs each replica on dedicated silicon; here replicas map
-//! onto CPU threads.
+//! onto CPU threads, and within a thread onto SIMD lanes.
+//!
+//! # The lane kernel and why it is exact
+//!
+//! `DigitalAnnealer::run_replica` is the reference: per step it tests
+//! every candidate `i` in ascending order, drawing `u = rng.gen::<f64>()`
+//! only when `δ > 0` and `δβ < 40`, accepts when `δ ≤ 0` or
+//! `u < (-δβ).exp()`, and then picks `accepted[rng.gen_range(0..count)]`.
+//! The batched path runs replicas as lanes of a [`ReplicaBatch`] and scans
+//! each variable's lane row 8 lanes at a time with a branch-free body.
+//! Every sample stays bit-identical to `run_replica`:
+//!
+//! * **Same arithmetic.** `δ = row[l] − E_off[l]` and `x = δβ` are the
+//!   reference's two IEEE operations per lane; Rust never contracts them
+//!   into an FMA, whichever instruction set a copy is compiled for.
+//! * **Same draws.** Each lane's xoshiro256++ state is stored
+//!   structure-of-arrays and advanced under a mask only where the
+//!   reference would draw, so a lane consumes exactly its own stream in
+//!   the reference order. The uniform is built from the same 53 bits with
+//!   exact operations, and the pick uses the same `gen_range` through a
+//!   one-lane view of the generator.
+//! * **Same decisions.** A polynomial `exp(−x)` (Cody–Waite reduction,
+//!   degree-12 Taylor) is within 2⁻⁴⁰ relative error of libm's value for
+//!   `x ∈ [0, 40)`; both are at most 1, so they differ by less than 2⁻³⁹.
+//!   When `u` is at least 2⁻³⁰ away from the polynomial, `u < poly` and
+//!   `u < (-x).exp()` therefore agree. Otherwise (probability ≈ 2⁻²⁹ per
+//!   draw), or for an `x` outside that domain, the block recomputes its
+//!   decisions with `(-x).exp()` itself: the kernel's one branch.
+//! * **Same pick.** Accepted candidates are kept as per-lane bit words in
+//!   ascending `i`, so the k-th set bit is `accepted[k]`.
+//!
+//! The kernel body is one `#[inline(always)]` safe function compiled three
+//! times: plain, with AVX2 and with AVX-512F enabled. The copy is chosen
+//! once per [`Solver::sample`] call by runtime feature detection; targets
+//! other than x86_64 always run the plain copy. Lane rows are walked in
+//! whole blocks (the batch is padded to a multiple of 8 lanes) and idle
+//! lanes of a partial block are masked out, so the lane width stays a pure
+//! performance setting.
 
-use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -29,13 +65,18 @@ use crate::parallel::parallel_map_with;
 use crate::sample::{Sample, SampleSet};
 use crate::schedule::BetaSchedule;
 use crate::Solver;
+use kernel::{Isa, Lanes, RngBlock, BLOCK};
 
 /// Per-worker scratch for the lane-batched replica loop.
 struct DaScratch<'m> {
+    /// replica lanes, padded to whole blocks
     replicas: ReplicaBatch<'m>,
-    rngs: Vec<StdRng>,
-    e_off: Vec<f64>,
-    accepted: Vec<Vec<usize>>,
+    /// per block: the lanes' generator states
+    rngs: Vec<RngBlock>,
+    /// per block: the lanes' escape offsets
+    e_off: Vec<Lanes<f64>>,
+    /// one block's accepted-candidate bit words, `words[i / 64]`
+    words: Vec<Lanes<u64>>,
     best_e: Vec<f64>,
     best_x: Vec<Vec<u8>>,
 }
@@ -44,7 +85,7 @@ struct DaScratch<'m> {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DaConfig {
     /// number of Monte-Carlo steps per replica (each step evaluates all
-    /// `n` candidate flips)
+    /// `n` candidate flips); `0` runs one step
     pub steps: usize,
     /// optional explicit β range; `None` auto-scales from the model
     pub beta_range: Option<(f64, f64)>,
@@ -153,20 +194,17 @@ impl DigitalAnnealer {
         }
     }
 
-    /// Runs replicas `first .. first + count` in lockstep lanes of one
+    /// Runs replicas `first .. first + count` as lanes of one
     /// [`ReplicaBatch`], returning their samples in replica order.
     ///
-    /// Each lane consumes its own RNG stream in exactly
-    /// [`DigitalAnnealer::run_replica`]'s order (candidate draws in
-    /// ascending `i`, then the pick draw), so every sample is
-    /// bit-identical to the sequential path at any lane width. The DA
-    /// parallel trial is the natural lockstep shape: the per-step scan of
-    /// all `n` candidates walks variable-major SoA rows
-    /// (`flip_deltas_at(i)` is `lanes` contiguous f64), turning `count`
-    /// separate delta sweeps into one unit-stride pass that serves every
-    /// replica in the chunk, on top of the shared-CSR cache rebuild.
+    /// Each step scans every block of 8 lanes with `isa`'s copy of the
+    /// lane kernel, then lets each live lane pick and commit its flip. Per
+    /// lane, draws, decisions and picks equal
+    /// [`DigitalAnnealer::run_replica`]'s (see the module docs), so every
+    /// sample is bit-identical to the sequential path at any lane width.
     fn run_chunk(
         &self,
+        isa: Isa,
         scratch: &mut DaScratch<'_>,
         first: usize,
         count: usize,
@@ -175,14 +213,13 @@ impl DigitalAnnealer {
     ) -> Vec<Sample> {
         let rb = &mut scratch.replicas;
         let model = rb.model();
-        let n = rb.num_vars();
-        scratch.rngs.clear();
         for r in 0..count {
-            let rs = derive_seed(seed, (first + r) as u64);
-            scratch.rngs.push(derive_rng(rs, 0xDA));
-        }
-        for (r, rng) in scratch.rngs.iter_mut().enumerate() {
-            rb.randomize_lane(r, rng);
+            let block = &mut scratch.rngs[r / BLOCK];
+            block.seed(
+                r % BLOCK,
+                derive_seed(derive_seed(seed, (first + r) as u64), 0xDA),
+            );
+            rb.randomize_lane(r, &mut block.lane(r % BLOCK));
         }
         // One shared CSR traversal rebuilds all lanes' caches.
         rb.rebuild_all();
@@ -193,43 +230,31 @@ impl DigitalAnnealer {
             rb.copy_assignment(r, &mut scratch.best_x[r]);
         }
         let offset_step = self.config.offset_step_fraction * model.max_abs_coefficient().max(1e-12);
-        scratch.e_off.clear();
-        scratch.e_off.resize(count, 0.0);
+        scratch.e_off.fill([0.0; BLOCK]);
+        let blocks = count.div_ceil(BLOCK);
         for beta in schedule.iter() {
-            for acc in &mut scratch.accepted[..count] {
-                acc.clear();
-            }
-            // Parallel trial, lockstep across lanes: variable-major scan
-            // over contiguous lane rows; per lane the candidate order (and
-            // hence RNG consumption) is ascending `i`, as in run_replica.
-            for i in 0..n {
-                let row = rb.flip_deltas_at(i);
-                for (r, &lane_delta) in row.iter().enumerate().take(count) {
-                    let delta = lane_delta - scratch.e_off[r];
-                    let ok = if delta <= 0.0 {
-                        true
-                    } else {
-                        let exponent = delta * beta;
-                        exponent < 40.0 && scratch.rngs[r].gen::<f64>() < (-exponent).exp()
-                    };
-                    if ok {
-                        scratch.accepted[r].push(i);
+            for b in 0..blocks {
+                let base = b * BLOCK;
+                let live = (count - base).min(BLOCK);
+                let e_off = &mut scratch.e_off[b];
+                let rng = &mut scratch.rngs[b];
+                isa.scan(rb, base, live, e_off, beta, rng, &mut scratch.words);
+                for l in 0..live {
+                    let total: u32 = scratch.words.iter().map(|w| w[l].count_ones()).sum();
+                    if total == 0 {
+                        // Dynamic offset: lower the barrier for the next step.
+                        e_off[l] += offset_step;
+                        continue;
                     }
-                }
-            }
-            for r in 0..count {
-                let accepted = &scratch.accepted[r];
-                if accepted.is_empty() {
-                    // Dynamic offset: lower the barrier for the next step.
-                    scratch.e_off[r] += offset_step;
-                    continue;
-                }
-                scratch.e_off[r] = 0.0;
-                let pick = accepted[scratch.rngs[r].gen_range(0..accepted.len())];
-                rb.flip(r, pick);
-                if rb.energy(r) < scratch.best_e[r] {
-                    scratch.best_e[r] = rb.energy(r);
-                    rb.copy_assignment(r, &mut scratch.best_x[r]);
+                    e_off[l] = 0.0;
+                    let k = rng.lane(l).gen_range(0..total as usize);
+                    let pick = nth_set_bit(&scratch.words, l, k);
+                    let r = base + l;
+                    rb.flip(r, pick);
+                    if rb.energy(r) < scratch.best_e[r] {
+                        scratch.best_e[r] = rb.energy(r);
+                        rb.copy_assignment(r, &mut scratch.best_x[r]);
+                    }
                 }
             }
         }
@@ -240,14 +265,9 @@ impl DigitalAnnealer {
             })
             .collect()
     }
-}
 
-impl Solver for DigitalAnnealer {
-    fn name(&self) -> &str {
-        "da"
-    }
-
-    fn sample(&self, model: &QuboModel, batch: usize, seed: u64) -> SampleSet {
+    /// [`Solver::sample`] on a given copy of the lane kernel.
+    fn sample_on(&self, isa: Isa, model: &QuboModel, batch: usize, seed: u64) -> SampleSet {
         let sw = obs::Stopwatch::start();
         if model.num_vars() == 0 {
             return SampleSet::from_samples(
@@ -263,25 +283,26 @@ impl Solver for DigitalAnnealer {
             Some((hot, cold)) => BetaSchedule::geometric(hot, cold, self.config.steps.max(1)),
             None => BetaSchedule::auto(model, self.config.steps.max(1)),
         };
-        // Replicas advance in lockstep lanes (bit-identical to sequential
-        // replicas at any width — see `run_chunk`); chunks of `lanes`
-        // replicas fan out across workers.
+        // Replicas run as lanes (bit-identical to sequential replicas at
+        // any width — see `run_chunk`); chunks of `lanes` replicas fan out
+        // across workers.
         let lanes = crate::replica_lanes();
+        let blocks = lanes.div_ceil(BLOCK);
         let chunks = batch.div_ceil(lanes.max(1));
         let nested = parallel_map_with(
             chunks,
             || DaScratch {
-                replicas: ReplicaBatch::new(model, lanes),
-                rngs: Vec::with_capacity(lanes),
-                e_off: Vec::with_capacity(lanes),
-                accepted: vec![Vec::with_capacity(model.num_vars()); lanes],
+                replicas: ReplicaBatch::new(model, blocks * BLOCK),
+                rngs: vec![RngBlock::default(); blocks],
+                e_off: vec![[0.0; BLOCK]; blocks],
+                words: vec![[0; BLOCK]; model.num_vars().div_ceil(64)],
                 best_e: Vec::with_capacity(lanes),
                 best_x: vec![Vec::new(); lanes],
             },
             |scratch, chunk| {
                 let first = chunk * lanes;
                 let count = lanes.min(batch - first);
-                self.run_chunk(scratch, first, count, &schedule, seed)
+                self.run_chunk(isa, scratch, first, count, &schedule, seed)
             },
         );
         let set = SampleSet::from_samples(nested.into_iter().flatten().collect());
@@ -295,6 +316,475 @@ impl Solver for DigitalAnnealer {
             steps * model.num_vars() as u64 * batch as u64,
         );
         set
+    }
+}
+
+impl Solver for DigitalAnnealer {
+    fn name(&self) -> &str {
+        "da"
+    }
+
+    fn sample(&self, model: &QuboModel, batch: usize, seed: u64) -> SampleSet {
+        self.sample_on(Isa::detect(), model, batch, seed)
+    }
+}
+
+/// Index of lane `l`'s `k`-th set bit (0-based) across `words`, i.e.
+/// `accepted[k]` in `run_replica`'s ascending candidate list.
+fn nth_set_bit(words: &[Lanes<u64>], l: usize, mut k: usize) -> usize {
+    for (w, word) in words.iter().enumerate() {
+        let mut bits = word[l];
+        let ones = bits.count_ones() as usize;
+        if k < ones {
+            for _ in 0..k {
+                bits &= bits - 1;
+            }
+            return w * 64 + bits.trailing_zeros() as usize;
+        }
+        k -= ones;
+    }
+    unreachable!("pick index beyond the accepted count")
+}
+
+/// The lane kernel: lane generators, the bracketed Metropolis test and
+/// the scan with its compiled copies.
+mod kernel {
+    use qubo::ReplicaBatch;
+    use rand::RngCore;
+
+    /// Replica lanes one kernel iteration evaluates together.
+    pub(super) const BLOCK: usize = 8;
+
+    /// One value per lane of a block.
+    pub(super) type Lanes<T> = [T; BLOCK];
+
+    /// One xoshiro256++ step, the core of [`rand::rngs::StdRng`].
+    #[inline(always)]
+    fn xoshiro_next(s: &mut [u64; 4]) -> u64 {
+        let out = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        out
+    }
+
+    /// `Rng::gen::<f64>()` of a raw draw: its top 53 bits scaled by 2⁻⁵³.
+    /// Built from two exact 2⁵²-offset conversions so that it vectorises
+    /// without a 64-bit integer → float instruction.
+    #[inline(always)]
+    fn unit_f64(draw: u64) -> f64 {
+        const TWO52: f64 = (1u64 << 52) as f64;
+        let m = draw >> 11;
+        let hi = f64::from_bits((m >> 1) | TWO52.to_bits()) - TWO52;
+        let lo = f64::from_bits((m & 1) | TWO52.to_bits()) - TWO52;
+        (hi * 2.0 + lo) * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// The xoshiro256++ states of a block of lanes, structure-of-arrays:
+    /// `s[w][l]` is state word `w` of lane `l`, so the kernel advances all
+    /// lanes with one vector operation per word.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub(super) struct RngBlock {
+        s: [Lanes<u64>; 4],
+    }
+
+    impl RngBlock {
+        /// Puts lane `l` in the state of `StdRng::seed_from_u64(seed)`
+        /// (four SplitMix64 outputs).
+        pub(super) fn seed(&mut self, l: usize, seed: u64) {
+            let mut sm = seed;
+            for word in &mut self.s {
+                sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = sm;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                word[l] = z ^ (z >> 31);
+            }
+        }
+
+        /// One masked vector step: every lane set in `draw` advances and
+        /// returns its `Rng::gen::<f64>()`; the other lanes keep their state
+        /// (their returned value is meaningless).
+        #[inline(always)]
+        fn uniforms(&mut self, draw: &Lanes<u64>) -> Lanes<f64> {
+            let s = &mut self.s;
+            let mut u = [0.0; BLOCK];
+            for l in 0..BLOCK {
+                let old = [s[0][l], s[1][l], s[2][l], s[3][l]];
+                let mut new = old;
+                u[l] = unit_f64(xoshiro_next(&mut new));
+                for w in 0..4 {
+                    s[w][l] = (new[w] & draw[l]) | (old[w] & !draw[l]);
+                }
+            }
+            u
+        }
+
+        /// Lane `l` as a scalar generator.
+        pub(super) fn lane(&mut self, l: usize) -> LaneRng<'_> {
+            LaneRng { block: self, l }
+        }
+    }
+
+    /// One lane of an [`RngBlock`], drawing the same stream as a
+    /// [`rand::rngs::StdRng`] in that state.
+    pub(super) struct LaneRng<'a> {
+        block: &'a mut RngBlock,
+        l: usize,
+    }
+
+    impl RngCore for LaneRng<'_> {
+        fn next_u64(&mut self) -> u64 {
+            let s = &mut self.block.s;
+            let l = self.l;
+            let mut lane = [s[0][l], s[1][l], s[2][l], s[3][l]];
+            let out = xoshiro_next(&mut lane);
+            for (word, v) in s.iter_mut().zip(lane) {
+                word[l] = v;
+            }
+            out
+        }
+    }
+
+    /// All-ones when `b`, else zero: a lane mask.
+    #[inline(always)]
+    fn mask(b: bool) -> u64 {
+        (b as u64).wrapping_neg()
+    }
+
+    /// Below this distance between `u` and the polynomial, the decision is
+    /// recomputed with libm; well above the polynomial's error (< 2⁻⁴⁰).
+    const BRACKET: f64 = 1.0 / (1u64 << 30) as f64;
+
+    /// `exp(-x)` for `x ∈ [0, 40)` within 2⁻⁴⁰ relative error, branch-free:
+    /// `x = k·ln2 + r` with round-to-nearest `k` (Cody–Waite split of ln2),
+    /// then `2⁻ᵏ · e⁻ʳ` with `|r| ≤ ln2/2` and a degree-12 Taylor polynomial
+    /// (evaluated by Estrin's scheme).
+    /// Outside that domain the value is meaningless but computed without
+    /// trapping.
+    #[inline(always)]
+    fn exp_neg(x: f64) -> f64 {
+        const SHIFT: f64 = 6_755_399_441_055_744.0; // 1.5 · 2⁵²: rounds to an integer
+        const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
+        const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+        const C: [f64; 13] = [
+            1.0,
+            1.0,
+            1.0 / 2.0,
+            1.0 / 6.0,
+            1.0 / 24.0,
+            1.0 / 120.0,
+            1.0 / 720.0,
+            1.0 / 5_040.0,
+            1.0 / 40_320.0,
+            1.0 / 362_880.0,
+            1.0 / 3_628_800.0,
+            1.0 / 39_916_800.0,
+            1.0 / 479_001_600.0,
+        ];
+        let t = x * std::f64::consts::LOG2_E + SHIFT;
+        let k = t - SHIFT;
+        let z = -((x - k * LN2_HI) - k * LN2_LO);
+        // Estrin's scheme: a short dependency chain instead of 12 Horner steps.
+        let z2 = z * z;
+        let z4 = z2 * z2;
+        let z8 = z4 * z4;
+        let lo = ((C[0] + C[1] * z) + (C[2] + C[3] * z) * z2)
+            + ((C[4] + C[5] * z) + (C[6] + C[7] * z) * z2) * z4;
+        let hi = ((C[8] + C[9] * z) + (C[10] + C[11] * z) * z2) + C[12] * z4;
+        let p = lo + hi * z8;
+        let k_bits = t.to_bits().wrapping_sub(SHIFT.to_bits());
+        p * f64::from_bits(1023u64.wrapping_sub(k_bits) << 52)
+    }
+
+    /// The Metropolis decision `u < (-x).exp()` for every lane set in `draw`
+    /// (a zero mask elsewhere), exactly as libm decides it: the polynomial
+    /// decides every lane it brackets, and a block with any lane it does not
+    /// bracket (or with `x` outside `[0, 40)`) is redecided with libm.
+    #[inline(always)]
+    fn metropolis(u: &Lanes<f64>, x: &Lanes<f64>, draw: &Lanes<u64>) -> Lanes<u64> {
+        let mut hit = [0; BLOCK];
+        let mut unsure = 0;
+        for l in 0..BLOCK {
+            let p = exp_neg(x[l]);
+            hit[l] = draw[l] & mask(u[l] < p);
+            unsure |= draw[l] & !(mask((u[l] - p).abs() >= BRACKET) & mask(x[l] >= 0.0));
+        }
+        if unsure != 0 {
+            for l in 0..BLOCK {
+                hit[l] = draw[l] & mask(u[l] < (-x[l]).exp());
+            }
+        }
+        hit
+    }
+
+    /// One parallel-trial scan of the block of lanes `base .. base + 8`:
+    /// fills `words` with each lane's accepted candidates (bit `i % 64` of
+    /// `words[i / 64]`) and advances each live lane's generator by exactly the
+    /// draws `run_replica` makes. Lanes `live..` are idle: they draw nothing
+    /// and their words are never read.
+    #[inline(always)]
+    fn scan_body(
+        rb: &ReplicaBatch<'_>,
+        base: usize,
+        live: usize,
+        e_off: &Lanes<f64>,
+        beta: f64,
+        rng: &mut RngBlock,
+        words: &mut [Lanes<u64>],
+    ) {
+        let n = rb.num_vars();
+        let mut on = [0; BLOCK];
+        for (l, m) in on.iter_mut().enumerate() {
+            *m = mask(l < live);
+        }
+        let mut streams = *rng;
+        for (w, out) in words.iter_mut().enumerate() {
+            let mut acc = [0; BLOCK];
+            for i in w * 64..n.min(w * 64 + 64) {
+                let row: &Lanes<f64> = rb.flip_deltas_at(i)[base..base + BLOCK]
+                    .try_into()
+                    .expect("lane rows hold whole blocks");
+                let bit = 1u64 << (i % 64);
+                let mut x = [0.0; BLOCK];
+                let mut downhill = [0; BLOCK];
+                let mut draw = [0; BLOCK];
+                for l in 0..BLOCK {
+                    let delta = row[l] - e_off[l];
+                    x[l] = delta * beta;
+                    downhill[l] = mask(delta <= 0.0);
+                    draw[l] = on[l] & !downhill[l] & mask(x[l] < 40.0);
+                }
+                let u = streams.uniforms(&draw);
+                let hit = metropolis(&u, &x, &draw);
+                for l in 0..BLOCK {
+                    acc[l] |= (downhill[l] | hit[l]) & bit;
+                }
+            }
+            *out = acc;
+        }
+        *rng = streams;
+    }
+
+    /// The AVX2 copy.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn scan_avx2(
+        rb: &ReplicaBatch<'_>,
+        base: usize,
+        live: usize,
+        e_off: &Lanes<f64>,
+        beta: f64,
+        rng: &mut RngBlock,
+        words: &mut [Lanes<u64>],
+    ) {
+        scan_body(rb, base, live, e_off, beta, rng, words)
+    }
+
+    /// The AVX-512 copy.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn scan_avx512(
+        rb: &ReplicaBatch<'_>,
+        base: usize,
+        live: usize,
+        e_off: &Lanes<f64>,
+        beta: f64,
+        rng: &mut RngBlock,
+        words: &mut [Lanes<u64>],
+    ) {
+        scan_body(rb, base, live, e_off, beta, rng, words)
+    }
+
+    /// A compiled copy of the scan kernel that this host runs: only
+    /// [`Isa::detect`] and [`Isa::supported`] make one, after checking the
+    /// host's features, and the field is private to this module.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) struct Isa(Level);
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Level {
+        Plain,
+        #[cfg(target_arch = "x86_64")]
+        Avx2,
+        #[cfg(target_arch = "x86_64")]
+        Avx512,
+    }
+
+    impl Isa {
+        /// The widest copy this host runs.
+        pub(super) fn detect() -> Isa {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    return Isa(Level::Avx512);
+                }
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    return Isa(Level::Avx2);
+                }
+            }
+            Isa(Level::Plain)
+        }
+
+        /// Every copy this host runs, widest last.
+        #[cfg(test)]
+        pub(super) fn supported() -> Vec<Isa> {
+            let mut copies = vec![Isa(Level::Plain)];
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    copies.push(Isa(Level::Avx2));
+                }
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    copies.push(Isa(Level::Avx512));
+                }
+            }
+            copies
+        }
+
+        /// Runs this copy of [`scan_body`] on lanes `base .. base + live`.
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn scan(
+            self,
+            rb: &ReplicaBatch<'_>,
+            base: usize,
+            live: usize,
+            e_off: &Lanes<f64>,
+            beta: f64,
+            rng: &mut RngBlock,
+            words: &mut [Lanes<u64>],
+        ) {
+            match self.0 {
+                Level::Plain => scan_body(rb, base, live, e_off, beta, rng, words),
+                // SAFETY: an `Isa(Level::Avx2)` exists only after
+                // `is_x86_feature_detected!("avx2")` returned true (see
+                // `Isa::detect` and `Isa::supported`), so the host executes
+                // AVX2 instructions.
+                #[cfg(target_arch = "x86_64")]
+                Level::Avx2 => unsafe { scan_avx2(rb, base, live, e_off, beta, rng, words) },
+                // SAFETY: an `Isa(Level::Avx512)` exists only after
+                // `is_x86_feature_detected!("avx512f")` returned true (see
+                // `Isa::detect` and `Isa::supported`), so the host executes
+                // AVX-512F instructions.
+                #[cfg(target_arch = "x86_64")]
+                Level::Avx512 => unsafe { scan_avx512(rb, base, live, e_off, beta, rng, words) },
+            }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use mathkit::rng::{derive_rng, derive_seed};
+        use rand::rngs::StdRng;
+        use rand::Rng;
+
+        /// Each lane of the structure-of-arrays generator draws
+        /// `derive_rng`'s stream, through masked vector steps (`gen::<f64>`)
+        /// and the scalar lane view (`next_u64`, `gen_range`) alike.
+        #[test]
+        fn lane_generators_match_derive_rng() {
+            let mut block = RngBlock::default();
+            let mut want: Vec<StdRng> = (0..BLOCK).map(|l| derive_rng(77, l as u64)).collect();
+            for l in 0..BLOCK {
+                block.seed(l, derive_seed(77, l as u64));
+            }
+            let mut pattern = mathkit::rng::seeded_rng(5);
+            for step in 0..10_000 {
+                let mut draw = [0; BLOCK];
+                for d in &mut draw {
+                    *d = mask(pattern.gen_bool(0.6));
+                }
+                let u = block.uniforms(&draw);
+                for l in 0..BLOCK {
+                    if draw[l] != 0 {
+                        assert_eq!(
+                            u[l].to_bits(),
+                            want[l].gen::<f64>().to_bits(),
+                            "step {step} lane {l}"
+                        );
+                    }
+                }
+                let l = step % BLOCK;
+                match step % 3 {
+                    0 => assert_eq!(block.lane(l).next_u64(), want[l].gen::<u64>()),
+                    1 => {
+                        let span = 1 + step % 130;
+                        assert_eq!(block.lane(l).gen_range(0..span), want[l].gen_range(0..span));
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        /// Points of `[0, 40)` on which the polynomial is checked: a dense
+        /// grid, the ends, tiny values and the rounding ties of `k`.
+        fn exponent_grid() -> Vec<f64> {
+            let mut xs: Vec<f64> = (0..400_000).map(|i| i as f64 * 1e-4).collect();
+            xs.extend([
+                0.0,
+                f64::MIN_POSITIVE,
+                1e-300,
+                1e-17,
+                1e-9,
+                40.0f64.next_down(),
+            ]);
+            xs.extend((1..58).map(|k| (k as f64 + 0.5) * std::f64::consts::LN_2));
+            xs.extend((0..1000).map(|i| 40.0 - i as f64 * 1e-12));
+            xs
+        }
+
+        #[test]
+        fn polynomial_exp_is_within_2_pow_minus_40_of_libm() {
+            let tol = 1.0 / (1u64 << 40) as f64;
+            for x in exponent_grid() {
+                let (got, want) = (exp_neg(x), (-x).exp());
+                assert!(
+                    ((got - want) / want).abs() < tol,
+                    "exp(-{x:e}): {got:e} vs libm {want:e}"
+                );
+            }
+        }
+
+        /// At and next to libm's own value the polynomial cannot decide, so
+        /// this forces the fallback; everywhere the decision is libm's.
+        #[test]
+        fn metropolis_decides_exactly_as_libm() {
+            let xs = exponent_grid();
+            for chunk in xs.chunks(BLOCK).step_by(7) {
+                for shift in -2i32..=2 {
+                    let mut x = [0.0; BLOCK];
+                    let mut u = [0.0; BLOCK];
+                    for (l, &e) in chunk.iter().enumerate() {
+                        x[l] = e;
+                        u[l] = (-e).exp();
+                        for _ in 0..shift.unsigned_abs() {
+                            u[l] = if shift > 0 {
+                                u[l].next_up()
+                            } else {
+                                u[l].next_down()
+                            };
+                        }
+                    }
+                    let hit = metropolis(&u, &x, &[u64::MAX; BLOCK]);
+                    for l in 0..chunk.len() {
+                        assert_eq!(
+                            hit[l] != 0,
+                            u[l] < (-x[l]).exp(),
+                            "x={:e} shift={shift}",
+                            x[l]
+                        );
+                    }
+                }
+            }
+            // Far from the boundary the polynomial decides alone.
+            let hit = metropolis(&[0.25; BLOCK], &[0.5; BLOCK], &[u64::MAX; BLOCK]);
+            assert_eq!(hit, [u64::MAX; BLOCK]);
+        }
     }
 }
 
@@ -422,5 +912,79 @@ mod tests {
         let m = QuboBuilder::new(0).build();
         let set = DigitalAnnealer::default().sample(&m, 2, 1);
         assert_eq!(set.len(), 2);
+    }
+
+    fn random_model(n: usize, density: f64, seed: u64) -> QuboModel {
+        let mut rng = mathkit::rng::seeded_rng(seed);
+        let mut b = QuboBuilder::new(n);
+        for i in 0..n {
+            b.add_linear(i, rng.gen_range(-2.0..2.0));
+            for j in (i + 1)..n {
+                if rng.gen::<f64>() < density {
+                    b.add_quadratic(i, j, rng.gen_range(-1.5..1.5));
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// Every kernel copy the host runs reproduces `run_replica` bit for
+    /// bit, across word-boundary sizes, partial and whole lane blocks,
+    /// ragged last chunks and the zero-, one- and many-step schedules.
+    #[test]
+    fn every_kernel_copy_matches_run_replica() {
+        let copies = Isa::supported();
+        println!(
+            "DA lane kernel: host runs {copies:?}; sample() dispatches {:?}",
+            Isa::detect()
+        );
+        for (k, n) in [1usize, 63, 64, 65, 130].into_iter().enumerate() {
+            let m = random_model(n, 8.0 / n as f64, 31 + k as u64);
+            for steps in [0usize, 1, 200] {
+                let solver = DigitalAnnealer::new(DaConfig {
+                    steps,
+                    ..Default::default()
+                });
+                let schedule = BetaSchedule::auto(&m, steps.max(1));
+                for batch in [1usize, 5, 17, 24] {
+                    let seed = 1000 + batch as u64;
+                    let mut state = QuboState::new(&m, vec![0; n]);
+                    let (mut best_x, mut accepted) = (Vec::new(), Vec::new());
+                    // `SampleSet` orders samples by energy (stably).
+                    let want = SampleSet::from_samples(
+                        (0..batch)
+                            .map(|r| {
+                                let rs = derive_seed(seed, r as u64);
+                                solver.run_replica(
+                                    &mut state,
+                                    &mut best_x,
+                                    &mut accepted,
+                                    &schedule,
+                                    rs,
+                                )
+                            })
+                            .collect(),
+                    );
+                    for lanes in [1usize, 3, 8, 11, 16] {
+                        crate::set_replica_lanes(lanes);
+                        for &isa in &copies {
+                            let got = solver.sample_on(isa, &m, batch, seed);
+                            let ctx =
+                                format!("{isa:?} n={n} steps={steps} batch={batch} lanes={lanes}");
+                            assert_eq!(got.len(), batch, "{ctx}");
+                            for (r, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+                                assert_eq!(g.assignment, w.assignment, "{ctx} replica {r}");
+                                assert_eq!(
+                                    g.energy.to_bits(),
+                                    w.energy.to_bits(),
+                                    "{ctx} replica {r}"
+                                );
+                            }
+                        }
+                        crate::set_replica_lanes(0);
+                    }
+                }
+            }
+        }
     }
 }
