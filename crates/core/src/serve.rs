@@ -679,6 +679,8 @@ struct TenantQueue {
     // -- per-tenant counters (mutated under the queue lock) --
     requests: u64,
     rows: u64,
+    /// rows dispatched while another tenant had queued jobs
+    contended_rows: u64,
     rejected_quota: u64,
     rejected_capacity: u64,
 }
@@ -758,6 +760,7 @@ impl Queue {
             queued: false,
             requests: 0,
             rows: 0,
+            contended_rows: 0,
             rejected_quota: 0,
             rejected_capacity: 0,
         });
@@ -845,6 +848,9 @@ impl Queue {
             // unbounded deficit it could later burst with.
             let deficit_cap = top_up.saturating_add(max_batch_rows as u64);
             tenant.deficit = tenant.deficit.saturating_add(top_up).min(deficit_cap);
+            // A tenant leaves the ring as soon as its queue empties, so
+            // every other ring member has queued jobs.
+            let contended = self.active.len() > 1;
             while let Some(job) = tenant.jobs.front() {
                 let job_rows = job.pending_rows();
                 if rows + job_rows > max_batch_rows && !batch.is_empty() {
@@ -857,6 +863,9 @@ impl Queue {
                     break; // out of credit this round; rotate
                 }
                 tenant.deficit = tenant.deficit.saturating_sub(job_rows as u64);
+                if contended {
+                    tenant.contended_rows += job_rows as u64;
+                }
                 tenant.pending_rows -= job_rows;
                 self.pending_rows -= job_rows;
                 rows += job_rows;
@@ -1167,6 +1176,7 @@ impl Shared {
                     quota_rows: t.class.quota_rows,
                     requests: t.requests,
                     rows: t.rows,
+                    contended_rows: t.contended_rows,
                     rejected: t.rejected(),
                     rejected_quota: t.rejected_quota,
                     rejected_capacity: t.rejected_capacity,
@@ -1589,6 +1599,10 @@ pub struct TenantMetrics {
     pub quota_rows: usize,
     pub requests: u64,
     pub rows: u64,
+    /// rows dispatched while another tenant had queued jobs: the service
+    /// this tenant won against live demand, which the deficit-weighted
+    /// round-robin shares by weight
+    pub contended_rows: u64,
     /// total rejections (`rejected_quota + rejected_capacity`)
     pub rejected: u64,
     /// rejections because this tenant's own row quota was full

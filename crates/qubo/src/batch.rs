@@ -271,6 +271,9 @@ impl<'m> ReplicaBatch<'m> {
         let weights = self.model.neighbor_weights(i);
         for (&j, &w) in cols.iter().zip(weights) {
             let j = j as usize;
+            let idx = j * lanes + r;
+            // The checked twin of the unchecked accesses below.
+            debug_assert!(idx < self.x.len(), "CSR column {j} out of range");
             // SAFETY: every CSR column index was bounds-checked by
             // `rebuild_all` (the constructor funnels through it, covering
             // deserialised models), `r < lanes` was asserted above, and
@@ -278,7 +281,6 @@ impl<'m> ReplicaBatch<'m> {
             // `j * lanes + r` is in bounds. Same justification as
             // `QuboState::flip`; this is the solvers' hottest loop.
             unsafe {
-                let idx = j * lanes + r;
                 let xj = *self.x.get_unchecked(idx);
                 let mask = flip_sign ^ ((xj as u64) << 63);
                 *self.delta.get_unchecked_mut(idx) += f64::from_bits(w.to_bits() ^ mask);

@@ -230,6 +230,8 @@ impl<'m> QuboState<'m> {
         let weights = self.model.neighbor_weights(i);
         for (&j, &w) in cols.iter().zip(weights) {
             let j = j as usize;
+            // The checked twin of the unchecked accesses below.
+            debug_assert!(j < self.x.len(), "CSR column {j} out of range");
             // Neighbour j's delta moves by (1 − 2 x_j)·(1 − 2 x_i_old)·w.
             // Both factors are ±1, so fold them into w's sign bit instead
             // of paying two int→float converts and multiplies per entry.

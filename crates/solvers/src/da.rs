@@ -23,10 +23,11 @@
 //! `DigitalAnnealer::run_replica` is the reference: per step it tests
 //! every candidate `i` in ascending order, drawing `u = rng.gen::<f64>()`
 //! only when `δ > 0` and `δβ < 40`, accepts when `δ ≤ 0` or
-//! `u < (-δβ).exp()`, and then picks `accepted[rng.gen_range(0..count)]`.
-//! The batched path runs replicas as lanes of a [`ReplicaBatch`] and scans
-//! each variable's lane row 8 lanes at a time with a branch-free body.
-//! Every sample stays bit-identical to `run_replica`:
+//! `u < (-δβ).exp()`, picks `accepted[rng.gen_range(0..count)]`, and keeps
+//! a copy of every improving state. The batched path runs replicas as
+//! lanes of a [`ReplicaBatch`] and scans each variable's lane row 8 lanes
+//! at a time with a branch-free body. Every sample stays bit-identical to
+//! `run_replica`:
 //!
 //! * **Same arithmetic.** `δ = row[l] − E_off[l]` and `x = δβ` are the
 //!   reference's two IEEE operations per lane; Rust never contracts them
@@ -34,25 +35,33 @@
 //! * **Same draws.** Each lane's xoshiro256++ state is stored
 //!   structure-of-arrays and advanced under a mask only where the
 //!   reference would draw, so a lane consumes exactly its own stream in
-//!   the reference order. The uniform is built from the same 53 bits with
-//!   exact operations, and the pick uses the same `gen_range` through a
+//!   the reference order. The uniform is the same 53-bit value: the top 52
+//!   bits of the draw fill a float in `[1, 2)`, `− 1` is exact, and adding
+//!   bit 11 as 2⁻⁵³ is exact. The pick uses the same `gen_range` through a
 //!   one-lane view of the generator.
-//! * **Same decisions.** A polynomial `exp(−x)` (Cody–Waite reduction,
-//!   degree-12 Taylor) is within 2⁻⁴⁰ relative error of libm's value for
-//!   `x ∈ [0, 40)`; both are at most 1, so they differ by less than 2⁻³⁹.
-//!   When `u` is at least 2⁻³⁰ away from the polynomial, `u < poly` and
-//!   `u < (-x).exp()` therefore agree. Otherwise (probability ≈ 2⁻²⁹ per
+//! * **Same decisions.** A polynomial `exp(−x)` (one `k·ln2` reduction,
+//!   degree-6 Taylor) is within 2⁻²² relative error of libm's value for
+//!   `x ∈ [0, 40)`; both are at most 1, so they differ by less than 2⁻²².
+//!   When `u` is at least 2⁻²⁰ away from the polynomial, `u < poly` and
+//!   `u < (-x).exp()` therefore agree. Otherwise (probability ≈ 2⁻¹⁹ per
 //!   draw), or for an `x` outside that domain, the block recomputes its
 //!   decisions with `(-x).exp()` itself: the kernel's one branch.
 //! * **Same pick.** Accepted candidates are kept as per-lane bit words in
 //!   ascending `i`, so the k-th set bit is `accepted[k]`.
+//! * **Same incumbent.** Instead of copying each improving state, a lane
+//!   logs the variables it flips after its last improvement and clears the
+//!   log on the next one. Its final assignment with the logged bits flipped
+//!   back is exactly the state the reference copied last, and the best
+//!   energy is tracked with the same `<` test.
 //!
-//! The kernel body is one `#[inline(always)]` safe function compiled three
-//! times: plain, with AVX2 and with AVX-512F enabled. The copy is chosen
-//! once per [`Solver::sample`] call by runtime feature detection; targets
-//! other than x86_64 always run the plain copy. Lane rows are walked in
-//! whole blocks (the batch is padded to a multiple of 8 lanes) and idle
-//! lanes of a partial block are masked out, so the lane width stays a pure
+//! One step (scan, pick, flip, log) is one `#[inline(always)]` safe
+//! function compiled three times: plain, with AVX2 and POPCNT, and with
+//! AVX-512F and POPCNT enabled. The copy is chosen once per
+//! [`Solver::sample`] call by runtime feature detection; targets other than
+//! x86_64 always run the plain copy. Lane rows are walked in whole blocks
+//! (the batch is padded to a multiple of 8 lanes). Idle lanes of a partial
+//! block are scanned on the padding lanes' valid caches and draw from their
+//! own generators, but never pick or flip, so the lane width stays a pure
 //! performance setting.
 
 use rand::Rng;
@@ -77,8 +86,12 @@ struct DaScratch<'m> {
     e_off: Vec<Lanes<f64>>,
     /// one block's accepted-candidate bit words, `words[i / 64]`
     words: Vec<Lanes<u64>>,
+    /// per lane: the energy of its best state so far
     best_e: Vec<f64>,
-    best_x: Vec<Vec<u8>>,
+    /// per lane: the variables flipped since its best state (at most one
+    /// per step), whose flipping back turns the lane's assignment into
+    /// that state
+    undo: Vec<Vec<u32>>,
 }
 
 /// Configuration for [`DigitalAnnealer`].
@@ -197,9 +210,10 @@ impl DigitalAnnealer {
     /// Runs replicas `first .. first + count` as lanes of one
     /// [`ReplicaBatch`], returning their samples in replica order.
     ///
-    /// Each step scans every block of 8 lanes with `isa`'s copy of the
-    /// lane kernel, then lets each live lane pick and commit its flip. Per
-    /// lane, draws, decisions and picks equal
+    /// Each step runs `isa`'s copy of the step body: every block of 8 lanes
+    /// is scanned, then each live lane picks and commits its flip. A lane's
+    /// best state is its final assignment with its undo log flipped back.
+    /// Per lane, draws, decisions and picks equal
     /// [`DigitalAnnealer::run_replica`]'s (see the module docs), so every
     /// sample is bit-identical to the sequential path at any lane width.
     fn run_chunk(
@@ -223,45 +237,29 @@ impl DigitalAnnealer {
         }
         // One shared CSR traversal rebuilds all lanes' caches.
         rb.rebuild_all();
-        debug_assert!(count <= scratch.best_x.len());
+        debug_assert!(count <= scratch.undo.len());
         scratch.best_e.clear();
         for r in 0..count {
             scratch.best_e.push(rb.energy(r));
-            rb.copy_assignment(r, &mut scratch.best_x[r]);
+            scratch.undo[r].clear();
         }
         let offset_step = self.config.offset_step_fraction * model.max_abs_coefficient().max(1e-12);
         scratch.e_off.fill([0.0; BLOCK]);
-        let blocks = count.div_ceil(BLOCK);
         for beta in schedule.iter() {
-            for b in 0..blocks {
-                let base = b * BLOCK;
-                let live = (count - base).min(BLOCK);
-                let e_off = &mut scratch.e_off[b];
-                let rng = &mut scratch.rngs[b];
-                isa.scan(rb, base, live, e_off, beta, rng, &mut scratch.words);
-                for l in 0..live {
-                    let total: u32 = scratch.words.iter().map(|w| w[l].count_ones()).sum();
-                    if total == 0 {
-                        // Dynamic offset: lower the barrier for the next step.
-                        e_off[l] += offset_step;
-                        continue;
-                    }
-                    e_off[l] = 0.0;
-                    let k = rng.lane(l).gen_range(0..total as usize);
-                    let pick = nth_set_bit(&scratch.words, l, k);
-                    let r = base + l;
-                    rb.flip(r, pick);
-                    if rb.energy(r) < scratch.best_e[r] {
-                        scratch.best_e[r] = rb.energy(r);
-                        rb.copy_assignment(r, &mut scratch.best_x[r]);
-                    }
-                }
-            }
+            isa.step(scratch, count, beta, offset_step);
         }
+        let rb = &scratch.replicas;
         (0..count)
-            .map(|r| Sample {
-                assignment: scratch.best_x[r].clone(),
-                energy: scratch.best_e[r],
+            .map(|r| {
+                let mut assignment = Vec::new();
+                rb.copy_assignment(r, &mut assignment);
+                for &i in &scratch.undo[r] {
+                    assignment[i as usize] ^= 1;
+                }
+                Sample {
+                    assignment,
+                    energy: scratch.best_e[r],
+                }
             })
             .collect()
     }
@@ -297,7 +295,7 @@ impl DigitalAnnealer {
                 e_off: vec![[0.0; BLOCK]; blocks],
                 words: vec![[0; BLOCK]; model.num_vars().div_ceil(64)],
                 best_e: Vec::with_capacity(lanes),
-                best_x: vec![Vec::new(); lanes],
+                undo: vec![Vec::new(); lanes],
             },
             |scratch, chunk| {
                 let first = chunk * lanes;
@@ -329,28 +327,13 @@ impl Solver for DigitalAnnealer {
     }
 }
 
-/// Index of lane `l`'s `k`-th set bit (0-based) across `words`, i.e.
-/// `accepted[k]` in `run_replica`'s ascending candidate list.
-fn nth_set_bit(words: &[Lanes<u64>], l: usize, mut k: usize) -> usize {
-    for (w, word) in words.iter().enumerate() {
-        let mut bits = word[l];
-        let ones = bits.count_ones() as usize;
-        if k < ones {
-            for _ in 0..k {
-                bits &= bits - 1;
-            }
-            return w * 64 + bits.trailing_zeros() as usize;
-        }
-        k -= ones;
-    }
-    unreachable!("pick index beyond the accepted count")
-}
-
 /// The lane kernel: lane generators, the bracketed Metropolis test and
-/// the scan with its compiled copies.
+/// the step with its compiled copies.
 mod kernel {
     use qubo::ReplicaBatch;
-    use rand::RngCore;
+    use rand::{Rng, RngCore};
+
+    use super::DaScratch;
 
     /// Replica lanes one kernel iteration evaluates together.
     pub(super) const BLOCK: usize = 8;
@@ -373,15 +356,14 @@ mod kernel {
     }
 
     /// `Rng::gen::<f64>()` of a raw draw: its top 53 bits scaled by 2⁻⁵³.
-    /// Built from two exact 2⁵²-offset conversions so that it vectorises
-    /// without a 64-bit integer → float instruction.
+    /// The top 52 bits fill a float in `[1, 2)`, whose `− 1` is exact, and
+    /// bit 11 adds the last 2⁻⁵³, also exactly; no 64-bit integer → float
+    /// conversion, so it vectorises.
     #[inline(always)]
     fn unit_f64(draw: u64) -> f64 {
-        const TWO52: f64 = (1u64 << 52) as f64;
-        let m = draw >> 11;
-        let hi = f64::from_bits((m >> 1) | TWO52.to_bits()) - TWO52;
-        let lo = f64::from_bits((m & 1) | TWO52.to_bits()) - TWO52;
-        (hi * 2.0 + lo) * (1.0 / (1u64 << 53) as f64)
+        const HALF_ULP: u64 = (1.0 / (1u64 << 53) as f64).to_bits();
+        let hi = f64::from_bits((draw >> 12) | 1.0f64.to_bits()) - 1.0;
+        hi + f64::from_bits(HALF_ULP & ((draw >> 11) & 1).wrapping_neg())
     }
 
     /// The xoshiro256++ states of a block of lanes, structure-of-arrays:
@@ -457,46 +439,27 @@ mod kernel {
     }
 
     /// Below this distance between `u` and the polynomial, the decision is
-    /// recomputed with libm; well above the polynomial's error (< 2⁻⁴⁰).
-    const BRACKET: f64 = 1.0 / (1u64 << 30) as f64;
+    /// recomputed with libm; well above the polynomial's error (< 2⁻²²).
+    const BRACKET: f64 = 1.0 / (1u64 << 20) as f64;
 
-    /// `exp(-x)` for `x ∈ [0, 40)` within 2⁻⁴⁰ relative error, branch-free:
-    /// `x = k·ln2 + r` with round-to-nearest `k` (Cody–Waite split of ln2),
-    /// then `2⁻ᵏ · e⁻ʳ` with `|r| ≤ ln2/2` and a degree-12 Taylor polynomial
-    /// (evaluated by Estrin's scheme).
+    /// `exp(-x)` for `x ∈ [0, 40)` within 2⁻²² relative error, branch-free:
+    /// `x = k·ln2 + r` with round-to-nearest `k`, then `2⁻ᵏ · e⁻ʳ` with
+    /// `|r| ≤ ln2/2` and a degree-6 Taylor polynomial (evaluated by Estrin's
+    /// scheme). Its truncation error is below `(ln2/2)⁷/7! · √2 < 2⁻²²`;
+    /// the single-constant reduction adds only about 2⁻⁴⁶.
     /// Outside that domain the value is meaningless but computed without
     /// trapping.
     #[inline(always)]
     fn exp_neg(x: f64) -> f64 {
         const SHIFT: f64 = 6_755_399_441_055_744.0; // 1.5 · 2⁵²: rounds to an integer
-        const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
-        const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
-        const C: [f64; 13] = [
-            1.0,
-            1.0,
-            1.0 / 2.0,
-            1.0 / 6.0,
-            1.0 / 24.0,
-            1.0 / 120.0,
-            1.0 / 720.0,
-            1.0 / 5_040.0,
-            1.0 / 40_320.0,
-            1.0 / 362_880.0,
-            1.0 / 3_628_800.0,
-            1.0 / 39_916_800.0,
-            1.0 / 479_001_600.0,
-        ];
         let t = x * std::f64::consts::LOG2_E + SHIFT;
         let k = t - SHIFT;
-        let z = -((x - k * LN2_HI) - k * LN2_LO);
-        // Estrin's scheme: a short dependency chain instead of 12 Horner steps.
+        let z = k * std::f64::consts::LN_2 - x;
+        // Estrin's scheme: three short chains instead of 6 Horner steps.
         let z2 = z * z;
         let z4 = z2 * z2;
-        let z8 = z4 * z4;
-        let lo = ((C[0] + C[1] * z) + (C[2] + C[3] * z) * z2)
-            + ((C[4] + C[5] * z) + (C[6] + C[7] * z) * z2) * z4;
-        let hi = ((C[8] + C[9] * z) + (C[10] + C[11] * z) * z2) + C[12] * z4;
-        let p = lo + hi * z8;
+        let p = ((1.0 + z) + (1.0 / 2.0 + z * (1.0 / 6.0)) * z2)
+            + ((1.0 / 24.0 + z * (1.0 / 120.0)) + z2 * (1.0 / 720.0)) * z4;
         let k_bits = t.to_bits().wrapping_sub(SHIFT.to_bits());
         p * f64::from_bits(1023u64.wrapping_sub(k_bits) << 52)
     }
@@ -522,26 +485,59 @@ mod kernel {
         hit
     }
 
+    /// One Monte-Carlo step of lanes `0 .. count`, block by block: the
+    /// parallel-trial scan, then each live lane raises its escape offset or
+    /// picks, flips and logs its move.
+    #[inline(always)]
+    fn step_body(scratch: &mut DaScratch<'_>, count: usize, beta: f64, offset_step: f64) {
+        let rb = &mut scratch.replicas;
+        let words = &mut scratch.words[..];
+        for (b, (rng, e_off)) in scratch.rngs.iter_mut().zip(&mut scratch.e_off).enumerate() {
+            let base = b * BLOCK;
+            if base >= count {
+                break;
+            }
+            let live = (count - base).min(BLOCK);
+            scan(rb, base, e_off, beta, rng, words);
+            for l in 0..live {
+                let total: u32 = words.iter().map(|w| w[l].count_ones()).sum();
+                if total == 0 {
+                    // Dynamic offset: lower the barrier for the next step.
+                    e_off[l] += offset_step;
+                    continue;
+                }
+                e_off[l] = 0.0;
+                let k = rng.lane(l).gen_range(0..total as usize);
+                let pick = nth_set_bit(words, l, k);
+                let r = base + l;
+                rb.flip(r, pick);
+                if rb.energy(r) < scratch.best_e[r] {
+                    scratch.best_e[r] = rb.energy(r);
+                    scratch.undo[r].clear();
+                } else {
+                    // CSR column indices are `u32`, so every variable is.
+                    scratch.undo[r].push(pick as u32);
+                }
+            }
+        }
+    }
+
     /// One parallel-trial scan of the block of lanes `base .. base + 8`:
     /// fills `words` with each lane's accepted candidates (bit `i % 64` of
-    /// `words[i / 64]`) and advances each live lane's generator by exactly the
-    /// draws `run_replica` makes. Lanes `live..` are idle: they draw nothing
-    /// and their words are never read.
+    /// `words[i / 64]`) and advances each lane's generator by exactly the
+    /// draws `run_replica` makes. Idle lanes of a partial block are scanned
+    /// too, on the padding lanes' valid caches; their draws touch only
+    /// their own generators, and their words are never read.
     #[inline(always)]
-    fn scan_body(
+    fn scan(
         rb: &ReplicaBatch<'_>,
         base: usize,
-        live: usize,
         e_off: &Lanes<f64>,
         beta: f64,
         rng: &mut RngBlock,
         words: &mut [Lanes<u64>],
     ) {
         let n = rb.num_vars();
-        let mut on = [0; BLOCK];
-        for (l, m) in on.iter_mut().enumerate() {
-            *m = mask(l < live);
-        }
         let mut streams = *rng;
         for (w, out) in words.iter_mut().enumerate() {
             let mut acc = [0; BLOCK];
@@ -557,7 +553,7 @@ mod kernel {
                     let delta = row[l] - e_off[l];
                     x[l] = delta * beta;
                     downhill[l] = mask(delta <= 0.0);
-                    draw[l] = on[l] & !downhill[l] & mask(x[l] < 40.0);
+                    draw[l] = !downhill[l] & mask(x[l] < 40.0);
                 }
                 let u = streams.uniforms(&draw);
                 let hit = metropolis(&u, &x, &draw);
@@ -570,34 +566,36 @@ mod kernel {
         *rng = streams;
     }
 
+    /// Index of lane `l`'s `k`-th set bit (0-based) across `words`, i.e.
+    /// `accepted[k]` in `run_replica`'s ascending candidate list.
+    #[inline(always)]
+    fn nth_set_bit(words: &[Lanes<u64>], l: usize, mut k: usize) -> usize {
+        for (w, word) in words.iter().enumerate() {
+            let mut bits = word[l];
+            let ones = bits.count_ones() as usize;
+            if k < ones {
+                for _ in 0..k {
+                    bits &= bits - 1;
+                }
+                return w * 64 + bits.trailing_zeros() as usize;
+            }
+            k -= ones;
+        }
+        unreachable!("pick index beyond the accepted count")
+    }
+
     /// The AVX2 copy.
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn scan_avx2(
-        rb: &ReplicaBatch<'_>,
-        base: usize,
-        live: usize,
-        e_off: &Lanes<f64>,
-        beta: f64,
-        rng: &mut RngBlock,
-        words: &mut [Lanes<u64>],
-    ) {
-        scan_body(rb, base, live, e_off, beta, rng, words)
+    #[target_feature(enable = "avx2,popcnt")]
+    fn step_avx2(scratch: &mut DaScratch<'_>, count: usize, beta: f64, offset_step: f64) {
+        step_body(scratch, count, beta, offset_step)
     }
 
     /// The AVX-512 copy.
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    fn scan_avx512(
-        rb: &ReplicaBatch<'_>,
-        base: usize,
-        live: usize,
-        e_off: &Lanes<f64>,
-        beta: f64,
-        rng: &mut RngBlock,
-        words: &mut [Lanes<u64>],
-    ) {
-        scan_body(rb, base, live, e_off, beta, rng, words)
+    #[target_feature(enable = "avx512f,popcnt")]
+    fn step_avx512(scratch: &mut DaScratch<'_>, count: usize, beta: f64, offset_step: f64) {
+        step_body(scratch, count, beta, offset_step)
     }
 
     /// A compiled copy of the scan kernel that this host runs: only
@@ -620,11 +618,13 @@ mod kernel {
         pub(super) fn detect() -> Isa {
             #[cfg(target_arch = "x86_64")]
             {
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    return Isa(Level::Avx512);
-                }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    return Isa(Level::Avx2);
+                if std::arch::is_x86_feature_detected!("popcnt") {
+                    if std::arch::is_x86_feature_detected!("avx512f") {
+                        return Isa(Level::Avx512);
+                    }
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        return Isa(Level::Avx2);
+                    }
                 }
             }
             Isa(Level::Plain)
@@ -636,42 +636,41 @@ mod kernel {
             let mut copies = vec![Isa(Level::Plain)];
             #[cfg(target_arch = "x86_64")]
             {
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    copies.push(Isa(Level::Avx2));
-                }
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    copies.push(Isa(Level::Avx512));
+                if std::arch::is_x86_feature_detected!("popcnt") {
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        copies.push(Isa(Level::Avx2));
+                    }
+                    if std::arch::is_x86_feature_detected!("avx512f") {
+                        copies.push(Isa(Level::Avx512));
+                    }
                 }
             }
             copies
         }
 
-        /// Runs this copy of [`scan_body`] on lanes `base .. base + live`.
-        #[allow(clippy::too_many_arguments)]
-        pub(super) fn scan(
+        /// Runs this copy of [`step_body`] on lanes `0 .. count`.
+        pub(super) fn step(
             self,
-            rb: &ReplicaBatch<'_>,
-            base: usize,
-            live: usize,
-            e_off: &Lanes<f64>,
+            scratch: &mut DaScratch<'_>,
+            count: usize,
             beta: f64,
-            rng: &mut RngBlock,
-            words: &mut [Lanes<u64>],
+            offset_step: f64,
         ) {
             match self.0 {
-                Level::Plain => scan_body(rb, base, live, e_off, beta, rng, words),
+                Level::Plain => step_body(scratch, count, beta, offset_step),
                 // SAFETY: an `Isa(Level::Avx2)` exists only after
-                // `is_x86_feature_detected!("avx2")` returned true (see
-                // `Isa::detect` and `Isa::supported`), so the host executes
-                // AVX2 instructions.
+                // `is_x86_feature_detected!("popcnt")` and `("avx2")` both
+                // returned true (see `Isa::detect` and `Isa::supported`), so
+                // the host executes POPCNT and AVX2 instructions.
                 #[cfg(target_arch = "x86_64")]
-                Level::Avx2 => unsafe { scan_avx2(rb, base, live, e_off, beta, rng, words) },
+                Level::Avx2 => unsafe { step_avx2(scratch, count, beta, offset_step) },
                 // SAFETY: an `Isa(Level::Avx512)` exists only after
-                // `is_x86_feature_detected!("avx512f")` returned true (see
-                // `Isa::detect` and `Isa::supported`), so the host executes
+                // `is_x86_feature_detected!("popcnt")` and `("avx512f")`
+                // both returned true (see `Isa::detect` and
+                // `Isa::supported`), so the host executes POPCNT and
                 // AVX-512F instructions.
                 #[cfg(target_arch = "x86_64")]
-                Level::Avx512 => unsafe { scan_avx512(rb, base, live, e_off, beta, rng, words) },
+                Level::Avx512 => unsafe { step_avx512(scratch, count, beta, offset_step) },
             }
         }
     }
@@ -721,6 +720,28 @@ mod kernel {
             }
         }
 
+        /// `nth_set_bit` equals a naive select over the concatenated words
+        /// for every `k`: random word pairs (so `k` lands in either word),
+        /// a full first word, an empty first word and single bits.
+        #[test]
+        fn nth_set_bit_matches_naive_select() {
+            let mut rng = mathkit::rng::seeded_rng(9);
+            let mut pairs: Vec<[u64; 2]> = (0..200).map(|_| [rng.gen(), rng.gen()]).collect();
+            pairs.extend([[u64::MAX, 0], [u64::MAX, u64::MAX], [0, 1 << 63], [1, 0]]);
+            for (t, pair) in pairs.iter().enumerate() {
+                let l = t % BLOCK;
+                let mut words = [[0; BLOCK]; 2];
+                words[0][l] = pair[0];
+                words[1][l] = pair[1];
+                let naive: Vec<usize> = (0..128)
+                    .filter(|&i| pair[i / 64] >> (i % 64) & 1 == 1)
+                    .collect();
+                for (k, &want) in naive.iter().enumerate() {
+                    assert_eq!(nth_set_bit(&words, l, k), want, "{pair:x?} k={k}");
+                }
+            }
+        }
+
         /// Points of `[0, 40)` on which the polynomial is checked: a dense
         /// grid, the ends, tiny values and the rounding ties of `k`.
         fn exponent_grid() -> Vec<f64> {
@@ -739,8 +760,8 @@ mod kernel {
         }
 
         #[test]
-        fn polynomial_exp_is_within_2_pow_minus_40_of_libm() {
-            let tol = 1.0 / (1u64 << 40) as f64;
+        fn polynomial_exp_is_within_2_pow_minus_22_of_libm() {
+            let tol = 1.0 / (1u64 << 22) as f64;
             for x in exponent_grid() {
                 let (got, want) = (exp_neg(x), (-x).exp());
                 assert!(

@@ -270,11 +270,12 @@ fn flooding_tenant_cannot_starve_a_polite_tenant() {
     );
 
     let engine = Arc::clone(&harness.engine);
-    let flood_rows_served = |m: &qross_repro::qross::serve::EngineMetrics| {
-        m.tenants
-            .iter()
+    let flood_metrics = || {
+        engine
+            .metrics()
+            .tenants
+            .into_iter()
             .find(|t| t.tenant == "flood")
-            .map_or(0, |t| t.rows)
     };
     let flood_stream = harness.connect();
     let polite_stream = harness.connect();
@@ -294,33 +295,22 @@ fn flooding_tenant_cannot_starve_a_polite_tenant() {
         .into_bytes();
     std::thread::scope(|scope| {
         let flood_client = scope.spawn(move || replay_over_tcp(flood_stream, &flood));
-        let polite_engine = Arc::clone(&engine);
-        let polite_done = scope.spawn(move || {
-            // Bracket the contested window with service snapshots taken
-            // at the polite tenant's FIRST and last responses — from the
-            // first response on, its backlog is provably queued, so
-            // every flood row in between was won against live polite
-            // demand. (Rows the flooder burns before polite's jobs
-            // reach the queue, or after they drain, are legal.)
-            let mut polite_stream = polite_stream;
-            polite_stream.write_all(&polite).expect("send polite load");
-            polite_stream
-                .shutdown(Shutdown::Write)
-                .expect("polite half-close");
-            let mut reader = std::io::BufReader::new(polite_stream);
-            let mut first = String::new();
-            std::io::BufRead::read_line(&mut reader, &mut first).expect("first polite response");
-            let before = flood_rows_served(&polite_engine.metrics());
-            let mut rest = String::new();
-            reader
-                .read_to_string(&mut rest)
-                .expect("remaining responses");
-            let after = flood_rows_served(&polite_engine.metrics());
-            let lines = (!first.is_empty()) as u64 + rest.lines().count() as u64;
-            (lines, after - before)
-        });
-        let (polite_lines, contested_flood_rows) = polite_done.join().expect("polite client");
+        // Start the polite session behind a standing flood backlog, so the
+        // two tenants contend for the worker.
+        while flood_metrics()
+            .is_none_or(|t| t.pending_rows < 250 && t.rows < FLOOD_REQS * FLOOD_ROWS_PER_REQ)
+        {
+            std::thread::yield_now();
+        }
+        let polite_out = replay_over_tcp(polite_stream, &polite);
+        let polite_lines = polite_out.iter().filter(|&&b| b == b'\n').count() as u64;
         assert_eq!(polite_lines, POLITE_REQS, "polite tenant lost responses");
+        // Contested rows are counted by the scheduler as it dispatches
+        // them: every flood row handed out while a polite job sat in the
+        // queue, and no other. A client-side window cannot bracket that:
+        // flood rows are admitted a whole pipelining window at a time, and
+        // a descheduled client sees the polite session end late.
+        let contested_flood_rows = flood_metrics().map_or(0, |t| t.contended_rows);
         // Equal weights mean the polite tenant's fair share of the
         // contested window is half the rows; the acceptance floor is a
         // quarter of that share, i.e. the flooder may win at most 7x
@@ -334,9 +324,8 @@ fn flooding_tenant_cannot_starve_a_polite_tenant() {
         let flood_out = flood_client.join().expect("flood client");
         let flood_lines = flood_out.iter().filter(|&&b| b == b'\n').count() as u64;
         assert_eq!(flood_lines, FLOOD_REQS, "flooder lost responses");
-        let total = engine.metrics();
         assert_eq!(
-            flood_rows_served(&total),
+            flood_metrics().map_or(0, |t| t.rows),
             FLOOD_REQS * FLOOD_ROWS_PER_REQ,
             "flooder rows went unserved"
         );

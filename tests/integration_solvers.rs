@@ -182,3 +182,65 @@ fn reference_heuristics_ordering() {
         assert!(reference <= nn + 1e-9, "seed {seed}: {reference} > {nn}");
     }
 }
+
+/// FNV-1a over each sample's energy bits and assignment bytes, in
+/// `SampleSet` order.
+fn sample_digest(set: &qross_repro::solvers::SampleSet, mut hash: u64) -> u64 {
+    for sample in set.iter() {
+        let bytes = sample.energy.to_bits().to_le_bytes();
+        for &b in bytes.iter().chain(&sample.assignment) {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    hash
+}
+
+/// The Digital Annealer's samples on fixed models and seeds hash to a
+/// committed constant. The lane-kernel tests compare the kernel with
+/// `run_replica` inside one build; this pins both across commits, so a
+/// change to the reference trajectory itself shows up here.
+#[test]
+fn da_samples_match_the_committed_digest() {
+    use qross_repro::problems::tsp::generator::{generate_instance, GeneratorConfig};
+    use qross_repro::qubo::QuboBuilder;
+    use rand::Rng;
+
+    let da = DigitalAnnealer::new(DaConfig {
+        steps: 1200,
+        ..Default::default()
+    });
+    let mut hash = 0xCBF2_9CE4_8422_2325_u64;
+    let tsp = TspEncoding::preprocessed(generate_instance(
+        &GeneratorConfig {
+            min_cities: 10,
+            max_cities: 10,
+            ..Default::default()
+        },
+        15,
+        0,
+    ));
+    for a in [0.2, 2.0] {
+        let qubo = tsp.to_qubo(a);
+        assert_eq!(qubo.num_vars(), 100);
+        for seed in [901, 902] {
+            hash = sample_digest(&da.sample(&qubo, 24, seed), hash);
+        }
+    }
+    for (n, seed) in [(37usize, 3u64), (130, 4)] {
+        let mut rng = qross_repro::mathkit::rng::seeded_rng(seed);
+        let mut b = QuboBuilder::new(n);
+        for i in 0..n {
+            b.add_linear(i, rng.gen_range(-2.0..2.0));
+            for j in (i + 1)..n {
+                if rng.gen::<f64>() < 10.0 / n as f64 {
+                    b.add_quadratic(i, j, rng.gen_range(-1.5..1.5));
+                }
+            }
+        }
+        hash = sample_digest(&da.sample(&b.build(), 24, seed), hash);
+    }
+    assert_eq!(
+        hash, 0x855c_a146_81f2_3331,
+        "DA samples changed: digest {hash:#018x}"
+    );
+}
