@@ -79,14 +79,14 @@ fn sample_line() -> String {
     )
 }
 
-/// One full request round trip: decode the line, run it through the
-/// engine, serialize the response. Returns the response length so the
-/// optimizer can't elide the work.
+/// One full request round trip: a one-line stdio session that decodes
+/// the line, runs it through the engine and serializes the response.
+/// Returns the response length so the optimizer can't elide the work.
 fn roundtrip(engine: &ServeEngine, line: &str) -> usize {
-    let staged = bench::protocol::stage(engine, line).expect("request line stages");
-    bench::protocol::render(staged)
-        .expect("response renders")
-        .len()
+    let mut out = Vec::new();
+    bench::protocol::serve_connection(engine, line.as_bytes(), &mut out)
+        .expect("session completes");
+    out.len()
 }
 
 /// Median of a timed closure over `n` iterations, in nanoseconds.

@@ -1,28 +1,27 @@
-//! Criterion bench for the serving *transports*: the nonblocking epoll
-//! event loop (`bench::net::serve_event_loop`) vs the thread-per-connection
-//! oracle, replaying the same pipelined NDJSON predict traffic over real
-//! TCP sockets at a matrix of connection counts × pipeline depths.
+//! Criterion bench for the serving event loop
+//! (`bench::net::serve_event_loop`), replaying pipelined NDJSON predict
+//! traffic over real TCP sockets at a matrix of connection counts ×
+//! pipeline depths.
 //!
 //! What this prices is multiplexing overhead, not inference: every
 //! request is answered by the same seed-built surrogate, and a
-//! correctness gate asserts each transport returns exactly one response
-//! line per request before any timing runs.
+//! correctness gate asserts the loop returns exactly one response line
+//! per request before any timing runs.
 //!
-//! Representative medians from this machine (1 CPU, release build,
+//! Representative medians from a 1-CPU host (release build,
 //! `cargo bench -p bench --bench serve_concurrency`), recorded when the
 //! event loop landed:
 //!
-//! | scenario                | threaded oracle | event loop |
-//! |-------------------------|-----------------|------------|
-//! | 1 conn  × 16 pipelined  |        ~485 µs  |    ~232 µs |
-//! | 8 conns × 16 pipelined  |        ~3.7 ms  |    ~1.7 ms |
-//! | 32 conns × 8 pipelined  |       ~10.4 ms  |    ~4.3 ms |
+//! | scenario                | event loop |
+//! |-------------------------|------------|
+//! | 1 conn  × 16 pipelined  |    ~232 µs |
+//! | 8 conns × 16 pipelined  |    ~1.7 ms |
+//! | 32 conns × 8 pipelined  |    ~4.3 ms |
 //!
-//! (Absolute numbers vary by host; the point is the event loop tracks or
-//! beats thread-per-connection while holding one thread and bounded
-//! memory per connection. Re-run after transport changes and update.)
+//! (Absolute numbers vary by host. Re-run after transport changes and
+//! update.)
 
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -30,7 +29,6 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use bench::net::{serve_event_loop, EventLoopConfig};
-use bench::protocol::serve_connection;
 use mathkit::stats::ZScore;
 use neural::network::MlpBuilder;
 use qross::dataset::Scalers;
@@ -122,25 +120,6 @@ fn spawn_event_loop(engine: Arc<ServeEngine>) -> (SocketAddr, Arc<AtomicBool>) {
     (addr, shutdown)
 }
 
-/// Starts the thread-per-connection oracle on an ephemeral port. The
-/// accept thread lives until the bench process exits (criterion runs all
-/// groups in one process; two idle accept threads are harmless).
-fn spawn_threaded(engine: Arc<ServeEngine>) -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { continue };
-            let engine = Arc::clone(&engine);
-            std::thread::spawn(move || {
-                let reader = BufReader::new(stream.try_clone().expect("clone"));
-                let _ = serve_connection(&engine, reader, stream);
-            });
-        }
-    });
-    addr
-}
-
 /// Opens `conns` connections, pipelines `depth` requests down each,
 /// half-closes, and drains every response. Returns total response lines.
 fn replay(addr: SocketAddr, conns: usize, depth: usize) -> usize {
@@ -165,20 +144,15 @@ fn replay(addr: SocketAddr, conns: usize, depth: usize) -> usize {
 
 fn bench_serve_concurrency(c: &mut Criterion) {
     let (loop_addr, loop_shutdown) = spawn_event_loop(test_engine());
-    let threaded_addr = spawn_threaded(test_engine());
 
-    // Correctness gate before any timing: both transports answer every
-    // request exactly once.
+    // Correctness gate before any timing: every request is answered
+    // exactly once.
     assert_eq!(replay(loop_addr, 4, 4), 16, "event loop dropped responses");
-    assert_eq!(replay(threaded_addr, 4, 4), 16, "oracle dropped responses");
 
     let mut group = c.benchmark_group("serve_concurrency");
     group.sample_size(10);
     for &(conns, depth) in &[(1usize, 16usize), (8, 16), (32, 8)] {
         let requests = conns * depth;
-        group.bench_function(&format!("threaded_{conns}x{depth}"), |b| {
-            b.iter(|| assert_eq!(replay(threaded_addr, conns, depth), requests))
-        });
         group.bench_function(&format!("event_loop_{conns}x{depth}"), |b| {
             b.iter(|| assert_eq!(replay(loop_addr, conns, depth), requests))
         });

@@ -1,8 +1,8 @@
 //! `qross-serve` — the serving daemon of the train-once / serve-many
 //! loop: load a model once, answer prediction requests forever.
 //!
-//! Three transports, two wire formats, one protocol (`bench::protocol`):
-//! every transport sniffs each connection's first bytes and speaks either
+//! Two transports, two wire formats, one protocol (`bench::protocol`):
+//! both transports sniff each connection's first bytes and speak either
 //! NDJSON (lines starting with `{` or whitespace) or QBIN, the
 //! length-framed binary format (`QBIN` magic, raw little-endian f64
 //! rows, CRC-32 trailer — see ARTIFACTS.md). Both formats share one
@@ -15,9 +15,9 @@
 //!   engine — concurrent clients' requests micro-batch together,
 //!   NDJSON and QBIN clients side by side. `--max-conns` caps
 //!   simultaneous connections.
-//! * **TCP thread-per-connection** (`--listen-threaded ADDR`): the
-//!   older blocking path, kept as a differential oracle for the event
-//!   loop — both must produce byte-identical sessions.
+//!
+//! Both run the same sans-IO session core, so a connection's response
+//! bytes do not depend on the transport.
 //!
 //! Multi-tenancy: repeatable `--tenant NAME=WEIGHT[:QUOTA]` assigns
 //! weighted-fair shares (and optional pending-row quotas) to requests
@@ -32,8 +32,8 @@
 
 use std::sync::Arc;
 
-use bench::net::{serve_event_loop, AcceptBackoff, EventLoopConfig};
-use bench::protocol::{serve_connection, serve_connection_aborting};
+use bench::net::{serve_event_loop, EventLoopConfig};
+use bench::protocol::serve_connection;
 use bench::serve::usage_exit;
 use qross::dataset::SurrogateDataset;
 use qross::online::{OnlineConfig, SurrogateCheckpoint};
@@ -42,7 +42,7 @@ use qross::serve::{ServeConfig, ServeEngine, ServeModel, TenantClass, TenantPoli
 use qross::surrogate::{Surrogate, SurrogateState};
 use qross_store::Artifact;
 
-const USAGE: &str = "qross-serve --model PATH [--listen ADDR | --listen-threaded ADDR] \
+const USAGE: &str = "qross-serve --model PATH [--listen ADDR] \
                      [--metrics-listen ADDR] \
                      [--max-conns N] [--tenant NAME=WEIGHT[:QUOTA]]... [--workers N] \
                      [--batch ROWS] [--queue ROWS] [--cache ENTRIES] \
@@ -52,7 +52,6 @@ const USAGE: &str = "qross-serve --model PATH [--listen ADDR | --listen-threaded
 enum Listen {
     Stdio,
     EventLoop(String),
-    Threaded(String),
 }
 
 struct ServeCli {
@@ -62,7 +61,6 @@ struct ServeCli {
     /// so scrapes never share a socket with protocol bytes.
     metrics_listen: Option<String>,
     max_conns: usize,
-    policy: TenantPolicy,
     config: ServeConfig,
     online: bool,
     online_config: OnlineConfig,
@@ -117,7 +115,6 @@ fn parse_cli() -> ServeCli {
         listen: Listen::Stdio,
         metrics_listen: None,
         max_conns: 0,
-        policy: TenantPolicy::default(),
         config: ServeConfig::default(),
         online: false,
         online_config: OnlineConfig::default(),
@@ -139,7 +136,6 @@ fn parse_cli() -> ServeCli {
             flag.as_str(),
             "--model"
                 | "--listen"
-                | "--listen-threaded"
                 | "--metrics-listen"
                 | "--max-conns"
                 | "--tenant"
@@ -169,10 +165,9 @@ fn parse_cli() -> ServeCli {
         match flag.as_str() {
             "--model" => cli.model = value.clone(),
             "--listen" => cli.listen = Listen::EventLoop(value.clone()),
-            "--listen-threaded" => cli.listen = Listen::Threaded(value.clone()),
             "--metrics-listen" => cli.metrics_listen = Some(value.clone()),
             "--max-conns" => cli.max_conns = parse_count("--max-conns", value).max(1),
-            "--tenant" => parse_tenant_spec(&mut cli.policy, value),
+            "--tenant" => parse_tenant_spec(&mut cli.config.tenants, value),
             "--workers" => cli.config.workers = parse_count("--workers", value),
             "--batch" => {
                 cli.config.max_batch_rows = parse_count("--batch", value).max(1);
@@ -273,25 +268,7 @@ fn main() {
             std::process::exit(1);
         })
     });
-    let engine = if cli.online {
-        ServeEngine::with_online_tenants(
-            model,
-            cli.config,
-            cli.policy.clone(),
-            cli.online_config.clone(),
-            base,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("error: starting online engine failed: {e}");
-            std::process::exit(1);
-        })
-    } else {
-        if base.is_some() {
-            eprintln!("warning: --corpus is only used with --online; ignoring it");
-        }
-        ServeEngine::with_tenants(model, cli.config, cli.policy.clone())
-    };
-    for (name, class) in &cli.policy.classes {
+    for (name, class) in &cli.config.tenants.classes {
         eprintln!(
             "qross-serve: tenant {name}: weight {}, quota {}",
             class.weight,
@@ -302,6 +279,19 @@ fn main() {
             }
         );
     }
+    let engine = if cli.online {
+        ServeEngine::with_online(model, cli.config, cli.online_config.clone(), base).unwrap_or_else(
+            |e| {
+                eprintln!("error: starting online engine failed: {e}");
+                std::process::exit(1);
+            },
+        )
+    } else {
+        if base.is_some() {
+            eprintln!("warning: --corpus is only used with --online; ignoring it");
+        }
+        ServeEngine::new(model, cli.config)
+    };
     eprintln!(
         "qross-serve: loaded {kind} from {} ({feature_dim} features); {engine:?}{}",
         cli.model,
@@ -339,11 +329,9 @@ fn main() {
 
     match cli.listen {
         Listen::Stdio => {
-            // StdinLock is !Send and the staging thread owns the reader,
-            // so buffer the Send-able handle instead of locking.
-            let stdin = std::io::BufReader::new(std::io::stdin());
+            let stdin = std::io::stdin();
             let stdout = std::io::stdout();
-            if let Err(e) = serve_connection(&engine, stdin, stdout.lock()) {
+            if let Err(e) = serve_connection(&engine, stdin.lock(), stdout.lock()) {
                 eprintln!("error: stdio session failed: {e}");
                 std::process::exit(1);
             }
@@ -362,66 +350,6 @@ fn main() {
                 eprintln!("error: event loop failed: {e}");
                 std::process::exit(1);
             }
-        }
-        Listen::Threaded(addr) => {
-            let listener = std::net::TcpListener::bind(&addr).unwrap_or_else(|e| {
-                eprintln!("error: cannot listen on {addr}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("qross-serve: listening on {addr} (thread per connection)");
-            let mut backoff = AcceptBackoff::new();
-            std::thread::scope(|scope| {
-                loop {
-                    let stream = match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            backoff.reset();
-                            stream
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(e) => {
-                            // A persistent accept failure (EMFILE et al.)
-                            // used to spin this loop at 100% CPU; back off
-                            // with a bounded, exponentially growing sleep.
-                            let delay = backoff.failure();
-                            eprintln!("warning: accept failed: {e} (retrying in {delay:?})");
-                            std::thread::sleep(delay);
-                            continue;
-                        }
-                    };
-                    let peer = stream
-                        .peer_addr()
-                        .map(|p| p.to_string())
-                        .unwrap_or_else(|_| "<unknown>".to_string());
-                    let engine = &engine;
-                    scope.spawn(move || {
-                        eprintln!("qross-serve: {peer} connected");
-                        let reader = match stream.try_clone() {
-                            Ok(clone) => std::io::BufReader::new(clone),
-                            Err(e) => {
-                                eprintln!("warning: {peer}: clone failed: {e}");
-                                return;
-                            }
-                        };
-                        // If the client stops reading responses, the write
-                        // side errors first — shut the socket down so the
-                        // blocked reader exits too instead of leaking this
-                        // thread until the client's next line.
-                        let abort = {
-                            let stream = stream.try_clone();
-                            move || {
-                                if let Ok(s) = &stream {
-                                    let _ = s.shutdown(std::net::Shutdown::Both);
-                                }
-                            }
-                        };
-                        let writer = std::io::BufWriter::new(stream);
-                        match serve_connection_aborting(engine, reader, writer, abort) {
-                            Ok(()) => eprintln!("qross-serve: {peer} done"),
-                            Err(e) => eprintln!("warning: {peer}: session failed: {e}"),
-                        }
-                    });
-                }
-            });
         }
     }
     let stats = engine.stats();

@@ -25,6 +25,8 @@
 //! | `qross-predict` | reload the model in a fresh process, recompute the manifest for a byte-exact diff |
 //! | `qross-serve`   | load a model once, serve NDJSON prediction/upload requests over stdio or TCP ([`protocol`]) |
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod experiments;
 pub mod net;
 pub mod protocol;

@@ -6,11 +6,11 @@
 //!
 //! * [`sys::Poller`] — epoll via a minimal FFI shim (`poll(2)` fallback),
 //!   no tokio, no new dependencies;
-//! * per-connection sans-IO state — a [`SessionCodec`] fed by
-//!   nonblocking reads (sniffing NDJSON vs QBIN from the connection's
-//!   first bytes, so both protocols share one listen port), a
-//!   [`ResponseEmitter`] holding staged responses in request order, and
-//!   a write buffer flushed as the socket drains;
+//! * per-connection sans-IO state — a [`Session`] fed by nonblocking
+//!   reads (sniffing NDJSON vs QBIN from the connection's first bytes,
+//!   so both protocols share one listen port) and holding staged
+//!   responses in request order, plus a write buffer flushed as the
+//!   socket drains;
 //! * a [`sys::WakePipe`] self-pipe: engine workers complete a prediction
 //!   and wake the poller through the job's completion hook, so the loop
 //!   never spins and never parks a thread per request. Answers the
@@ -22,8 +22,8 @@
 //!   its staged-response window ([`EventLoopConfig::pipeline_depth`]) or
 //!   write buffer ([`EventLoopConfig::write_buf_bytes`]) fills, accepts
 //!   pause at the connection cap ([`EventLoopConfig::max_conns`]), and
-//!   persistent `accept` failures back off exponentially
-//!   ([`AcceptBackoff`]) instead of spinning hot;
+//!   persistent `accept` failures back off exponentially instead of
+//!   spinning hot;
 //! * observability: the loop registers its own counters on the engine's
 //!   metrics registry — readiness events dispatched, backpressure read
 //!   pauses, accepts and accept backoffs — all no-ops under `obs-off`;
@@ -32,7 +32,7 @@
 //!
 //! Determinism contract: scheduling here chooses *when* bytes move,
 //! never *what* they are — each connection's responses stay in request
-//! order (the emitter), and prediction bytes are bit-identical to a
+//! order (the session), and prediction bytes are bit-identical to a
 //! sequential stdio replay of the same per-connection log (the engine's
 //! batching contract). CI enforces both.
 
@@ -47,9 +47,7 @@ use std::time::{Duration, Instant};
 
 use qross::serve::{CompletionNotify, ServeEngine};
 
-use crate::protocol::{
-    stage_item, ResponseEmitter, SessionCodec, WireFormat, WireItem, PIPELINE_DEPTH,
-};
+use crate::protocol::{Session, PIPELINE_DEPTH};
 use sys::{Interest, PollEvent, Poller, WakePipe};
 
 const TOKEN_LISTENER: u64 = 0;
@@ -57,42 +55,36 @@ const TOKEN_WAKE: u64 = 1;
 const TOKEN_CONN_BASE: u64 = 2;
 
 /// First retry delay after a failed `accept`.
-pub const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
 /// Ceiling for the accept retry delay.
-pub const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 /// Bounded exponential backoff for `accept` failures. A persistent
 /// error (EMFILE being the classic) used to spin the accept loop at
 /// 100% CPU printing warnings; with this, retries double from
 /// [`ACCEPT_BACKOFF_MIN`] to [`ACCEPT_BACKOFF_MAX`] and reset on the
 /// next successful accept. Shared by the event loop (as a poll
-/// deadline) and the threaded oracle path (as a sleep).
+/// deadline) and the metrics endpoint (as a sleep).
 #[derive(Debug)]
-pub struct AcceptBackoff {
+struct AcceptBackoff {
     next: Duration,
 }
 
-impl Default for AcceptBackoff {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl AcceptBackoff {
-    pub fn new() -> Self {
+    fn new() -> Self {
         AcceptBackoff {
             next: ACCEPT_BACKOFF_MIN,
         }
     }
 
     /// Call on a successful accept: the next failure starts small again.
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.next = ACCEPT_BACKOFF_MIN;
     }
 
     /// Call on a failed accept: returns how long to wait before
     /// retrying, doubling up to the ceiling.
-    pub fn failure(&mut self) -> Duration {
+    fn failure(&mut self) -> Duration {
         let delay = self.next;
         self.next = (self.next * 2).min(ACCEPT_BACKOFF_MAX);
         delay
@@ -251,19 +243,13 @@ pub fn serve_metrics_http(engine: &ServeEngine, listener: TcpListener) {
 /// One multiplexed connection's state.
 struct Conn {
     stream: TcpStream,
-    codec: SessionCodec,
-    emitter: ResponseEmitter,
+    session: Session,
     /// completion hook attached to this connection's staged requests
     notify: CompletionNotify,
     /// serialized response bytes not yet accepted by the socket
     out: Vec<u8>,
     /// prefix of `out` already written
     written: usize,
-    /// read side reached EOF (or shutdown drain forced it)
-    eof: bool,
-    /// EOF fully processed: the codec's final unterminated line (if
-    /// any) has been staged
-    input_done: bool,
     /// interest currently registered with the poller
     registered: Interest,
 }
@@ -276,19 +262,19 @@ impl Conn {
     /// Whether reads are paused by backpressure: the client must drain
     /// responses before we accept more of its requests.
     fn read_paused(&self, cfg: &EventLoopConfig) -> bool {
-        self.emitter.in_flight() >= cfg.pipeline_depth()
+        self.session.in_flight() >= cfg.pipeline_depth()
             || self.unflushed() >= cfg.write_buf_bytes()
     }
 
     fn desired_interest(&self, cfg: &EventLoopConfig) -> Interest {
         Interest {
-            readable: !self.eof && !self.read_paused(cfg),
+            readable: !self.session.input_closed() && !self.read_paused(cfg),
             writable: self.unflushed() > 0,
         }
     }
 
     fn finished(&self) -> bool {
-        self.input_done && self.emitter.is_idle() && self.unflushed() == 0
+        self.session.finished() && self.unflushed() == 0
     }
 }
 
@@ -377,7 +363,7 @@ impl EventLoop<'_> {
                 self.park_listener();
                 for idx in 0..self.conns.len() {
                     if let Some(conn) = self.conns[idx].as_mut() {
-                        conn.eof = true;
+                        conn.session.close_input();
                     }
                     self.step(idx);
                 }
@@ -477,13 +463,10 @@ impl EventLoop<'_> {
                     }
                     self.conns[idx] = Some(Conn {
                         stream,
-                        codec: SessionCodec::new(),
-                        emitter: ResponseEmitter::new(),
+                        session: Session::new(),
                         notify: self.conn_notify(token),
                         out: Vec::new(),
                         written: 0,
-                        eof: false,
-                        input_done: false,
                         registered: Interest::READ,
                     });
                     self.live += 1;
@@ -553,7 +536,7 @@ impl EventLoop<'_> {
             Fate::Keep => {
                 let want = conn.desired_interest(&self.config);
                 if want != conn.registered {
-                    if conn.registered.readable && !want.readable && !conn.eof {
+                    if conn.registered.readable && !want.readable && !conn.session.input_closed() {
                         // Pause *transition* (not per poll turn): the
                         // staged window or write buffer just filled.
                         self.obs.backpressure_pauses.inc();
@@ -587,11 +570,11 @@ impl EventLoop<'_> {
         let mut buf = [0u8; 16 * 1024];
         // Read while the socket has bytes and backpressure allows —
         // bounded: each staged request fills the pipelining window.
-        while !conn.eof && !conn.read_paused(&self.config) {
+        while !conn.session.input_closed() && !conn.read_paused(&self.config) {
             match conn.stream.read(&mut buf) {
-                Ok(0) => conn.eof = true,
+                Ok(0) => conn.session.close_input(),
                 Ok(n) => {
-                    conn.codec.feed(&buf[..n]);
+                    conn.session.feed(&buf[..n]);
                     // Stage eagerly: staging is what advances the
                     // `read_paused` window.
                     self.stage_ready(conn);
@@ -603,12 +586,10 @@ impl EventLoop<'_> {
         }
         self.stage_ready(conn);
         // Serialize every head-of-line-complete response in the
-        // connection's sniffed wire format (while undecided the emitter
-        // is necessarily empty, so the default is never observable).
-        let wire = conn.codec.wire().unwrap_or(WireFormat::Ndjson);
+        // connection's sniffed wire format.
         if conn
-            .emitter
-            .pump(self.engine.obs(), wire, &mut conn.out)
+            .session
+            .pump(self.engine.obs(), &mut conn.out, false)
             .is_err()
         {
             return Fate::Close;
@@ -635,10 +616,9 @@ impl EventLoop<'_> {
         // interest, so a fully-buffered session keeps moving even if
         // the socket never becomes readable again.
         self.stage_ready(conn);
-        let wire = conn.codec.wire().unwrap_or(WireFormat::Ndjson);
         if conn
-            .emitter
-            .pump(self.engine.obs(), wire, &mut conn.out)
+            .session
+            .pump(self.engine.obs(), &mut conn.out, false)
             .is_err()
         {
             return Fate::Close;
@@ -651,39 +631,11 @@ impl EventLoop<'_> {
     }
 
     /// Stages decoded items (either wire format) while the pipelining
-    /// window has room; processes the codec's EOF tail exactly once.
-    fn stage_ready(&mut self, conn: &mut Conn) {
-        while !conn.read_paused(&self.config) {
-            if let Some(item) = conn.codec.next_item() {
-                let fatal = matches!(&item, WireItem::FrameError(e) if e.is_fatal());
-                if let Some(staged) = stage_item(self.engine, item, Some(Arc::clone(&conn.notify)))
-                {
-                    conn.emitter.push(staged);
-                }
-                if fatal {
-                    // Framing is lost (bad magic / unknown version): the
-                    // reject is staged; stop reading and close once it —
-                    // and everything before it — has flushed.
-                    conn.eof = true;
-                    conn.input_done = true;
-                    return;
-                }
-                continue;
-            }
-            // Nothing more is buffered behind the last staged request: a
-            // lone one the engine held runs now, on this thread.
-            conn.emitter.run_held_last();
-            if conn.eof && !conn.input_done {
-                conn.input_done = true;
-                if let Some(item) = conn.codec.finish() {
-                    if let Some(staged) =
-                        stage_item(self.engine, item, Some(Arc::clone(&conn.notify)))
-                    {
-                        conn.emitter.push(staged);
-                    }
-                }
-            }
-            return;
+    /// window and the write buffer have room; see [`Session::stage`].
+    fn stage_ready(&self, conn: &mut Conn) {
+        if !conn.read_paused(&self.config) {
+            let window = self.config.pipeline_depth();
+            conn.session.stage(self.engine, Some(&conn.notify), window);
         }
     }
 }

@@ -200,9 +200,9 @@ impl Poller {
         match &mut self.backend {
             Backend::Epoll { epfd } => {
                 let mut raw = [EpollEvent { events: 0, data: 0 }; 256];
-                // SAFETY: `raw` outlives the call and maxevents matches
-                // its length.
                 let n = loop {
+                    // SAFETY: `raw` outlives the call and maxevents
+                    // matches its length.
                     let n = unsafe {
                         epoll_wait(*epfd, raw.as_mut_ptr(), raw.len() as c_int, timeout_ms)
                     };
@@ -237,9 +237,9 @@ impl Poller {
                     });
                     tokens.push(token);
                 }
-                // SAFETY: `fds` outlives the call and nfds matches its
-                // length.
                 let n = loop {
+                    // SAFETY: `fds` outlives the call and nfds matches its
+                    // length.
                     let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
                     if n >= 0 {
                         break n;

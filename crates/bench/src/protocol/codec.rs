@@ -13,24 +13,23 @@
 //! waits until the prefix either completes the magic or diverges from
 //! it.
 //!
-//! [`ResponseEmitter`] is the matching output half: it holds staged
-//! responses in request order and serializes each one as soon as it —
-//! and everything before it — is complete, into a caller-owned byte
-//! buffer, as NDJSON lines or QBIN frames to match the connection's
-//! protocol. NDJSON serialization reuses one per-emitter scratch
-//! `String` (bit-identical output, no per-response allocation); QBIN
-//! frames are encoded directly into the output buffer.
+//! [`Session`] is the whole per-connection core around it: the codec,
+//! the staged responses in request order, and the EOF state. It submits
+//! decoded requests to the engine and serializes each response as soon
+//! as it — and everything before it — is complete, into a caller-owned
+//! byte buffer, as NDJSON lines or QBIN frames to match the connection's
+//! protocol.
 //!
-//! Both halves are driven by the blocking stdio/TCP path
-//! ([`super::serve_connection`]) and the nonblocking event loop
-//! (`bench::net`), which is what makes "byte-identical at any
+//! Both transports run over one `Session` per connection: the blocking
+//! stdio shell ([`super::serve_connection`]) and the nonblocking event
+//! loop (`bench::net`). That is what makes "byte-identical at any
 //! connection count" a structural property rather than a test hope.
 
 use std::collections::VecDeque;
 
-use qross::serve::ServeObs;
+use qross::serve::{CompletionNotify, ServeEngine, ServeObs};
 
-use super::{bin, emit_metrics, emit_pending, emit_response, Staged};
+use super::{bin, emit_metrics, emit_pending, emit_response, stage_item, Staged};
 
 /// Longest accepted request line (bytes, newline excluded). A client
 /// streaming one endless line used to grow the read buffer without
@@ -311,62 +310,109 @@ impl SessionCodec {
     }
 }
 
-/// Order-preserving response serializer.
+/// One connection's sans-IO serving state: the [`SessionCodec`], the
+/// staged responses in request order, and the end-of-input flags.
 ///
-/// Staged responses are pushed in request order; [`ResponseEmitter::pump`]
-/// appends every response that is complete *and* at the head of the line
-/// to an output buffer — one NDJSON line or one QBIN frame each, per the
-/// connection's sniffed protocol. Responses never reorder: a slow
-/// prediction holds back everything staged after it, exactly like the
-/// blocking writer loop it replaces.
+/// A transport feeds it bytes ([`Session::feed`], [`Session::close_input`]),
+/// lets it submit what they decode ([`Session::stage`]), and drains the
+/// answers ([`Session::pump`]) — one NDJSON line or QBIN frame each, per
+/// the sniffed protocol. Responses never reorder: a slow prediction holds
+/// back everything staged after it. NDJSON serialization reuses one
+/// scratch `String` (bytes identical to a fresh `to_string`, no
+/// per-response allocation); QBIN frames are encoded directly into the
+/// output buffer.
 #[derive(Debug, Default)]
-pub struct ResponseEmitter {
+pub struct Session {
+    codec: SessionCodec,
     queue: VecDeque<Staged>,
-    /// per-connection NDJSON serialization scratch, reused across
-    /// responses — the bytes are identical to a fresh `to_string`, the
-    /// allocation is not repeated
     scratch: String,
+    /// read side reached EOF (or a drain or fatal frame forced it)
+    eof: bool,
+    /// EOF fully processed: the codec's final item (if any) is staged
+    input_done: bool,
 }
 
-impl ResponseEmitter {
+impl Session {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Stages the next response (in request order).
-    pub fn push(&mut self, staged: Staged) {
-        self.queue.push_back(staged);
+    /// Appends a chunk of request bytes (any split boundary).
+    pub fn feed(&mut self, bytes: &[u8]) {
+        self.codec.feed(bytes);
+    }
+
+    /// Marks the read side finished: the next [`Session::stage`] stages
+    /// the codec's EOF tail, and nothing more is fed.
+    pub fn close_input(&mut self) {
+        self.eof = true;
+    }
+
+    /// Whether the read side is finished (EOF, drain, or a fatal frame).
+    pub fn input_closed(&self) -> bool {
+        self.eof
     }
 
     /// Responses staged but not yet emitted — the connection's pipelining
-    /// depth, which drivers bound to stop a flooding client.
+    /// depth, which transports bound to stop a flooding client.
     pub fn in_flight(&self) -> usize {
         self.queue.len()
     }
 
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+    /// Every request answered and no more input will come.
+    pub fn finished(&self) -> bool {
+        self.input_done && self.queue.is_empty()
     }
 
-    /// Runs the most recently staged request on the calling thread if the
-    /// engine held it (see
-    /// [`qross::serve::PendingPrediction::run_if_held`]). Front-ends call
-    /// this once no further complete request is buffered: only then is
-    /// the request alone, and its answer is in hand before the next read.
-    /// Earlier held requests need no call: a request staged behind one
-    /// sends both to a worker batch.
-    pub fn run_held_last(&mut self) {
-        if let Some(Staged::Pending { pending, .. }) = self.queue.back_mut() {
-            pending.run_if_held();
+    /// Stages decoded requests (either wire) until `window` responses are
+    /// in flight. A fatal frame error is answered and closes the input.
+    /// Once nothing more is buffered behind the last staged request, a
+    /// lone one the engine held runs now, on this thread (see
+    /// [`qross::serve::PendingPrediction::run_if_held`]); earlier held
+    /// requests need no call, since a request staged behind one sends
+    /// both to a worker batch. After [`Session::close_input`] the codec's
+    /// EOF tail is staged exactly once. `notify` rides on every request
+    /// that goes through the engine's batch queue.
+    pub fn stage(
+        &mut self,
+        engine: &ServeEngine,
+        notify: Option<&CompletionNotify>,
+        window: usize,
+    ) {
+        while self.queue.len() < window {
+            if let Some(item) = self.codec.next_item() {
+                let fatal = matches!(&item, WireItem::FrameError(e) if e.is_fatal());
+                self.queue.extend(stage_item(engine, item, notify.cloned()));
+                if fatal {
+                    // Framing is lost (bad magic / unknown version): the
+                    // reject is staged; read nothing more and close once
+                    // it — and everything before it — is written.
+                    self.eof = true;
+                    self.input_done = true;
+                    return;
+                }
+                continue;
+            }
+            if let Some(Staged::Pending { pending, .. }) = self.queue.back_mut() {
+                pending.run_if_held();
+            }
+            if self.eof && !self.input_done {
+                self.input_done = true;
+                if let Some(item) = self.codec.finish() {
+                    self.queue.extend(stage_item(engine, item, notify.cloned()));
+                }
+            }
+            return;
         }
     }
 
-    /// Appends every head-of-line-complete response to `out` (one NDJSON
-    /// line or QBIN frame each) without blocking; returns how many
-    /// responses were emitted. `serve_obs` is the engine's observability
-    /// handle (`engine.obs()`): emitting an engine-served response
-    /// records its encode stage and offers the finished span to the
-    /// slowest-request trace log.
+    /// Appends every head-of-line-complete response to `out`. Without
+    /// `block` it stops at the first unanswered request; with `block` it
+    /// waits for each one in turn, which needs no completion wake (a dead
+    /// worker still yields its "worker disconnected" answer).
+    /// `serve_obs` is the engine's observability handle (`engine.obs()`):
+    /// emitting an engine-served response records its encode stage and
+    /// offers the finished span to the slowest-request trace log.
     ///
     /// # Errors
     ///
@@ -375,59 +421,44 @@ impl ResponseEmitter {
     pub fn pump(
         &mut self,
         serve_obs: &ServeObs,
-        wire: WireFormat,
         out: &mut Vec<u8>,
-    ) -> std::io::Result<usize> {
-        let mut emitted = 0usize;
+        block: bool,
+    ) -> std::io::Result<()> {
+        // While undecided the queue is necessarily empty, and the EOF tail
+        // of an undecided stream is NDJSON by definition.
+        let wire = self.codec.wire().unwrap_or(WireFormat::Ndjson);
         while let Some(front) = self.queue.front_mut() {
-            match front {
-                Staged::Pending { pending, .. } => match pending.try_wait_spanned() {
+            let answer = match front {
+                Staged::Pending { pending, .. } if !block => match pending.try_wait() {
                     None => break,
-                    Some((span, outcome)) => {
-                        let Some(Staged::Pending {
-                            head,
-                            a_values,
-                            op,
-                            tenant,
-                            ..
-                        }) = self.queue.pop_front()
-                        else {
-                            unreachable!("front was Pending");
-                        };
-                        emit_pending(
-                            serve_obs,
-                            op,
-                            &tenant,
-                            span,
-                            head,
-                            a_values,
-                            outcome,
-                            wire,
-                            &mut self.scratch,
-                            out,
-                        )?;
-                    }
+                    answer => answer,
                 },
-                Staged::Ready(_) | Staged::Raw(_) | Staged::Metrics(_) => {
-                    match self.queue.pop_front().expect("front exists") {
-                        Staged::Ready(response) => {
-                            emit_response(&response, wire, &mut self.scratch, out)?;
-                        }
-                        Staged::Raw(line) => {
-                            // Pre-serialized NDJSON (`trace`) — the op
-                            // is not reachable over QBIN.
-                            out.extend_from_slice(line.as_bytes());
-                            out.push(b'\n');
-                        }
-                        Staged::Metrics(payload) => {
-                            emit_metrics(&payload, wire, &mut self.scratch, out)?;
-                        }
-                        Staged::Pending { .. } => unreachable!("front was not Pending"),
-                    }
+                _ => None,
+            };
+            let scratch = &mut self.scratch;
+            match self.queue.pop_front().expect("front exists") {
+                Staged::Pending {
+                    head,
+                    a_values,
+                    pending,
+                    op,
+                    tenant,
+                } => {
+                    let (span, outcome) = answer.unwrap_or_else(|| pending.wait_spanned());
+                    emit_pending(
+                        serve_obs, op, &tenant, span, head, a_values, outcome, wire, scratch, out,
+                    )?;
                 }
+                Staged::Ready(response) => emit_response(&response, wire, scratch, out)?,
+                Staged::Raw(line) => {
+                    // Pre-serialized NDJSON (`trace`) — the op is not
+                    // reachable over QBIN.
+                    out.extend_from_slice(line.as_bytes());
+                    out.push(b'\n');
+                }
+                Staged::Metrics(payload) => emit_metrics(&payload, wire, scratch, out)?,
             }
-            emitted += 1;
         }
-        Ok(emitted)
+        Ok(())
     }
 }

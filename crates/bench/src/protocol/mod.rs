@@ -4,8 +4,8 @@
 //!
 //! One request, one response, **in request order** (responses never
 //! reorder, whatever the engine's worker count). The same protocol runs
-//! over stdin/stdout and TCP (`qross-serve`), and every connection
-//! speaks either:
+//! over stdin/stdout and the TCP event loop (`qross-serve`), and every
+//! connection speaks either:
 //!
 //! * **NDJSON** — one JSON object per line (documented below); or
 //! * **QBIN** ([`bin`]) — a length-framed binary protocol with raw
@@ -88,13 +88,13 @@
 //!
 //! The protocol itself never does I/O. [`codec::SessionCodec`] sniffs
 //! the format and turns arbitrary byte chunks into framed requests (any
-//! split boundary, bounded line/frame length), [`stage_item`] turns a
-//! decoded item — NDJSON line or QBIN frame — into a [`Staged`] request,
-//! and [`codec::ResponseEmitter`] serializes completed responses in
-//! request order, as lines or frames to match. [`serve_connection`] is
-//! the blocking driver over that core (stdio and thread-per-connection
-//! TCP); `bench::net` drives the same core from a nonblocking event
-//! loop.
+//! split boundary, bounded line/frame length); each decoded item — NDJSON
+//! line or QBIN frame — becomes a [`Staged`] request; and
+//! [`codec::Session`] holds one connection's codec and staged queue and
+//! serializes completed responses in request order, as lines or frames
+//! to match. [`serve_connection`] runs a `Session` over a blocking reader
+//! and writer (stdio); `bench::net` runs one per connection in a
+//! nonblocking event loop.
 //!
 //! # Responses
 //!
@@ -113,7 +113,6 @@ pub mod bin;
 pub mod codec;
 
 use std::io::{BufRead, Write};
-use std::sync::mpsc;
 
 use problems::tsplib::parse_tsplib;
 use problems::{InstanceData, TspEncoding};
@@ -122,7 +121,7 @@ use qross::serve::{CompletionNotify, PendingPrediction, ServeEngine, ServeObs};
 use qross::surrogate::SurrogatePrediction;
 use serde::{Deserialize, Serialize};
 
-pub use codec::{CodecLine, ResponseEmitter, SessionCodec, WireFormat, WireItem, MAX_LINE_BYTES};
+pub use codec::{CodecLine, Session, SessionCodec, WireFormat, WireItem, MAX_LINE_BYTES};
 
 /// How many staged (submitted but unwritten) responses a connection may
 /// hold. Bounds per-connection memory against a client that floods
@@ -393,16 +392,11 @@ pub enum Staged {
     },
 }
 
-/// Parses, validates and dispatches one request line. Returns `None` for
-/// blank lines.
-pub fn stage(engine: &ServeEngine, line: &str) -> Option<Staged> {
-    stage_opts(engine, line, None)
-}
-
-/// [`stage`] with a completion hook handed to the engine for requests
-/// that go through the batch queue — event-loop drivers use it to wake
-/// their poller when a pending prediction becomes resolvable.
-pub fn stage_opts(
+/// Parses, validates and dispatches one NDJSON request line. Returns
+/// `None` for blank lines. `notify` is handed to the engine for requests
+/// that go through the batch queue — the event loop uses it to wake its
+/// poller when a pending prediction becomes resolvable.
+fn stage_json(
     engine: &ServeEngine,
     line: &str,
     notify: Option<CompletionNotify>,
@@ -581,16 +575,16 @@ fn stage_trace(engine: &ServeEngine, id: Option<u64>) -> Staged {
 }
 
 /// Maps one decoded [`CodecLine`] to a staged response: well-formed
-/// lines go through [`stage_opts`]; protocol-level rejects (a line over
+/// lines go through [`stage_json`]; protocol-level rejects (a line over
 /// [`MAX_LINE_BYTES`], invalid UTF-8) become typed bad-request error
 /// responses on the spot — the session keeps serving.
-pub fn stage_line(
+fn stage_line(
     engine: &ServeEngine,
     item: CodecLine,
     notify: Option<CompletionNotify>,
 ) -> Option<Staged> {
     match item {
-        CodecLine::Line(line) => stage_opts(engine, &line, notify),
+        CodecLine::Line(line) => stage_json(engine, &line, notify),
         CodecLine::Oversized { limit } => Some(Staged::Ready(Box::new(Response::err(
             None,
             qross::QrossError::BadRequest {
@@ -619,7 +613,7 @@ pub fn stage_line(
 /// diagnostic dump); instance uploads travel over QBIN through the
 /// compact `instance` op instead, and `metrics` has its own frame pair
 /// ([`bin::OP_METRICS`] / [`bin::OP_RESP_METRICS`]).
-pub fn stage_frame(
+fn stage_frame(
     engine: &ServeEngine,
     frame: &bin::Frame<'_>,
     notify: Option<CompletionNotify>,
@@ -721,10 +715,10 @@ pub fn stage_frame(
 /// response. Framing-level QBIN rejects (oversized, CRC mismatch,
 /// truncation) become typed `ok: false` responses, like the NDJSON
 /// line-cap path; whether the session can continue afterwards is the
-/// error's [`bin::BinError::is_fatal`] — drivers check it before
-/// consuming the item and close after answering a fatal one (framing is
-/// lost, resync is impossible).
-pub fn stage_item(
+/// error's [`bin::BinError::is_fatal`] — [`Session::stage`] checks it
+/// before consuming the item and closes after answering a fatal one
+/// (framing is lost, resync is impossible).
+fn stage_item(
     engine: &ServeEngine,
     item: WireItem<'_>,
     notify: Option<CompletionNotify>,
@@ -795,8 +789,7 @@ fn emit_metrics(
     Ok(())
 }
 
-/// Completes and serializes one engine-served response — the shared
-/// emit half of the blocking writer and the event-loop emitter. The
+/// Completes and serializes one engine-served response. The
 /// serialization is timed as the span's encode stage; the finished span
 /// then lands in the encode histogram and is offered to the engine's
 /// slowest-request trace log. All of it compiles away under `obs-off`;
@@ -1187,185 +1180,53 @@ pub fn render_response(response: &Response) -> std::io::Result<String> {
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// Waits (blocking) for a staged request and serializes its response
-/// line. The blocking driver's write half; event loops use
-/// [`codec::ResponseEmitter`] instead, which polls rather than waits.
-///
-/// # Errors
-///
-/// As [`render_response`].
-pub fn render(staged: Staged) -> std::io::Result<String> {
-    match staged {
-        Staged::Ready(response) => render_response(&response),
-        Staged::Raw(line) => Ok(line),
-        Staged::Metrics(payload) => serde_json::to_string(payload.as_ref())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())),
-        Staged::Pending {
-            head,
-            a_values,
-            pending,
-            ..
-        } => render_response(&complete(head, a_values, pending.wait())),
-    }
-}
-
 /// Serves one connection to completion, either wire format: reads
 /// requests from `reader` (NDJSON lines or QBIN frames, sniffed from the
 /// first bytes), writes one response per request to `writer`, in order.
+/// Returns when the reader reaches EOF, after a fatal QBIN framing error,
+/// or when either side fails.
 ///
-/// A staging thread parses/validates/submits while this thread resolves
-/// and writes, so up to [`PIPELINE_DEPTH`] requests are in flight — the
-/// concurrency the engine's micro-batching feeds on. Returns when the
-/// reader reaches EOF (or the client disconnects).
-///
-/// If the *write* side fails while the reader is still open (a client
-/// that stops reading responses but keeps the connection up), the reader
-/// may sit in a blocking read that the dropped channel alone cannot
-/// interrupt — pass an `abort_input` hook through
-/// [`serve_connection_aborting`] that forcibly unblocks it (e.g.
-/// `TcpStream::shutdown`); this plain variant uses a no-op hook, which is
-/// fine for in-memory readers and the stdio pipeline (where a dead
-/// stdout means the driving process is tearing us down anyway).
+/// One thread runs a [`Session`]: read a chunk, then stage up to
+/// [`PIPELINE_DEPTH`] of its requests (the concurrency the engine's
+/// micro-batching feeds on), wait for their answers, write and flush
+/// them, and repeat until nothing is in flight — only then read again.
+/// A blocking read cannot be woken by a completion, and an interactive
+/// client sends its next request only after it reads the last answer,
+/// so each read's requests are answered before the next read.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from either side of the connection.
-pub fn serve_connection<R, W>(engine: &ServeEngine, reader: R, writer: W) -> std::io::Result<()>
-where
-    R: BufRead + Send,
-    W: Write,
-{
-    serve_connection_aborting(engine, reader, writer, || {})
-}
-
-/// [`serve_connection`] with an `abort_input` hook invoked when the write
-/// side dies first: it must unblock any in-flight blocking read so the
-/// staging thread can exit (for TCP, shut the socket down). Without it a
-/// client that stops reading responses while holding the connection open
-/// would leak this session's thread until its next request line.
-///
-/// # Errors
-///
-/// Propagates I/O errors from either side; a write-side error wins over
-/// the read-side error the abort provokes.
-pub fn serve_connection_aborting<R, W, F>(
+pub fn serve_connection<R, W>(
     engine: &ServeEngine,
-    reader: R,
+    mut reader: R,
     mut writer: W,
-    abort_input: F,
 ) -> std::io::Result<()>
 where
-    R: BufRead + Send,
+    R: BufRead,
     W: Write,
-    F: FnOnce(),
 {
-    let (tx, rx) = mpsc::sync_channel::<(WireFormat, Staged)>(PIPELINE_DEPTH);
-    std::thread::scope(|scope| {
-        let stager = scope.spawn(move || -> std::io::Result<()> {
-            // Thin driver over the sans-IO codec: feed whatever chunk the
-            // reader hands us, stage every completed item. Byte-identical
-            // to the old `BufRead::lines` loop for well-formed NDJSON; on
-            // hostile input (oversized or non-UTF-8 lines, corrupt QBIN
-            // frames) it answers with a typed `ok: false` response
-            // instead of tearing the session down.
-            let mut reader = reader;
-            let mut session = SessionCodec::new();
-            loop {
-                let chunk = reader.fill_buf()?;
-                let eof = chunk.is_empty();
-                if !eof {
-                    session.feed(chunk);
-                    let n = chunk.len();
-                    reader.consume(n);
-                }
-                // The wire format is fixed once sniffed; `None` only
-                // while no item can exist yet (the EOF-mid-sniff tail
-                // is NDJSON by definition).
-                let wire = session.wire().unwrap_or(WireFormat::Ndjson);
-                while let Some(item) = session.next_item() {
-                    let fatal = matches!(&item, WireItem::FrameError(e) if e.is_fatal());
-                    let staged = stage_item(engine, item, None);
-                    if let Some(staged) = staged {
-                        if tx.send((wire, staged)).is_err() {
-                            return Ok(()); // writer side gone
-                        }
-                    }
-                    if fatal {
-                        // Framing is lost (bad magic / unknown version):
-                        // the reject was answered; close instead of
-                        // guessing at a resync point.
-                        return Ok(());
-                    }
-                }
-                if eof {
-                    if let Some(item) = session.finish() {
-                        if let Some(staged) = stage_item(engine, item, None) {
-                            let _ = tx.send((wire, staged));
-                        }
-                    }
-                    return Ok(());
-                }
-            }
-        });
-        let mut scratch = String::new();
-        let mut out: Vec<u8> = Vec::new();
-        let mut write_item = |wire: WireFormat, staged: Staged| -> std::io::Result<()> {
-            out.clear();
-            match staged {
-                Staged::Ready(response) => emit_response(&response, wire, &mut scratch, &mut out)?,
-                Staged::Raw(line) => {
-                    // Pre-serialized NDJSON (`trace`) — not reachable
-                    // over QBIN.
-                    out.extend_from_slice(line.as_bytes());
-                    out.push(b'\n');
-                }
-                Staged::Metrics(payload) => emit_metrics(&payload, wire, &mut scratch, &mut out)?,
-                Staged::Pending {
-                    head,
-                    a_values,
-                    pending,
-                    op,
-                    tenant,
-                } => {
-                    let (span, outcome) = pending.wait_spanned();
-                    emit_pending(
-                        engine.obs(),
-                        op,
-                        &tenant,
-                        span,
-                        head,
-                        a_values,
-                        outcome,
-                        wire,
-                        &mut scratch,
-                        &mut out,
-                    )?;
-                }
-            }
-            writer.write_all(&out)?;
-            writer.flush()
-        };
-        let mut write_result = Ok(());
-        while let Ok((wire, staged)) = rx.recv() {
-            if let Err(e) = write_item(wire, staged) {
-                write_result = Err(e);
+    let mut session = Session::new();
+    let mut out = Vec::new();
+    while !session.finished() {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            session.close_input();
+        } else {
+            session.feed(chunk);
+            let n = chunk.len();
+            reader.consume(n);
+        }
+        loop {
+            session.stage(engine, None, PIPELINE_DEPTH);
+            if session.in_flight() == 0 {
                 break;
             }
+            session.pump(engine.obs(), &mut out, true)?;
+            writer.write_all(&out)?;
+            writer.flush()?;
+            out.clear();
         }
-        if write_result.is_err() {
-            // Unblock a reader parked in a blocking read, then close our
-            // side of the channel so its next send fails fast.
-            abort_input();
-            drop(rx);
-        }
-        let staged_result = stager
-            .join()
-            .map_err(|_| std::io::Error::other("staging thread panicked"))?;
-        match write_result {
-            // The write failure is the root cause; the abort-provoked
-            // read error (if any) is a consequence.
-            Err(e) => Err(e),
-            Ok(()) => staged_result,
-        }
-    })
+    }
+    Ok(())
 }

@@ -49,9 +49,9 @@
 //!   reloadable and the whole loop bit-reproducible from
 //!   `(seed, feedback log)`.
 //!
-//! The NDJSON wire protocol (stdin/stdout and TCP) lives in the `bench`
-//! crate (`bench::protocol`, the `qross-serve` binary); this module is the
-//! transport-agnostic core.
+//! The wire protocols — NDJSON and the binary QBIN, over stdin/stdout and
+//! TCP — live in the `bench` crate (`bench::protocol`, the `qross-serve`
+//! binary); this module is the transport-agnostic core.
 //!
 //! # Examples
 //!
@@ -149,7 +149,7 @@ pub struct VersionedModel {
 }
 
 /// Serving-engine tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// worker threads: `0` = one per core, `n` = exactly `n`
     pub workers: usize,
@@ -162,6 +162,9 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// LRU prediction-cache capacity in entries; `0` disables caching
     pub cache_capacity: usize,
+    /// per-tenant admission: row quotas and deficit-weighted round-robin
+    /// draining into the micro-batcher
+    pub tenants: TenantPolicy,
 }
 
 impl Default for ServeConfig {
@@ -171,6 +174,7 @@ impl Default for ServeConfig {
             max_batch_rows: 64,
             queue_capacity: 4096,
             cache_capacity: 4096,
+            tenants: TenantPolicy::default(),
         }
     }
 }
@@ -218,7 +222,7 @@ impl Default for TenantClass {
 /// shared engine. Unknown tenants are registered on first use with
 /// `default_class`; tenants named in `classes` get their configured
 /// weight/quota from the start.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantPolicy {
     /// class applied to tenants not listed in `classes`
     pub default_class: TenantClass,
@@ -939,7 +943,6 @@ struct Shared {
     /// feature width, invariant across swaps (scalers are frozen)
     feature_dim: usize,
     config: ServeConfig,
-    policy: TenantPolicy,
     /// engine start time, the denominator of the qps metric
     started: Instant,
     queue: Mutex<Queue>,
@@ -1030,7 +1033,7 @@ impl Shared {
         if a_values.is_empty() {
             accept(0);
             let mut q = lock(&self.queue);
-            let idx = q.tenant_index(tenant, &self.policy);
+            let idx = q.tenant_index(tenant, &self.config.tenants);
             accept_tenant(&mut q, idx);
             drop(q);
             self.obs.latency.record(0);
@@ -1063,7 +1066,7 @@ impl Shared {
         if pending == 0 {
             accept(hits);
             let mut q = lock(&self.queue);
-            let idx = q.tenant_index(tenant, &self.policy);
+            let idx = q.tenant_index(tenant, &self.config.tenants);
             accept_tenant(&mut q, idx);
             drop(q);
             return Ok(PendingPrediction::ready(
@@ -1082,7 +1085,7 @@ impl Shared {
             });
         }
         let mut q = lock(&self.queue);
-        let idx = q.tenant_index(tenant, &self.policy);
+        let idx = q.tenant_index(tenant, &self.config.tenants);
         // Admission control: the tenant's private token quota first,
         // then the global bound. Both reject immediately (typed
         // backpressure, never unbounded buffering).
@@ -1735,22 +1738,17 @@ impl PendingPrediction {
         .unwrap_or_else(disconnected)
     }
 
-    /// Non-blocking poll: `Some(result)` once the engine has answered,
-    /// `None` while the request is still in flight. Event-loop drivers
-    /// call this after their wake pipe fires instead of parking a thread
-    /// per request. The first poll of a held lone job runs it on the
-    /// polling thread (see [`PendingPrediction::run_if_held`]). A dead
-    /// worker reports as `Some(Err(Serve))`, matching
-    /// [`PendingPrediction::wait`].
-    pub fn try_wait(&mut self) -> Option<Result<Vec<SurrogatePrediction>, QrossError>> {
-        self.try_wait_spanned().map(|(_, result)| result)
-    }
-
-    /// [`PendingPrediction::try_wait`] plus the request's trace span as
-    /// the engine finished it (queue/batch/forward/cache stages filled
-    /// in). The wire layer adds its encode time and offers the span to
-    /// the engine's [`obs::TraceLog`].
-    pub fn try_wait_spanned(
+    /// Non-blocking poll: `Some((span, result))` once the engine has
+    /// answered, `None` while the request is still in flight. Event-loop
+    /// drivers call this after their wake pipe fires instead of parking a
+    /// thread per request. The first poll of a held lone job runs it on
+    /// the polling thread (see [`PendingPrediction::run_if_held`]). A dead
+    /// worker reports as `Some((_, Err(Serve)))`, matching
+    /// [`PendingPrediction::wait`]. The span is the request's trace as the
+    /// engine finished it (queue/batch/forward/cache stages filled in);
+    /// the wire layer adds its encode time and offers it to the engine's
+    /// [`obs::TraceLog`].
+    pub fn try_wait(
         &mut self,
     ) -> Option<(obs::Span, Result<Vec<SurrogatePrediction>, QrossError>)> {
         self.run_if_held();
@@ -1843,16 +1841,7 @@ impl ServeEngine {
     /// The model is frozen (generation 0 forever); see
     /// [`ServeEngine::with_online`] for the continual-learning variant.
     pub fn new(model: ServeModel, config: ServeConfig) -> Self {
-        Self::build(model, config, TenantPolicy::default(), None, None)
-            .expect("offline construction cannot fail")
-    }
-
-    /// Starts the engine with a multi-tenant admission policy: per-tenant
-    /// row quotas and deficit-weighted round-robin draining into the
-    /// micro-batcher. Tenants absent from `policy.classes` get
-    /// `policy.default_class` on first use.
-    pub fn with_tenants(model: ServeModel, config: ServeConfig, policy: TenantPolicy) -> Self {
-        Self::build(model, config, policy, None, None).expect("offline construction cannot fail")
+        Self::build(model, config, None, None).expect("offline construction cannot fail")
     }
 
     /// Starts the engine in **online mode**: in addition to serving, it
@@ -1874,29 +1863,12 @@ impl ServeEngine {
         online: OnlineConfig,
         base: Option<SurrogateDataset>,
     ) -> Result<Self, QrossError> {
-        Self::build(model, config, TenantPolicy::default(), Some(online), base)
-    }
-
-    /// Online mode with a multi-tenant admission policy — the union of
-    /// [`ServeEngine::with_online`] and [`ServeEngine::with_tenants`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::with_online`].
-    pub fn with_online_tenants(
-        model: ServeModel,
-        config: ServeConfig,
-        policy: TenantPolicy,
-        online: OnlineConfig,
-        base: Option<SurrogateDataset>,
-    ) -> Result<Self, QrossError> {
-        Self::build(model, config, policy, Some(online), base)
+        Self::build(model, config, Some(online), base)
     }
 
     fn build(
         model: ServeModel,
         config: ServeConfig,
-        policy: TenantPolicy,
         online: Option<OnlineConfig>,
         base: Option<SurrogateDataset>,
     ) -> Result<Self, QrossError> {
@@ -1960,12 +1932,11 @@ impl ServeEngine {
             })),
             generation: AtomicU64::new(0),
             feature_dim,
+            queue: Mutex::new(Queue::new(&config.tenants)),
+            cache: Mutex::new(LruCache::new(config.cache_capacity)),
             config,
-            queue: Mutex::new(Queue::new(&policy)),
-            policy,
             started: Instant::now(),
             work_ready: Condvar::new(),
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
             obs: ServeObs::new(),
             online: online_shared,
         });
@@ -1975,7 +1946,7 @@ impl ServeEngine {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || shared.trainer_loop(rx))
         });
-        let workers = (0..resolve_workers(config.workers))
+        let workers = (0..resolve_workers(shared.config.workers))
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || shared.worker_loop())
@@ -2329,9 +2300,9 @@ mod tests {
                 max_batch_rows: 8,
                 queue_capacity: 3,
                 cache_capacity: 0,
+                tenants: TenantPolicy::default(),
             },
             queue: Mutex::new(Queue::new(&TenantPolicy::default())),
-            policy: TenantPolicy::default(),
             started: Instant::now(),
             work_ready: Condvar::new(),
             cache: Mutex::new(LruCache::new(0)),
@@ -2739,7 +2710,7 @@ mod tests {
 
     /// A workerless engine whose queue can only fill — lets tests drive
     /// `drain_batch` by hand and observe scheduling order deterministically.
-    fn workerless(policy: TenantPolicy, queue_capacity: usize) -> Arc<Shared> {
+    fn workerless(tenants: TenantPolicy, queue_capacity: usize) -> Arc<Shared> {
         let model = ServeModel::Surrogate(Arc::new(tiny_surrogate()));
         Arc::new(Shared {
             feature_dim: model.feature_dim(),
@@ -2748,14 +2719,14 @@ mod tests {
                 model,
             })),
             generation: AtomicU64::new(0),
+            queue: Mutex::new(Queue::new(&tenants)),
             config: ServeConfig {
                 workers: 1,
                 max_batch_rows: 8,
                 queue_capacity,
                 cache_capacity: 0,
+                tenants,
             },
-            queue: Mutex::new(Queue::new(&policy)),
-            policy,
             started: Instant::now(),
             work_ready: Condvar::new(),
             cache: Mutex::new(LruCache::new(0)),
@@ -2816,13 +2787,13 @@ mod tests {
         {
             let mut q = lock(&shared.queue);
             for k in 0..MAX_TENANTS + 10 {
-                let _ = q.tenant_index(Some(&format!("t{k}")), &shared.policy);
+                let _ = q.tenant_index(Some(&format!("t{k}")), &shared.config.tenants);
             }
             assert_eq!(q.tenants.len(), MAX_TENANTS);
             // Registry is full: a fresh name lands on the default tenant.
-            assert_eq!(q.tenant_index(Some("fresh"), &shared.policy), 0);
+            assert_eq!(q.tenant_index(Some("fresh"), &shared.config.tenants), 0);
             // Known names still resolve to their own slot.
-            assert_ne!(q.tenant_index(Some("t5"), &shared.policy), 0);
+            assert_ne!(q.tenant_index(Some("t5"), &shared.config.tenants), 0);
         }
     }
 
@@ -3107,6 +3078,7 @@ mod tests {
         let served = pending
             .try_wait()
             .expect("answered by the first poll")
+            .1
             .expect("prediction");
         assert_eq!(served.len(), 1);
         assert_bits(&served[0], &direct);
@@ -3114,7 +3086,7 @@ mod tests {
         let mut repeat = eng
             .submit_opts(Some("solo"), f.to_vec(), vec![a], Some(notify))
             .expect("admitted");
-        let cached = repeat.try_wait().expect("cache hit in hand").expect("ok");
+        let cached = repeat.try_wait().expect("cache hit in hand").1.expect("ok");
         assert_bits(&cached[0], &direct);
         assert_eq!(
             fired.load(Ordering::SeqCst),
@@ -3222,7 +3194,7 @@ mod tests {
         assert_eq!(shared.metrics().queue_depth, 1);
         run_queued_by_hand(&shared);
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        let served = pending.try_wait().expect("answered").expect("ok");
+        let served = pending.try_wait().expect("answered").1.expect("ok");
         assert_bits(&served[0], &sur.predict(&f, a));
         // Answers already in hand never need a worker or a wake.
         let mut empty = shared
@@ -3234,7 +3206,7 @@ mod tests {
                 obs::Span::begin(),
             )
             .expect("admitted");
-        assert!(empty.try_wait().expect("in hand").expect("ok").is_empty());
+        assert!(empty.try_wait().expect("in hand").1.expect("ok").is_empty());
         assert_eq!(fired.load(Ordering::SeqCst), 1);
     }
 

@@ -52,7 +52,7 @@ pub fn now_ns() -> u64 {
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn rdtsc() -> u64 {
-    // Safe on every x86_64 CPU; the only question (answered by CPUID at
+    // SAFETY: RDTSC exists on every x86_64 CPU; the only question (answered by CPUID at
     // calibration) is whether the counter ticks at a constant rate.
     unsafe { core::arch::x86_64::_rdtsc() }
 }

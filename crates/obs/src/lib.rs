@@ -48,6 +48,8 @@
 //! assert!(text.contains("demo_requests_total"));
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod clock;
 pub mod prom;
 pub mod registry;

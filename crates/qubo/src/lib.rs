@@ -42,6 +42,8 @@
 //! assert_eq!(model.energy(&[1, 1, 0]), 1.0);
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod batch;
 pub mod ising;
 pub mod model;

@@ -64,6 +64,8 @@
 //! assert_eq!(set.best().unwrap().energy, -1.0);
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod da;
 pub mod exhaustive;
 pub mod metrics;

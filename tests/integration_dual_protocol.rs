@@ -220,7 +220,7 @@ fn qbin_and_ndjson_responses_are_bit_identical() {
     let qbin = qbin_stream(&requests);
     let mut per_config = Vec::new();
     for config in contrast_configs() {
-        let engine = ServeEngine::new(test_model(), config);
+        let engine = ServeEngine::new(test_model(), config.clone());
         let from_ndjson = replay_ndjson(&engine, &ndjson);
         // Fresh engine for the binary replay so cache warm-up cannot
         // mask a divergence (both formats start cold).

@@ -454,7 +454,7 @@ fn mixed_family_replay_is_bit_identical_across_wires_and_workers() {
 
     let mut per_config = Vec::new();
     for config in contrast_configs() {
-        let engine = ServeEngine::new(test_model(), config);
+        let engine = ServeEngine::new(test_model(), config.clone());
         let from_ndjson = replay_ndjson(&engine, &ndjson);
         // Fresh engine for the binary replay so cache warm-up cannot
         // mask a divergence (both formats start cold).

@@ -248,7 +248,7 @@ fn flooding_tenant_cannot_starve_a_polite_tenant() {
     const FLOOD_REQS: u64 = 800;
     const FLOOD_ROWS_PER_REQ: u64 = 5;
     const POLITE_REQS: u64 = 200;
-    let policy = TenantPolicy {
+    let tenants = TenantPolicy {
         classes: vec![
             ("flood".to_string(), TenantClass::default()),
             ("polite".to_string(), TenantClass::default()),
@@ -256,15 +256,15 @@ fn flooding_tenant_cannot_starve_a_polite_tenant() {
         ..Default::default()
     };
     let harness = LoopHarness::start(
-        ServeEngine::with_tenants(
+        ServeEngine::new(
             test_model(),
             ServeConfig {
                 workers: 1,
                 max_batch_rows: 8,
                 queue_capacity: 65_536,
                 cache_capacity: 0, // every row must be served, not memoised
+                tenants,
             },
-            policy,
         ),
         EventLoopConfig::default(),
     );
@@ -420,18 +420,20 @@ fn max_conns_cap_defers_extra_connections_until_capacity_frees() {
 #[test]
 fn metrics_op_reports_engine_counters_over_tcp() {
     let harness = LoopHarness::start(
-        ServeEngine::with_tenants(
+        ServeEngine::new(
             test_model(),
-            ServeConfig::default(),
-            TenantPolicy {
-                classes: vec![(
-                    "capped".to_string(),
-                    TenantClass {
-                        weight: 2,
-                        quota_rows: 1,
-                    },
-                )],
-                ..Default::default()
+            ServeConfig {
+                tenants: TenantPolicy {
+                    classes: vec![(
+                        "capped".to_string(),
+                        TenantClass {
+                            weight: 2,
+                            quota_rows: 1,
+                        },
+                    )],
+                    ..Default::default()
+                },
+                ..ServeConfig::default()
             },
         ),
         EventLoopConfig::default(),

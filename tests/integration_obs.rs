@@ -383,18 +383,20 @@ fn trace_op_dumps_slowest_requests_with_stage_breakdown() {
 
 #[test]
 fn tenant_rejections_split_into_quota_and_capacity_counters() {
-    let harness = ObsHarness::start(ServeEngine::with_tenants(
+    let harness = ObsHarness::start(ServeEngine::new(
         test_model(),
-        ServeConfig::default(),
-        TenantPolicy {
-            classes: vec![(
-                "capped".to_string(),
-                TenantClass {
-                    weight: 1,
-                    quota_rows: 1,
-                },
-            )],
-            ..Default::default()
+        ServeConfig {
+            tenants: TenantPolicy {
+                classes: vec![(
+                    "capped".to_string(),
+                    TenantClass {
+                        weight: 1,
+                        quota_rows: 1,
+                    },
+                )],
+                ..Default::default()
+            },
+            ..ServeConfig::default()
         },
     ));
     // A 3-row grid against a 1-row quota: one quota rejection.

@@ -8,7 +8,10 @@
 //! runs in production: engine micro-batching + caching, TSPLIB ingest,
 //! featurisation, offline strategy planning.
 
-use std::io::Cursor;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
+use std::io::{BufRead, Cursor, ErrorKind, Read, Write};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use bench::protocol::{serve_connection, Response};
@@ -259,9 +262,141 @@ fn responses_stay_in_request_order_under_batching() {
     assert_eq!(stats.requests, 200);
     assert_eq!(stats.rows, 200);
     // Whether a repeat hits the cache or rides an in-flight batch is a
-    // timing accident (the stager can outpace the workers); deterministic
+    // timing accident (staging can outpace the workers); deterministic
     // cache-hit coverage lives in the hammer test, where each client
     // blocks on its own earlier query before repeating it.
+}
+
+/// One NDJSON predict request line for query `id`.
+fn predict_line(id: u64) -> Vec<u8> {
+    let (features, a) = query(id as usize);
+    format!(
+        "{{\"id\": {id}, \"op\": \"predict\", \"features\": {}, \"a\": {a}}}\n",
+        serde_json::to_string(&features).expect("json"),
+    )
+    .into_bytes()
+}
+
+/// A writer whose bytes the test can read while the session runs.
+#[derive(Clone, Default)]
+struct SharedWriter(Rc<RefCell<Vec<u8>>>);
+
+impl SharedWriter {
+    fn lines(&self) -> usize {
+        self.0.borrow().iter().filter(|&&b| b == b'\n').count()
+    }
+}
+
+impl Write for SharedWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Hands out one scripted chunk per `fill_buf`, then EOF. Before handing
+/// out each chunk it records how many answer lines the writer holds.
+struct ScriptedReader {
+    chunks: VecDeque<Vec<u8>>,
+    current: Vec<u8>,
+    writer: SharedWriter,
+    answered_before_read: Vec<usize>,
+}
+
+impl Read for ScriptedReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.fill_buf()?.read(buf)?;
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for ScriptedReader {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        if self.current.is_empty() {
+            if let Some(chunk) = self.chunks.pop_front() {
+                self.answered_before_read.push(self.writer.lines());
+                self.current = chunk;
+            }
+        }
+        Ok(&self.current)
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.current.drain(..n);
+    }
+}
+
+#[test]
+fn stdio_session_answers_each_read_before_the_next() {
+    let eng = engine(ServeConfig::default());
+    let writer = SharedWriter::default();
+    let mut reader = ScriptedReader {
+        chunks: (0..40).map(predict_line).collect(),
+        current: Vec::new(),
+        writer: writer.clone(),
+        answered_before_read: Vec::new(),
+    };
+    serve_connection(&eng, &mut reader, writer.clone()).expect("session");
+    // An interactive client sends its next request only after it reads
+    // the previous answer: a session that reads ahead would wait forever.
+    let expected: Vec<usize> = (0..40).collect();
+    assert_eq!(reader.answered_before_read, expected);
+    assert_eq!(writer.lines(), 40);
+}
+
+/// Hands out the same request line on every `fill_buf`, forever,
+/// counting the reads.
+struct EndlessReader {
+    line: Vec<u8>,
+    reads: Rc<Cell<usize>>,
+}
+
+impl Read for EndlessReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.fill_buf()?.read(buf)?;
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for EndlessReader {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        self.reads.set(self.reads.get() + 1);
+        Ok(&self.line)
+    }
+
+    fn consume(&mut self, _n: usize) {}
+}
+
+/// A client that hung up: every write fails.
+struct BrokenPipeWriter;
+
+impl Write for BrokenPipeWriter {
+    fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+        Err(ErrorKind::BrokenPipe.into())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn stdio_session_ends_when_its_writer_dies() {
+    let eng = engine(ServeConfig::default());
+    let reads = Rc::new(Cell::new(0));
+    let reader = EndlessReader {
+        line: predict_line(1),
+        reads: Rc::clone(&reads),
+    };
+    let err = serve_connection(&eng, reader, BrokenPipeWriter).expect_err("dead writer");
+    assert_eq!(err.kind(), ErrorKind::BrokenPipe);
+    assert_eq!(reads.get(), 1, "the session read on after its writer died");
 }
 
 #[test]
