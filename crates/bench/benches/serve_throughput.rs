@@ -128,7 +128,11 @@ fn bench_serve_throughput(c: &mut Criterion) {
         b.iter(|| {
             let pending: Vec<_> = queries[..64]
                 .iter()
-                .map(|(f, a)| engine.submit(f.clone(), vec![*a]).expect("submit"))
+                .map(|(f, a)| {
+                    engine
+                        .submit_opts(None, f.clone(), vec![*a], None)
+                        .expect("submit")
+                })
                 .collect();
             pending
                 .into_iter()

@@ -19,11 +19,10 @@
 //!   an idle engine is run on the loop thread as soon as nothing more is
 //!   buffered behind it, so both go out in the same pass;
 //! * backpressure end to end: a connection stops being read the moment
-//!   its staged-response window ([`EventLoopConfig::pipeline_depth`]) or
-//!   write buffer ([`EventLoopConfig::write_buf_bytes`]) fills, accepts
-//!   pause at the connection cap ([`EventLoopConfig::max_conns`]), and
-//!   persistent `accept` failures back off exponentially instead of
-//!   spinning hot;
+//!   its staged-response window or write buffer fills, accepts pause at
+//!   the connection cap (the `pipeline_depth`, `write_buf_bytes` and
+//!   `max_conns` fields of [`EventLoopConfig`]), and persistent `accept`
+//!   failures back off exponentially instead of spinning hot;
 //! * observability: the loop registers its own counters on the engine's
 //!   metrics registry — readiness events dispatched, backpressure read
 //!   pauses, accepts and accept backoffs — all no-ops under `obs-off`;

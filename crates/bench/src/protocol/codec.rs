@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 
 use qross::serve::{CompletionNotify, ServeEngine, ServeObs};
 
-use super::{bin, emit_metrics, emit_pending, emit_response, stage_item, Staged};
+use super::{bin, emit_line, emit_pending, emit_response, stage_item, Staged};
 
 /// Longest accepted request line (bytes, newline excluded). A client
 /// streaming one endless line used to grow the read buffer without
@@ -443,20 +443,21 @@ impl Session {
                     pending,
                     op,
                     tenant,
+                    decode_ns,
                 } => {
-                    let (span, outcome) = answer.unwrap_or_else(|| pending.wait_spanned());
+                    let answer = answer.unwrap_or_else(|| pending.wait_spanned());
                     emit_pending(
-                        serve_obs, op, &tenant, span, head, a_values, outcome, wire, scratch, out,
+                        serve_obs, op, &tenant, answer, decode_ns, head, a_values, wire, scratch,
+                        out,
                     )?;
                 }
                 Staged::Ready(response) => emit_response(&response, wire, scratch, out)?,
-                Staged::Raw(line) => {
-                    // Pre-serialized NDJSON (`trace`) — the op is not
-                    // reachable over QBIN.
-                    out.extend_from_slice(line.as_bytes());
-                    out.push(b'\n');
-                }
-                Staged::Metrics(payload) => emit_metrics(&payload, wire, scratch, out)?,
+                Staged::Metrics(payload) => match wire {
+                    WireFormat::Ndjson => emit_line(&*payload, scratch, out)?,
+                    WireFormat::Qbin => bin::encode_metrics_response(out, &payload),
+                },
+                // `trace` is an NDJSON-only op.
+                Staged::Trace(payload) => emit_line(&*payload, scratch, out)?,
             }
         }
         Ok(())

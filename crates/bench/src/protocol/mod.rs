@@ -88,13 +88,15 @@
 //!
 //! The protocol itself never does I/O. [`codec::SessionCodec`] sniffs
 //! the format and turns arbitrary byte chunks into framed requests (any
-//! split boundary, bounded line/frame length); each decoded item — NDJSON
-//! line or QBIN frame — becomes a [`Staged`] request; and
-//! [`codec::Session`] holds one connection's codec and staged queue and
-//! serializes completed responses in request order, as lines or frames
-//! to match. [`serve_connection`] runs a `Session` over a blocking reader
-//! and writer (stdio); `bench::net` runs one per connection in a
-//! nonblocking event loop.
+//! split boundary, bounded line/frame length). One decoder per wire turns
+//! each item — NDJSON line or QBIN frame — into the same owned request,
+//! and one dispatcher is the only place a request meets the engine; the
+//! per-wire facts (op aliases, TSPLIB text, the NDJSON-only `trace`) stay
+//! in their decoder. [`codec::Session`] holds one connection's codec and
+//! staged requests and serializes completed responses in request order,
+//! as lines or frames to match. [`serve_connection`] runs a `Session`
+//! over a blocking reader and writer (stdio); `bench::net` runs one per
+//! connection in a nonblocking event loop.
 //!
 //! # Responses
 //!
@@ -136,7 +138,7 @@ pub struct Request {
     /// client-chosen correlation id, echoed into the response
     pub id: Option<u64>,
     /// `predict` | `tsp` | `instance`/`solve` | `info` | `model-info` |
-    /// `feedback` | `refresh`
+    /// `feedback` | `refresh` | `metrics` | `trace`
     pub op: Option<String>,
     /// problem-family registry name (`instance`/`solve`)
     pub family: Option<String>,
@@ -330,7 +332,7 @@ pub struct MetricsResponse {
 /// per-stage latency breakdown, nanoseconds per pipeline stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceEntryOut {
-    /// the request's trace ID, minted at decode
+    /// the request's trace ID, minted when the engine admits the request
     pub trace_id: u64,
     /// request op (`predict` | `tsp` | `instance`)
     pub op: String,
@@ -367,16 +369,15 @@ pub struct TraceResponse {
 /// connection can keep many requests in flight — which is exactly what
 /// gives the workers batches to stack.
 #[derive(Debug)]
-pub enum Staged {
-    /// response already complete (errors, `info`)
+enum Staged {
+    /// response already complete (errors, `info`, `feedback`, `refresh`)
     Ready(Box<Response>),
-    /// a pre-serialized response line (`trace` — its schema is not
-    /// [`Response`], and the op is NDJSON-only)
-    Raw(String),
     /// a metrics snapshot, serialized at emit in the connection's wire
     /// format — an NDJSON [`MetricsResponse`] line or a QBIN metrics
     /// frame ([`bin::OP_RESP_METRICS`])
     Metrics(Box<MetricsResponse>),
+    /// a trace-log dump (the op is NDJSON-only)
+    Trace(Box<TraceResponse>),
     /// engine-served predictions still in flight
     Pending {
         /// response skeleton: everything but `predictions`
@@ -389,115 +390,154 @@ pub enum Staged {
         op: &'static str,
         /// tenant label, trace-log attribution only
         tenant: String,
+        /// the request's decode time, added to the engine's span at emit
+        decode_ns: u64,
     },
 }
 
-/// Parses, validates and dispatches one NDJSON request line. Returns
-/// `None` for blank lines. `notify` is handed to the engine for requests
-/// that go through the batch queue — the event loop uses it to wake its
-/// poller when a pending prediction becomes resolvable.
-fn stage_json(
+/// One request, decoded from either wire into owned values. Each decoder
+/// keeps its wire's own facts ([`json_op`]: op aliases, `trace`, TSPLIB
+/// text, the `a`/`a_values` rule; [`frame_op`]: an empty predict grid is
+/// a reject); [`dispatch`] is the one place an op meets the engine.
+#[derive(Debug)]
+enum Op {
+    Info,
+    Metrics,
+    Trace,
+    Refresh,
+    Feedback(FeedbackRecord),
+    Predict {
+        features: Vec<f64>,
+        a_values: Vec<f64>,
+    },
+    /// `tsplib` stays optional so a bare surrogate is reported before a
+    /// missing upload
+    Tsp {
+        tsplib: Option<String>,
+        a_values: Vec<f64>,
+    },
+    /// `tsplib` is the TSPLIB text path of `family: "tsp"`
+    Instance {
+        family: String,
+        data: Option<InstanceData>,
+        tsplib: Option<String>,
+        a_values: Vec<f64>,
+    },
+}
+
+/// Maps one decoded [`WireItem`] — an NDJSON line or a QBIN frame — to a
+/// staged response: decode it into an [`Op`], time that as the request's
+/// decode stage, and [`dispatch`] it. Returns `None` for blank lines.
+/// `notify` is handed to the engine for requests that go through the
+/// batch queue — the event loop uses it to wake its poller when a
+/// pending prediction becomes resolvable.
+///
+/// Framing-level rejects (a line over [`MAX_LINE_BYTES`], invalid UTF-8,
+/// a bad QBIN frame or payload) become typed bad-request responses on the
+/// spot. Whether the session can continue after a frame error is the
+/// error's [`bin::BinError::is_fatal`]: [`Session::stage`] checks it
+/// before consuming the item and closes after answering a fatal one
+/// (framing is lost, resync is impossible).
+fn stage_item(
     engine: &ServeEngine,
-    line: &str,
+    item: WireItem<'_>,
     notify: Option<CompletionNotify>,
 ) -> Option<Staged> {
     let sw = obs::Stopwatch::start();
-    let line = line.trim();
-    if line.is_empty() {
-        return None;
-    }
-    let request: Request = match serde_json::from_str(line) {
-        Ok(request) => request,
-        Err(e) => {
-            return Some(Staged::Ready(Box::new(Response::err(
-                None,
-                format!("unparseable request: {e}"),
-            ))))
+    let (id, tenant, op) = match item {
+        WireItem::Line(CodecLine::Line(line)) => {
+            let line = line.trim();
+            if line.is_empty() {
+                return None;
+            }
+            let mut request: Request = match serde_json::from_str(line) {
+                Ok(request) => request,
+                Err(e) => return Some(reject(None, format!("unparseable request: {e}"))),
+            };
+            let op = json_op(&mut request);
+            (request.id, request.tenant.unwrap_or_default(), op)
+        }
+        WireItem::Line(CodecLine::Oversized { limit }) => {
+            let message = format!("request line exceeds the {limit}-byte limit");
+            return Some(reject(None, bad_request(message)));
+        }
+        WireItem::Line(CodecLine::InvalidUtf8) => {
+            return Some(reject(None, bad_request("request line is not valid UTF-8")))
+        }
+        WireItem::Frame(frame) => match bin::decode_request(&frame) {
+            Ok(request) => frame_op(request),
+            Err(e) => return Some(reject(None, bad_request(format!("bad QBIN request: {e}")))),
+        },
+        WireItem::FrameError(e) => {
+            return Some(reject(None, bad_request(format!("bad QBIN frame: {e}"))))
         }
     };
-    let id = request.id;
-    let tenant = request.tenant.clone();
-    // The span is minted at decode: the JSON parse above is the
-    // request's decode stage. Ops that never reach the engine simply
-    // drop it — a span is `Copy` and records nothing on its own.
-    let mut span = obs::Span::begin();
-    span.record(obs::Stage::Decode, sw.elapsed_ns());
-    let staged = match request.op.as_deref() {
-        Some("info") | Some("model-info") => Staged::Ready(Box::new(Response {
-            id,
-            ok: true,
-            info: Some(model_info(engine)),
-            ..Default::default()
-        })),
-        Some("metrics") => stage_metrics(engine, id),
-        Some("trace") => stage_trace(engine, id),
-        Some("feedback") => stage_feedback(engine, id, &request),
-        Some("refresh") => stage_refresh(engine, id),
-        Some("predict") => {
-            let Some(features) = request.features else {
-                return Some(Staged::Ready(Box::new(Response::err(
-                    id,
-                    "predict needs `features`",
-                ))));
+    let decode_ns = sw.elapsed_ns();
+    Some(match op {
+        Ok(op) => dispatch(engine, id, tenant, op, notify, decode_ns),
+        Err(message) => reject(id, message),
+    })
+}
+
+/// Takes one NDJSON request's op and fields out of `request`, leaving
+/// its `id` and `tenant`.
+fn json_op(request: &mut Request) -> Result<Op, String> {
+    let grid = match (request.a_values.take(), request.a) {
+        (Some(grid), _) => Some(grid),
+        (None, Some(a)) => Some(vec![a]),
+        (None, None) => None,
+    };
+    Ok(match request.op.take().as_deref() {
+        Some("info" | "model-info") => Op::Info,
+        Some("metrics") => Op::Metrics,
+        Some("trace") => Op::Trace,
+        Some("refresh") => Op::Refresh,
+        Some("feedback") => {
+            let (Some(features), Some(a), Some(pf), Some(e_avg), Some(e_std)) = (
+                request.features.take(),
+                request.a,
+                request.pf,
+                request.e_avg,
+                request.e_std,
+            ) else {
+                return Err("feedback needs `features`, `a`, `pf`, `e_avg` and `e_std`".into());
             };
-            let a_values = match (request.a_values, request.a) {
-                (Some(grid), _) => grid,
-                (None, Some(a)) => vec![a],
-                (None, None) => {
-                    return Some(Staged::Ready(Box::new(Response::err(
-                        id,
-                        "predict needs `a` or `a_values`",
-                    ))))
-                }
-            };
-            submit(
-                engine,
-                id,
-                tenant.as_deref(),
-                Response::default(),
+            Op::Feedback(FeedbackRecord {
                 features,
-                a_values,
-                notify,
-                "predict",
-                span,
-            )
+                a,
+                observed_pf: pf,
+                observed_e_avg: e_avg,
+                observed_e_std: e_std,
+                instance_tag: request.tag.take().unwrap_or_default(),
+                seed: request.seed.unwrap_or(0),
+            })
         }
-        Some("tsp") => stage_tsp(
-            engine,
-            id,
-            tenant.as_deref(),
-            request.tsplib,
-            request.a,
-            request.a_values,
-            notify,
-            span,
-        ),
-        Some("instance") | Some("solve") => stage_instance(
-            engine,
-            id,
-            tenant.as_deref(),
-            request.family,
-            request.instance,
-            request.tsplib,
-            request.a,
-            request.a_values,
-            notify,
-            span,
-        ),
+        Some("predict") => Op::Predict {
+            features: request.features.take().ok_or("predict needs `features`")?,
+            a_values: grid.ok_or("predict needs `a` or `a_values`")?,
+        },
+        Some("tsp") => Op::Tsp {
+            tsplib: request.tsplib.take(),
+            a_values: grid.unwrap_or_default(),
+        },
+        Some("instance" | "solve") => Op::Instance {
+            family: request.family.take().ok_or("instance needs `family`")?,
+            data: request.instance.take(),
+            tsplib: request.tsplib.take(),
+            a_values: grid.unwrap_or_default(),
+        },
         // The op list in this message is frozen: the committed
         // error-replay fixtures byte-diff against it, so later ops
         // (`metrics`, `trace`) are documented in README/ARTIFACTS
         // instead.
-        Some(other) => Staged::Ready(Box::new(Response::err(
-            id,
-            format!(
+        Some(other) => {
+            return Err(format!(
                 "unknown op `{other}` (expected predict | tsp | info | model-info | feedback | \
                  refresh)"
-            ),
-        ))),
-        None => Staged::Ready(Box::new(Response::err(id, "missing `op`"))),
-    };
-    Some(staged)
+            ))
+        }
+        None => return Err("missing `op`".into()),
+    })
 }
 
 /// The `metrics` op, either wire: snapshot the engine into the
@@ -539,12 +579,11 @@ fn stage_metrics(engine: &ServeEngine, id: Option<u64>) -> Staged {
     }))
 }
 
-/// The `trace` op (NDJSON-only): dump the engine's keep-the-N-slowest
-/// request log with per-stage latency breakdowns, pre-serialized (its
-/// schema is [`TraceResponse`], not [`Response`]).
+/// The `trace` op (NDJSON-only): the engine's keep-the-N-slowest request
+/// log with per-stage latency breakdowns ([`TraceResponse`]).
 fn stage_trace(engine: &ServeEngine, id: Option<u64>) -> Staged {
     let log = engine.obs().trace_log();
-    let payload = TraceResponse {
+    Staged::Trace(Box::new(TraceResponse {
         id,
         ok: true,
         capacity: log.capacity() as u64,
@@ -564,76 +603,14 @@ fn stage_trace(engine: &ServeEngine, id: Option<u64>) -> Staged {
                 encode_ns: e.stage_ns[obs::Stage::Encode as usize],
             })
             .collect(),
-    };
-    match serde_json::to_string(&payload) {
-        Ok(line) => Staged::Raw(line),
-        Err(e) => Staged::Ready(Box::new(Response::err(
-            id,
-            format!("trace serialization failed: {e}"),
-        ))),
-    }
+    }))
 }
 
-/// Maps one decoded [`CodecLine`] to a staged response: well-formed
-/// lines go through [`stage_json`]; protocol-level rejects (a line over
-/// [`MAX_LINE_BYTES`], invalid UTF-8) become typed bad-request error
-/// responses on the spot — the session keeps serving.
-fn stage_line(
-    engine: &ServeEngine,
-    item: CodecLine,
-    notify: Option<CompletionNotify>,
-) -> Option<Staged> {
-    match item {
-        CodecLine::Line(line) => stage_json(engine, &line, notify),
-        CodecLine::Oversized { limit } => Some(Staged::Ready(Box::new(Response::err(
-            None,
-            qross::QrossError::BadRequest {
-                message: format!("request line exceeds the {limit}-byte limit"),
-            },
-        )))),
-        CodecLine::InvalidUtf8 => Some(Staged::Ready(Box::new(Response::err(
-            None,
-            qross::QrossError::BadRequest {
-                message: "request line is not valid UTF-8".to_string(),
-            },
-        )))),
-    }
-}
-
-/// Dispatches one CRC-verified QBIN frame. The borrowed
-/// [`bin::BinRequest`] view is decoded in place over the connection's
-/// read buffer; the single copy into owned memory happens here, at
-/// engine submit — the same ownership point as the NDJSON path, minus
-/// the JSON parse and f64 text round-trip.
-///
-/// Payload-level rejects (unknown op, grammar violations) become
-/// `ok: false` responses, mirroring how NDJSON treats an unknown `op` —
-/// the session keeps serving. `tsp` TSPLIB uploads and `trace` are
-/// NDJSON-only ops by design (one is a text format, the other a
-/// diagnostic dump); instance uploads travel over QBIN through the
-/// compact `instance` op instead, and `metrics` has its own frame pair
-/// ([`bin::OP_METRICS`] / [`bin::OP_RESP_METRICS`]).
-fn stage_frame(
-    engine: &ServeEngine,
-    frame: &bin::Frame<'_>,
-    notify: Option<CompletionNotify>,
-) -> Staged {
-    let sw = obs::Stopwatch::start();
-    let request = match bin::decode_request(frame) {
-        Ok(request) => request,
-        Err(e) => {
-            return Staged::Ready(Box::new(Response::err(
-                None,
-                qross::QrossError::BadRequest {
-                    message: format!("bad QBIN request: {e}"),
-                },
-            )))
-        }
-    };
-    // Decode stage = the zero-copy payload parse above (the owning
-    // copies below are charged to decode too, via the submit wrappers'
-    // recorded span).
-    let mut span = obs::Span::begin();
+/// Copies one CRC-verified QBIN request out of the connection's read
+/// buffer — the single copy into owned memory, as on the NDJSON path,
+/// minus the JSON parse and f64 text round-trip. Returns the request's
+/// `id` and tenant (empty = default) beside its op.
+fn frame_op(request: bin::BinRequest<'_>) -> (Option<u64>, String, Result<Op, String>) {
     match request {
         bin::BinRequest::Predict {
             id,
@@ -641,34 +618,19 @@ fn stage_frame(
             a_values,
             features,
         } => {
-            if a_values.is_empty() {
-                return Staged::Ready(Box::new(Response::err(
-                    id,
-                    "predict needs `a` or `a_values`",
-                )));
-            }
-            let tenant = (!tenant.is_empty()).then_some(tenant);
-            let (features, a_values) = (features.to_vec(), a_values.to_vec());
-            span.record(obs::Stage::Decode, sw.elapsed_ns());
-            submit(
-                engine,
-                id,
-                tenant,
-                Response::default(),
-                features,
-                a_values,
-                notify,
-                "predict",
-                span,
-            )
+            let op = if a_values.is_empty() {
+                Err("predict needs `a` or `a_values`".into())
+            } else {
+                Ok(Op::Predict {
+                    features: features.to_vec(),
+                    a_values: a_values.to_vec(),
+                })
+            };
+            (id, tenant.to_string(), op)
         }
-        bin::BinRequest::Info { id } => Staged::Ready(Box::new(Response {
-            id,
-            ok: true,
-            info: Some(model_info(engine)),
-            ..Default::default()
-        })),
-        bin::BinRequest::Metrics { id } => stage_metrics(engine, id),
+        bin::BinRequest::Info { id } => (id, String::new(), Ok(Op::Info)),
+        bin::BinRequest::Metrics { id } => (id, String::new(), Ok(Op::Metrics)),
+        bin::BinRequest::Refresh { id } => (id, String::new(), Ok(Op::Refresh)),
         bin::BinRequest::Feedback {
             id,
             a,
@@ -678,10 +640,8 @@ fn stage_frame(
             seed,
             tag,
             features,
-        } => ingest_feedback(
-            engine,
-            id,
-            FeedbackRecord {
+        } => {
+            let record = FeedbackRecord {
                 features: features.to_vec(),
                 a,
                 observed_pf: pf,
@@ -689,9 +649,9 @@ fn stage_frame(
                 observed_e_std: e_std,
                 instance_tag: tag.to_string(),
                 seed,
-            },
-        ),
-        bin::BinRequest::Refresh { id } => stage_refresh(engine, id),
+            };
+            (id, String::new(), Ok(Op::Feedback(record)))
+        }
         bin::BinRequest::Instance {
             id,
             tenant,
@@ -699,51 +659,44 @@ fn stage_frame(
             data,
             a_values,
         } => {
-            let family = match problems::lookup_family(family) {
-                Ok(family) => family,
-                Err(e) => return bad_request(id, e),
+            let op = Op::Instance {
+                family: family.to_string(),
+                data: Some(data),
+                tsplib: None,
+                a_values: a_values.to_vec(),
             };
-            let tenant = (!tenant.is_empty()).then_some(tenant);
-            let a_values = a_values.to_vec();
-            span.record(obs::Stage::Decode, sw.elapsed_ns());
-            stage_instance_data(engine, id, tenant, family, &data, a_values, notify, span)
+            (id, tenant.to_string(), Ok(op))
         }
     }
 }
 
-/// Maps one decoded [`WireItem`] — either protocol — to a staged
-/// response. Framing-level QBIN rejects (oversized, CRC mismatch,
-/// truncation) become typed `ok: false` responses, like the NDJSON
-/// line-cap path; whether the session can continue afterwards is the
-/// error's [`bin::BinError::is_fatal`] — [`Session::stage`] checks it
-/// before consuming the item and closes after answering a fatal one
-/// (framing is lost, resync is impossible).
-fn stage_item(
-    engine: &ServeEngine,
-    item: WireItem<'_>,
-    notify: Option<CompletionNotify>,
-) -> Option<Staged> {
-    match item {
-        WireItem::Line(line) => stage_line(engine, line, notify),
-        WireItem::Frame(frame) => Some(stage_frame(engine, &frame, notify)),
-        WireItem::FrameError(e) => Some(Staged::Ready(Box::new(Response::err(
-            None,
-            qross::QrossError::BadRequest {
-                message: format!("bad QBIN frame: {e}"),
-            },
-        )))),
-    }
-}
-
-/// Serializes one completed [`Response`] onto `out` in the connection's
-/// wire format — one NDJSON line (through the reusable `scratch`
-/// buffer; bytes identical to a fresh `to_string`) or one QBIN frame
-/// (encoded directly into `out`).
+/// Serializes `payload` as one NDJSON line onto `out`, through the
+/// reusable `scratch` buffer (bytes identical to a fresh `to_string`).
 ///
 /// # Errors
 ///
-/// NDJSON serialization failure only (cannot happen for the fixed
-/// response schema; kept fallible to avoid a panic path on the wire).
+/// Serialization failure only (cannot happen for the fixed response
+/// schemas; kept fallible to avoid a panic path on the wire).
+fn emit_line(
+    payload: &impl Serialize,
+    scratch: &mut String,
+    out: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    scratch.clear();
+    serde_json::to_string_into(payload, scratch)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    out.extend_from_slice(scratch.as_bytes());
+    out.push(b'\n');
+    Ok(())
+}
+
+/// Serializes one completed [`Response`] onto `out` in the connection's
+/// wire format — one NDJSON line or one QBIN frame (encoded directly
+/// into `out`).
+///
+/// # Errors
+///
+/// As [`emit_line`].
 fn emit_response(
     response: &Response,
     wire: WireFormat,
@@ -751,62 +704,36 @@ fn emit_response(
     out: &mut Vec<u8>,
 ) -> std::io::Result<()> {
     match wire {
-        WireFormat::Ndjson => {
-            scratch.clear();
-            serde_json::to_string_into(response, scratch)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-            out.extend_from_slice(scratch.as_bytes());
-            out.push(b'\n');
+        WireFormat::Ndjson => emit_line(response, scratch, out),
+        WireFormat::Qbin => {
+            bin::encode_response(out, response);
+            Ok(())
         }
-        WireFormat::Qbin => bin::encode_response(out, response),
     }
-    Ok(())
-}
-
-/// Serializes one [`MetricsResponse`] onto `out` in the connection's
-/// wire format — the NDJSON `metrics` line (byte-identical to a fresh
-/// `to_string`) or one QBIN metrics frame.
-///
-/// # Errors
-///
-/// As [`emit_response`].
-fn emit_metrics(
-    payload: &MetricsResponse,
-    wire: WireFormat,
-    scratch: &mut String,
-    out: &mut Vec<u8>,
-) -> std::io::Result<()> {
-    match wire {
-        WireFormat::Ndjson => {
-            scratch.clear();
-            serde_json::to_string_into(payload, scratch)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-            out.extend_from_slice(scratch.as_bytes());
-            out.push(b'\n');
-        }
-        WireFormat::Qbin => bin::encode_metrics_response(out, payload),
-    }
-    Ok(())
 }
 
 /// Completes and serializes one engine-served response. The
-/// serialization is timed as the span's encode stage; the finished span
-/// then lands in the encode histogram and is offered to the engine's
-/// slowest-request trace log. All of it compiles away under `obs-off`;
-/// the emitted bytes are the same either way.
+/// serialization is timed as the span's encode stage; the span, with the
+/// request's decode time added, then lands in the encode histogram and
+/// is offered to the engine's slowest-request trace log. All of it
+/// compiles away under `obs-off`; the emitted bytes are the same either
+/// way.
 ///
 /// # Errors
 ///
-/// As [`emit_response`].
+/// As [`emit_line`].
 #[allow(clippy::too_many_arguments)]
 fn emit_pending(
     serve_obs: &ServeObs,
     op: &'static str,
     tenant: &str,
-    mut span: obs::Span,
+    (mut span, outcome): (
+        obs::Span,
+        Result<Vec<SurrogatePrediction>, qross::QrossError>,
+    ),
+    decode_ns: u64,
     head: Box<Response>,
     a_values: Vec<f64>,
-    outcome: Result<Vec<SurrogatePrediction>, qross::QrossError>,
     wire: WireFormat,
     scratch: &mut String,
     out: &mut Vec<u8>,
@@ -816,6 +743,7 @@ fn emit_pending(
     emit_response(&response, wire, scratch, out)?;
     if obs::ENABLED {
         let encode_ns = sw.elapsed_ns();
+        span.record(obs::Stage::Decode, decode_ns);
         span.record(obs::Stage::Encode, encode_ns);
         serve_obs.record_stage(obs::Stage::Encode, encode_ns);
         serve_obs.trace_log().observe(&span, op, tenant);
@@ -848,43 +776,13 @@ fn model_info(engine: &ServeEngine) -> ModelInfo {
     }
 }
 
-/// The `feedback` op: validate, ingest, and — when this record triggers a
-/// retrain — block until the hot-swap completes, so every later request
-/// on this connection deterministically sees the new generation.
-fn stage_feedback(engine: &ServeEngine, id: Option<u64>, request: &Request) -> Staged {
-    let (Some(features), Some(a), Some(pf), Some(e_avg), Some(e_std)) = (
-        request.features.clone(),
-        request.a,
-        request.pf,
-        request.e_avg,
-        request.e_std,
-    ) else {
-        return Staged::Ready(Box::new(Response::err(
-            id,
-            "feedback needs `features`, `a`, `pf`, `e_avg` and `e_std`",
-        )));
-    };
-    ingest_feedback(
-        engine,
-        id,
-        FeedbackRecord {
-            features,
-            a,
-            observed_pf: pf,
-            observed_e_avg: e_avg,
-            observed_e_std: e_std,
-            instance_tag: request.tag.clone().unwrap_or_default(),
-            seed: request.seed.unwrap_or(0),
-        },
-    )
-}
-
-/// Feedback ingestion shared by both wire formats: push the record,
-/// and — when it triggers a retrain — block until the hot-swap lands.
+/// The `feedback` op: push the record, and — when it triggers a retrain —
+/// block until the hot-swap lands, so every later request on this
+/// connection deterministically sees the new generation.
 fn ingest_feedback(engine: &ServeEngine, id: Option<u64>, record: FeedbackRecord) -> Staged {
     let ack = match engine.submit_feedback(record) {
         Ok(ack) => ack,
-        Err(e) => return Staged::Ready(Box::new(Response::err(id, e))),
+        Err(e) => return reject(id, e),
     };
     // When this record triggered a retrain, report the generation *its*
     // swap installed (the wait() result) — another connection may have
@@ -895,14 +793,14 @@ fn ingest_feedback(engine: &ServeEngine, id: Option<u64>, record: FeedbackRecord
         Some(pending) => match pending.wait() {
             Ok(generation) => (true, generation),
             Err(e) => {
-                return Staged::Ready(Box::new(Response::err(
+                return reject(
                     id,
                     format!("feedback accepted but the triggered retrain failed: {e}"),
-                )))
+                )
             }
         },
     };
-    Staged::Ready(Box::new(Response {
+    ready(Response {
         id,
         ok: true,
         generation: Some(generation),
@@ -910,52 +808,26 @@ fn ingest_feedback(engine: &ServeEngine, id: Option<u64>, record: FeedbackRecord
         buffer_len: Some(ack.buffer_len as u64),
         refreshed: Some(refreshed),
         ..Default::default()
-    }))
+    })
 }
 
-/// The `refresh` op: force a retrain/hot-swap and block until it lands.
-fn stage_refresh(engine: &ServeEngine, id: Option<u64>) -> Staged {
-    let outcome = engine.refresh().and_then(|pending| pending.wait());
-    match outcome {
-        Ok(generation) => Staged::Ready(Box::new(Response {
-            id,
-            ok: true,
-            generation: Some(generation),
-            refreshed: Some(true),
-            ..Default::default()
-        })),
-        Err(e) => Staged::Ready(Box::new(Response::err(id, e))),
-    }
-}
-
-/// The `tsp` op: parse the upload, featurise with the bundle's featurizer,
-/// plan the offline proposals, and submit any requested grid.
-#[allow(clippy::too_many_arguments)]
-fn stage_tsp(
+/// The `tsp` upload: parse the TSPLIB text, featurise it with the
+/// bundle's featurizer, and plan the offline proposals into the response
+/// head. Bare surrogate models reject it.
+fn tsp_upload(
     engine: &ServeEngine,
-    id: Option<u64>,
-    tenant: Option<&str>,
     tsplib: Option<String>,
-    a: Option<f64>,
-    a_values: Option<Vec<f64>>,
-    notify: Option<CompletionNotify>,
-    span: obs::Span,
-) -> Staged {
+) -> Result<(Response, Vec<f64>), String> {
     record_family_request("tsp");
     let snapshot = engine.model();
     let Some(trained) = snapshot.model.trained() else {
-        return Staged::Ready(Box::new(Response::err(
-            id,
-            "this model is a bare surrogate: `tsp` needs a full bundle (train with --problem tsp)",
-        )));
+        return Err(
+            "this model is a bare surrogate: `tsp` needs a full bundle (train with --problem tsp)"
+                .into(),
+        );
     };
-    let Some(text) = tsplib else {
-        return Staged::Ready(Box::new(Response::err(id, "tsp needs `tsplib`")));
-    };
-    let instance = match parse_tsplib(&text) {
-        Ok(instance) => instance,
-        Err(e) => return Staged::Ready(Box::new(Response::err(id, e))),
-    };
+    let text = tsplib.ok_or("tsp needs `tsplib`")?;
+    let instance = parse_tsplib(&text).map_err(|e| e.to_string())?;
     let encoding = TspEncoding::preprocessed(instance);
     let features = trained.features_for(&encoding);
     // Offline plan only: MFS + PBS come straight from the surrogate, no
@@ -972,14 +844,7 @@ fn stage_tsp(
         proposals: Some(proposals),
         ..Default::default()
     };
-    let a_values = match (a_values, a) {
-        (Some(grid), _) => grid,
-        (None, Some(a)) => vec![a],
-        (None, None) => Vec::new(),
-    };
-    submit(
-        engine, id, tenant, head, features, a_values, notify, "tsp", span,
-    )
+    Ok((head, features))
 }
 
 /// Bumps `qross_family_requests_total{family=...}` on the process-wide
@@ -1018,127 +883,124 @@ pub fn register_protocol_metrics() {
     record_family_request("");
 }
 
-/// A family-layer rejection (unknown family, malformed payload) as a
-/// typed bad-request response — the session keeps serving.
-fn bad_request(id: Option<u64>, e: impl std::fmt::Display) -> Staged {
-    Staged::Ready(Box::new(Response::err(
-        id,
-        qross::QrossError::BadRequest {
-            message: e.to_string(),
-        },
-    )))
+/// A complete response, staged.
+fn ready(response: Response) -> Staged {
+    Staged::Ready(Box::new(response))
 }
 
-/// The `instance` / `solve` op: resolve the family in the registry,
-/// decode the compact payload with the family's own codec, featurise
-/// with the family's recipe, and submit any requested grid.
-///
-/// An unknown `family` is a typed bad-request naming every registered
-/// family; a payload the codec rejects is a bad-request with the codec's
-/// explanation. For `family: "tsp"` a `tsplib` text upload is accepted
-/// too and takes the exact `tsp`-op path (bundle featurizer, strategy
-/// proposals).
-#[allow(clippy::too_many_arguments)]
-fn stage_instance(
-    engine: &ServeEngine,
-    id: Option<u64>,
-    tenant: Option<&str>,
-    family: Option<String>,
-    instance: Option<InstanceData>,
-    tsplib: Option<String>,
-    a: Option<f64>,
-    a_values: Option<Vec<f64>>,
-    notify: Option<CompletionNotify>,
-    span: obs::Span,
-) -> Staged {
-    let Some(family_name) = family else {
-        return Staged::Ready(Box::new(Response::err(id, "instance needs `family`")));
-    };
-    let family = match problems::lookup_family(&family_name) {
-        Ok(family) => family,
-        Err(e) => return bad_request(id, e),
-    };
-    // The TSPLIB text path stays available through the generic op.
-    if family.name() == "tsp" && instance.is_none() && tsplib.is_some() {
-        return stage_tsp(engine, id, tenant, tsplib, a, a_values, notify, span);
+/// An `ok: false` response with `message` as its error.
+fn reject(id: Option<u64>, message: impl std::fmt::Display) -> Staged {
+    ready(Response::err(id, message))
+}
+
+/// A framing- or family-layer rejection (oversized line, bad frame,
+/// unknown family, malformed payload) as a typed bad-request message.
+fn bad_request(e: impl std::fmt::Display) -> String {
+    qross::QrossError::BadRequest {
+        message: e.to_string(),
     }
-    let Some(data) = instance else {
-        return Staged::Ready(Box::new(Response::err(id, "instance needs `instance`")));
-    };
-    let a_values = match (a_values, a) {
-        (Some(grid), _) => grid,
-        (None, Some(a)) => vec![a],
-        (None, None) => Vec::new(),
-    };
-    stage_instance_data(engine, id, tenant, family, &data, a_values, notify, span)
+    .to_string()
 }
 
-/// The format-independent core of the `instance` op, shared with the
-/// QBIN frame path: decode through the family codec, featurise, submit.
-#[allow(clippy::too_many_arguments)]
-fn stage_instance_data(
-    engine: &ServeEngine,
-    id: Option<u64>,
-    tenant: Option<&str>,
+/// The `instance` upload: decode the compact payload with the family's
+/// own codec (a payload it rejects is a typed bad-request) and featurise
+/// it with the family's recipe.
+fn instance_upload(
     family: &dyn problems::ProblemFamily,
     data: &InstanceData,
-    a_values: Vec<f64>,
-    notify: Option<CompletionNotify>,
-    span: obs::Span,
-) -> Staged {
+) -> Result<(Response, Vec<f64>), String> {
     record_family_request(family.name());
-    let problem = match family.decode(data) {
-        Ok(problem) => problem,
-        Err(e) => return bad_request(id, e),
-    };
-    let features = problem.features();
+    let problem = family.decode(data).map_err(bad_request)?;
     let head = Response {
         instance: Some(problems::RelaxableProblem::name(&problem).to_string()),
         ..Default::default()
     };
-    submit(
-        engine, id, tenant, head, features, a_values, notify, "instance", span,
-    )
+    Ok((head, problem.features()))
 }
 
-/// Pushes validated work into the engine; engine-side rejections
-/// (width/finiteness checks, quotas, backpressure) become `ok: false`
-/// responses. The request's span (decode already recorded) rides into
-/// the engine, which fills in queue/batch/forward/cache and hands it
-/// back with the completion.
-#[allow(clippy::too_many_arguments)]
-fn submit(
+/// Serves one decoded op, either wire: answers the engine-free ops on
+/// the spot, turns an upload into its features, and submits the rows.
+/// Engine-side rejections (width/finiteness checks, quotas,
+/// backpressure) become `ok: false` responses that keep any instance
+/// name already computed. `tenant` is empty for the default tenant.
+fn dispatch(
     engine: &ServeEngine,
     id: Option<u64>,
-    tenant: Option<&str>,
-    mut head: Response,
-    features: Vec<f64>,
-    a_values: Vec<f64>,
+    tenant: String,
+    op: Op,
     notify: Option<CompletionNotify>,
-    op: &'static str,
-    span: obs::Span,
+    decode_ns: u64,
 ) -> Staged {
-    if obs::ENABLED {
-        engine
-            .obs()
-            .record_stage(obs::Stage::Decode, span.stage_ns(obs::Stage::Decode));
-    }
-    match engine.submit_spanned(tenant, features, a_values.clone(), notify, span) {
-        Ok(pending) => {
-            head.id = id;
-            Staged::Pending {
-                head: Box::new(head),
-                a_values,
-                pending,
-                op,
-                tenant: tenant.unwrap_or("").to_string(),
+    let (upload, a_values, op) = match op {
+        Op::Info => {
+            return ready(Response {
+                id,
+                ok: true,
+                info: Some(model_info(engine)),
+                ..Default::default()
+            })
+        }
+        Op::Metrics => return stage_metrics(engine, id),
+        Op::Trace => return stage_trace(engine, id),
+        Op::Refresh => {
+            return match engine.refresh().and_then(|pending| pending.wait()) {
+                Ok(generation) => ready(Response {
+                    id,
+                    ok: true,
+                    generation: Some(generation),
+                    refreshed: Some(true),
+                    ..Default::default()
+                }),
+                Err(e) => reject(id, e),
             }
         }
+        Op::Feedback(record) => return ingest_feedback(engine, id, record),
+        Op::Predict { features, a_values } => {
+            (Ok((Response::default(), features)), a_values, "predict")
+        }
+        Op::Tsp { tsplib, a_values } => (tsp_upload(engine, tsplib), a_values, "tsp"),
+        Op::Instance {
+            family,
+            data,
+            tsplib,
+            a_values,
+        } => {
+            let family = match problems::lookup_family(&family) {
+                Ok(family) => family,
+                Err(e) => return reject(id, bad_request(e)),
+            };
+            match data {
+                // The TSPLIB text path stays available through the
+                // generic op.
+                None if family.name() == "tsp" && tsplib.is_some() => {
+                    (tsp_upload(engine, tsplib), a_values, "tsp")
+                }
+                None => return reject(id, "instance needs `instance`"),
+                Some(data) => (instance_upload(family, &data), a_values, "instance"),
+            }
+        }
+    };
+    let (mut head, features) = match upload {
+        Ok(upload) => upload,
+        Err(message) => return reject(id, message),
+    };
+    if obs::ENABLED {
+        engine.obs().record_stage(obs::Stage::Decode, decode_ns);
+    }
+    head.id = id;
+    match engine.submit_opts(Some(&tenant), features, a_values.clone(), notify) {
+        Ok(pending) => Staged::Pending {
+            head: Box::new(head),
+            a_values,
+            pending,
+            op,
+            tenant,
+            decode_ns,
+        },
         Err(e) => {
             let mut response = Response::err(id, e);
-            // Keep whatever instance context was already computed.
             response.instance = head.instance;
-            Staged::Ready(Box::new(response))
+            ready(response)
         }
     }
 }

@@ -158,7 +158,8 @@ pub struct ServeConfig {
     /// rows (a single over-large job still runs whole)
     pub max_batch_rows: usize,
     /// bound on *pending* prediction rows across all queued jobs; beyond
-    /// it, [`ServeEngine::submit`] rejects with [`QrossError::Overloaded`]
+    /// it, [`ServeEngine::submit_opts`] rejects with
+    /// [`QrossError::Overloaded`]
     pub queue_capacity: usize,
     /// LRU prediction-cache capacity in entries; `0` disables caching
     pub cache_capacity: usize,
@@ -986,14 +987,14 @@ impl Shared {
     ///
     /// Every computed row goes through [`Shared::process_batch`], so the
     /// answer bits do not depend on the path. Only a worker fires
-    /// `notify`.
+    /// `notify`. The request's trace span (and its trace ID) is minted
+    /// here, once the request has passed validation.
     fn submit_opts(
         self: &Arc<Self>,
         tenant: Option<&str>,
         features: Vec<f64>,
         a_values: Vec<f64>,
         notify: Option<CompletionNotify>,
-        mut span: obs::Span,
     ) -> Result<PendingPrediction, QrossError> {
         let expect = self.feature_dim;
         if features.len() != expect {
@@ -1011,6 +1012,7 @@ impl Shared {
                 message: format!("relaxation parameter must be finite and positive, got {bad}"),
             });
         }
+        let mut span = obs::Span::begin();
         let submitted = Instant::now();
         // Accepted-work counters are bumped only once a request is
         // actually admitted (inline or enqueued): a rejected request must
@@ -1644,7 +1646,7 @@ pub struct EngineMetrics {
     pub tenants: Vec<TenantMetrics>,
 }
 
-/// A response handle returned by [`ServeEngine::submit`].
+/// A response handle returned by [`ServeEngine::submit_opts`].
 #[derive(Debug)]
 pub struct PendingPrediction {
     state: Pending,
@@ -2034,40 +2036,27 @@ impl ServeEngine {
     }
 
     /// Admits one request (a feature vector at one or more `A` values)
-    /// and returns a handle to wait on. This is the non-blocking entry
-    /// point protocol front-ends use to keep many requests in flight —
-    /// which is what gives workers batches to stack. A lone single-row
-    /// request on an idle engine (nothing queued, a worker parked) wakes
-    /// no worker: its handle computes it
-    /// ([`PendingPrediction::run_if_held`], or the first poll), unless a
-    /// later submit woke a worker first.
+    /// for `tenant` (`None` = default tenant) and returns a handle to
+    /// wait on. This is the non-blocking entry point protocol front-ends
+    /// use to keep many requests in flight — which is what gives workers
+    /// batches to stack. A lone single-row request on an idle engine
+    /// (nothing queued, a worker parked) wakes no worker: its handle
+    /// computes it ([`PendingPrediction::run_if_held`], or the first
+    /// poll), unless a later submit woke a worker first.
+    ///
+    /// `notify` is an optional completion hook, invoked after a worker
+    /// makes the result receivable — event-loop front-ends use it to wake
+    /// their poller instead of parking a thread per request. A request a
+    /// worker does not answer never fires the hook (see
+    /// [`CompletionNotify`]).
     ///
     /// # Errors
     ///
     /// * [`QrossError::BadRequest`] — wrong feature width, non-finite
     ///   features, or a non-finite/non-positive `A`.
-    /// * [`QrossError::Overloaded`] — the queue is at capacity; the
-    ///   request is rejected immediately (backpressure, not buffering).
-    pub fn submit(
-        &self,
-        features: Vec<f64>,
-        a_values: Vec<f64>,
-    ) -> Result<PendingPrediction, QrossError> {
-        self.shared
-            .submit_opts(None, features, a_values, None, obs::Span::begin())
-    }
-
-    /// [`ServeEngine::submit`] with admission options: the requesting
-    /// tenant (`None` = default tenant) and an optional completion hook,
-    /// invoked after a worker makes the result receivable — event-loop
-    /// front-ends use it to wake their poller instead of parking a thread
-    /// per request. A request a worker does not answer never fires the
-    /// hook (see [`CompletionNotify`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::submit`], plus [`QrossError::Overloaded`] when
-    /// the tenant's own row quota is exhausted.
+    /// * [`QrossError::Overloaded`] — the queue is at capacity, or the
+    ///   tenant's own row quota is exhausted; the request is rejected
+    ///   immediately (backpressure, not buffering).
     pub fn submit_opts(
         &self,
         tenant: Option<&str>,
@@ -2075,24 +2064,7 @@ impl ServeEngine {
         a_values: Vec<f64>,
         notify: Option<CompletionNotify>,
     ) -> Result<PendingPrediction, QrossError> {
-        self.shared
-            .submit_opts(tenant, features, a_values, notify, obs::Span::begin())
-    }
-
-    /// [`ServeEngine::submit_opts`] with a caller-minted [`obs::Span`]:
-    /// protocol front-ends mint the span at decode (recording the decode
-    /// stage into it) and thread it through so the per-request trace
-    /// covers the full wire-to-wire pipeline.
-    pub fn submit_spanned(
-        &self,
-        tenant: Option<&str>,
-        features: Vec<f64>,
-        a_values: Vec<f64>,
-        notify: Option<CompletionNotify>,
-        span: obs::Span,
-    ) -> Result<PendingPrediction, QrossError> {
-        self.shared
-            .submit_opts(tenant, features, a_values, notify, span)
+        self.shared.submit_opts(tenant, features, a_values, notify)
     }
 
     /// A point-in-time metrics snapshot (the `metrics` protocol op).
@@ -2100,27 +2072,32 @@ impl ServeEngine {
         self.shared.metrics()
     }
 
-    /// Blocking single prediction — `submit` + `wait`.
+    /// Blocking single prediction for the default tenant —
+    /// [`ServeEngine::submit_opts`] + [`PendingPrediction::wait`].
     ///
     /// # Errors
     ///
-    /// As [`ServeEngine::submit`].
+    /// As [`ServeEngine::submit_opts`].
     pub fn predict(&self, features: &[f64], a: f64) -> Result<SurrogatePrediction, QrossError> {
-        let mut out = self.submit(features.to_vec(), vec![a])?.wait()?;
+        let mut out = self
+            .submit_opts(None, features.to_vec(), vec![a], None)?
+            .wait()?;
         Ok(out.remove(0))
     }
 
-    /// Blocking grid prediction — `submit` + `wait`.
+    /// Blocking grid prediction for the default tenant —
+    /// [`ServeEngine::submit_opts`] + [`PendingPrediction::wait`].
     ///
     /// # Errors
     ///
-    /// As [`ServeEngine::submit`].
+    /// As [`ServeEngine::submit_opts`].
     pub fn predict_grid(
         &self,
         features: &[f64],
         a_values: &[f64],
     ) -> Result<Vec<SurrogatePrediction>, QrossError> {
-        self.submit(features.to_vec(), a_values.to_vec())?.wait()
+        self.submit_opts(None, features.to_vec(), a_values.to_vec(), None)?
+            .wait()
     }
 }
 
@@ -2309,9 +2286,7 @@ mod tests {
             obs: ServeObs::new(),
             online: None,
         });
-        let submit = |a_values: Vec<f64>| {
-            shared.submit_opts(None, vec![0.0, 0.0], a_values, None, obs::Span::begin())
-        };
+        let submit = |a_values: Vec<f64>| shared.submit_opts(None, vec![0.0, 0.0], a_values, None);
         assert!(submit(vec![1.0, 2.0]).is_ok());
         assert!(submit(vec![1.0]).is_ok());
         // 3 rows pending == capacity: the next row must bounce.
@@ -2749,13 +2724,7 @@ mod tests {
         };
         let shared = workerless(policy, 1024);
         let submit = |tenant: Option<&str>, rows: usize| {
-            shared.submit_opts(
-                tenant,
-                vec![0.0, 0.0],
-                vec![1.0; rows],
-                None,
-                obs::Span::begin(),
-            )
+            shared.submit_opts(tenant, vec![0.0, 0.0], vec![1.0; rows], None)
         };
         assert!(submit(Some("capped"), 2).is_ok());
         // The capped tenant's quota is exhausted; its next row bounces…
@@ -2822,22 +2791,10 @@ mod tests {
         // Both tenants backlogged with single-row jobs.
         for _ in 0..200 {
             shared
-                .submit_opts(
-                    Some("heavy"),
-                    vec![0.0, 0.0],
-                    vec![1.0],
-                    None,
-                    obs::Span::begin(),
-                )
+                .submit_opts(Some("heavy"), vec![0.0, 0.0], vec![1.0], None)
                 .expect("heavy submit");
             shared
-                .submit_opts(
-                    Some("light"),
-                    vec![0.0, 0.0],
-                    vec![1.0],
-                    None,
-                    obs::Span::begin(),
-                )
+                .submit_opts(Some("light"), vec![0.0, 0.0], vec![1.0], None)
                 .expect("light submit");
         }
         // Drain a contended stretch; service per tenant is measured as
@@ -2892,13 +2849,7 @@ mod tests {
         let shared = workerless(TenantPolicy::default(), usize::MAX);
         for k in 0..5 {
             shared
-                .submit_opts(
-                    None,
-                    vec![k as f64, 0.0],
-                    vec![1.0],
-                    None,
-                    obs::Span::begin(),
-                )
+                .submit_opts(None, vec![k as f64, 0.0], vec![1.0], None)
                 .expect("submit");
         }
         let batch = {
@@ -2923,13 +2874,7 @@ mod tests {
         // the batch is otherwise empty — fairness never deadlocks work.
         let shared = workerless(TenantPolicy::default(), usize::MAX);
         shared
-            .submit_opts(
-                None,
-                vec![0.0, 0.0],
-                vec![1.0; 64],
-                None,
-                obs::Span::begin(),
-            )
+            .submit_opts(None, vec![0.0, 0.0], vec![1.0; 64], None)
             .expect("submit");
         let batch = {
             let mut q = lock(&shared.queue);
@@ -3098,7 +3043,7 @@ mod tests {
         let queued = workerless(TenantPolicy::default(), 1024);
         for _ in 0..2 {
             let mut pending = queued
-                .submit_opts(Some("solo"), f.to_vec(), vec![a], None, obs::Span::begin())
+                .submit_opts(Some("solo"), f.to_vec(), vec![a], None)
                 .expect("admitted");
             assert!(pending.try_wait().is_none(), "workerless engine answered");
             run_queued_by_hand(&queued);
@@ -3181,13 +3126,7 @@ mod tests {
         let shared = workerless(TenantPolicy::default(), 1024);
         let (notify, fired) = counting_notify();
         let mut pending = shared
-            .submit_opts(
-                None,
-                f.to_vec(),
-                vec![a],
-                Some(Arc::clone(&notify)),
-                obs::Span::begin(),
-            )
+            .submit_opts(None, f.to_vec(), vec![a], Some(Arc::clone(&notify)))
             .expect("admitted");
         assert!(pending.try_wait().is_none());
         assert_eq!(fired.load(Ordering::SeqCst), 0);
@@ -3198,13 +3137,7 @@ mod tests {
         assert_bits(&served[0], &sur.predict(&f, a));
         // Answers already in hand never need a worker or a wake.
         let mut empty = shared
-            .submit_opts(
-                None,
-                f.to_vec(),
-                Vec::new(),
-                Some(notify),
-                obs::Span::begin(),
-            )
+            .submit_opts(None, f.to_vec(), Vec::new(), Some(notify))
             .expect("admitted");
         assert!(empty.try_wait().expect("in hand").1.expect("ok").is_empty());
         assert_eq!(fired.load(Ordering::SeqCst), 1);
@@ -3226,7 +3159,7 @@ mod tests {
             .iter()
             .map(|(tenant, f, grid)| {
                 shared
-                    .submit_opts(*tenant, f.to_vec(), grid.clone(), None, obs::Span::begin())
+                    .submit_opts(*tenant, f.to_vec(), grid.clone(), None)
                     .expect("admitted")
             })
             .collect();
@@ -3289,7 +3222,7 @@ mod tests {
         });
         let pending: Vec<PendingPrediction> = (0..32)
             .map(|k| {
-                eng.submit(vec![k as f64, 0.0], vec![1.0, 2.0])
+                eng.submit_opts(None, vec![k as f64, 0.0], vec![1.0, 2.0], None)
                     .expect("submit")
             })
             .collect();

@@ -158,7 +158,7 @@ pub fn train_with_validation(
 ///
 /// # Errors
 ///
-/// Returns [`NeuralError::InvalidModel`] if `base`'s snapshot does not
+/// Returns [`crate::NeuralError::InvalidModel`] if `base`'s snapshot does not
 /// rebuild (cannot happen for a network constructed through the public
 /// API, but a typed error beats a panic on one that was hand-assembled).
 ///

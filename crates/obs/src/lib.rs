@@ -12,8 +12,8 @@
 //!   are registered once (the only allocation) and recording is a single
 //!   relaxed atomic RMW on a per-thread shard — no locks, no allocation,
 //!   no syscalls on the hot path.
-//! * [`Span`] — a `Copy` per-request trace: an ID minted at decode plus a
-//!   fixed array of per-[`Stage`] durations
+//! * [`Span`] — a `Copy` per-request trace: an ID minted at admission
+//!   plus a fixed array of per-[`Stage`] durations
 //!   (decode/queue/batch/forward/cache/encode). Spans ride the existing
 //!   request plumbing by value; they never synchronise.
 //! * [`TraceLog`] — a bounded keep-the-slowest event log; admission is

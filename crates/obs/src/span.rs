@@ -1,6 +1,7 @@
-//! Per-request spans: a trace ID minted at decode plus a fixed array of
-//! per-stage durations, carried *by value* through the request plumbing
-//! (codec → admission → batch → infer → encode). No allocation, no
+//! Per-request spans: a trace ID minted at admission plus a fixed array
+//! of per-stage durations, carried *by value* through the request
+//! plumbing (admission → batch → infer → encode; the wire layer adds the
+//! decode time it measured before admission). No allocation, no
 //! shared state, `Copy` — a span can ride any channel the request
 //! already rides.
 

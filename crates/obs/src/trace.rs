@@ -16,7 +16,7 @@ use crate::ENABLED;
 /// One retained slow request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
-    /// the request's trace ID (minted at decode)
+    /// the request's trace ID (minted at admission)
     pub trace_id: u64,
     /// request op (`"predict"`, `"instance"`, …)
     pub op: &'static str,

@@ -7,9 +7,10 @@
 //!
 //! Adding a family means implementing [`FamilyProblem`] for the
 //! instance type, [`ProblemFamily`] for a unit struct, and appending
-//! one line to [`FAMILIES`]. Every other layer — store, serving engine,
-//! wire protocols, train/predict CLI — routes through [`lookup_family`]
-//! and never pattern-matches on family names.
+//! one line to the `FAMILIES` table behind [`registry`]. Every other
+//! layer — store, serving engine, wire protocols, train/predict CLI —
+//! routes through [`lookup_family`] and never pattern-matches on family
+//! names.
 
 use serde::Serialize;
 

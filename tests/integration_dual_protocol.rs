@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use bench::net::{serve_event_loop, EventLoopConfig};
 use bench::protocol::{bin, serve_connection, Request, Response};
+use problems::InstanceData;
 use qross_repro::mathkit::stats::ZScore;
 use qross_repro::neural::network::MlpBuilder;
 use qross_repro::qross::dataset::Scalers;
@@ -370,4 +371,68 @@ fn unsupported_qbin_version_is_answered_then_closed() {
         error.contains("version"),
         "expected a version reject, got {error:?}"
     );
+}
+
+/// Every QBIN payload-level rejection, replayed as one frame stream
+/// through `serve_connection`: each frame gets exactly one answer, in
+/// order, carrying the exact error text, and the session keeps serving
+/// (a later `info` frame is still answered).
+#[test]
+fn qbin_rejections_are_answered_in_order_and_survived() {
+    let engine = ServeEngine::new(test_model(), ServeConfig::default());
+    let features = vec![0.5; FEAT_DIM];
+    let bad_edge = InstanceData {
+        name: "bad-edge".to_string(),
+        dims: vec![4],
+        edges: vec![(0, 200, 1.0)],
+        ..Default::default()
+    };
+    let mut stream = Vec::new();
+    bin::encode_predict(&mut stream, Some(1), "", &[], &features);
+    bin::encode_predict(&mut stream, Some(2), "", &[1.0], &[1.0]);
+    // A CRC-valid frame whose predict payload stops after one byte.
+    bin::write_frame(&mut stream, bin::OP_PREDICT, |p| p.push(1));
+    bin::write_frame(&mut stream, 0x09, |p| p.push(0));
+    bin::encode_instance(&mut stream, Some(5), "", "nosuch", &bad_edge, &[1.0]);
+    bin::encode_instance(&mut stream, Some(6), "", "maxcut", &bad_edge, &[1.0]);
+    bin::encode_feedback(&mut stream, Some(7), 1.0, 0.5, 3.0, 0.5, 3, "t", &features);
+    bin::encode_refresh(&mut stream, Some(8));
+    bin::encode_info(&mut stream, Some(9));
+
+    let offline = "bad request: engine is not running in online mode (start it with --online / \
+                   ServeEngine::with_online)";
+    let expected: [(Option<u64>, &str); 8] = [
+        (Some(1), "predict needs `a` or `a_values`"),
+        (Some(2), "bad request: expected 24 features, got 1"),
+        (
+            None,
+            "bad request: bad QBIN request: qbin: truncated frame (8 bytes needed, 0 available)",
+        ),
+        (
+            None,
+            "bad request: bad QBIN request: qbin: unknown op 0x09 (expected predict 0x01 | info \
+             0x02 | feedback 0x03 | refresh 0x04 | instance 0x05 | metrics 0x06)",
+        ),
+        (
+            Some(5),
+            "bad request: unknown problem family `nosuch` (known: tsp | mvc | qap | maxcut | \
+             knapsack)",
+        ),
+        (
+            Some(6),
+            "bad request: invalid instance: edge (0,200) out of range for 4 vertices",
+        ),
+        (Some(7), offline),
+        (Some(8), offline),
+    ];
+    let responses = replay_qbin(&engine, &stream);
+    assert_eq!(responses.len(), expected.len() + 1, "one answer per frame");
+    for (response, (id, error)) in responses.iter().zip(expected) {
+        assert_eq!(response.id, id);
+        assert!(!response.ok, "frame {id:?} must be rejected");
+        assert_eq!(response.error.as_deref(), Some(error), "frame {id:?}");
+    }
+    let info = &responses[expected.len()];
+    assert_eq!((info.id, info.ok), (Some(9), true));
+    assert_eq!(info.info_generation, Some(0));
 }

@@ -147,6 +147,13 @@ fn ndjson_roundtrip_serves_and_rejects() {
             "\n",
             "{{\"id\": 8, \"op\": \"tsp\", \"tsplib\": \"{tsplib}\", \"a\": 1.0}}\n",
             "{{\"id\": 9, \"op\": \"tsp\", \"tsplib\": \"{truncated}\"}}\n",
+            "{{\"id\": 10, \"op\": \"instance\", \"a\": 1.0}}\n",
+            "{{\"id\": 11, \"op\": \"instance\", \"family\": \"nosuch\", \"a\": 1.0}}\n",
+            "{{\"id\": 12, \"op\": \"solve\", \"family\": \"TSP\", \"tsplib\": \"{tsplib}\", \"a\": 1.0}}\n",
+            "{{\"id\": 13, \"op\": \"instance\", \"family\": \"maxcut\", \"a\": 1.0}}\n",
+            "{{\"id\": 14, \"op\": \"feedback\", \"features\": {feat}, \"a\": 1.0}}\n",
+            "{{\"id\": 15, \"op\": \"model-info\"}}\n",
+            "{{\"id\": 16, \"op\": \"predict\", \"features\": {feat}, \"a_values\": []}}\n",
         ),
         feat = feat_json,
         a = a,
@@ -155,7 +162,7 @@ fn ndjson_roundtrip_serves_and_rejects() {
     );
     let responses = roundtrip(&eng, &requests);
     // One response per non-blank request line, in request order.
-    assert_eq!(responses.len(), 10);
+    assert_eq!(responses.len(), 17);
     let ids: Vec<Option<u64>> = responses.iter().map(|r| r.id).collect();
     assert_eq!(
         ids,
@@ -170,6 +177,13 @@ fn ndjson_roundtrip_serves_and_rejects() {
             Some(7),
             Some(8),
             Some(9),
+            Some(10),
+            Some(11),
+            Some(12),
+            Some(13),
+            Some(14),
+            Some(15),
+            Some(16),
         ]
     );
 
@@ -235,6 +249,37 @@ fn ndjson_roundtrip_serves_and_rejects() {
         "unexpected error: {:?}",
         bad.error
     );
+
+    // instance/solve: the family is checked before the payload, and a
+    // TSPLIB upload under `family: "TSP"` takes the tsp op's path
+    for (idx, error) in [
+        (10, "instance needs `family`"),
+        (
+            11,
+            "bad request: unknown problem family `nosuch` (known: tsp | mvc | qap | maxcut | \
+             knapsack)",
+        ),
+        (13, "instance needs `instance`"),
+        (
+            14,
+            "feedback needs `features`, `a`, `pf`, `e_avg` and `e_std`",
+        ),
+    ] {
+        let r = &responses[idx];
+        assert!(!r.ok, "line {idx} should be rejected");
+        assert_eq!(r.error.as_deref(), Some(error), "line {idx}");
+    }
+    let solve = &responses[12];
+    assert!(solve.ok, "solve upload failed: {:?}", solve.error);
+    assert_eq!(solve.instance.as_deref(), Some("up"));
+    assert_eq!(solve.proposal_bits, tsp.proposal_bits);
+    assert_eq!(solve.predictions, tsp.predictions);
+
+    // the model-info alias, and an empty grid: ok with no predictions
+    assert!(responses[15].ok);
+    assert_eq!(responses[15].info, responses[0].info);
+    assert!(responses[16].ok, "empty grid: {:?}", responses[16].error);
+    assert_eq!(responses[16].predictions.as_deref(), Some(&[][..]));
 }
 
 #[test]
@@ -409,17 +454,21 @@ fn bare_surrogate_rejects_tsp_op_but_serves_predict() {
     let requests = format!(
         "{{\"id\": 1, \"op\": \"tsp\", \"tsplib\": \"NAME: x\"}}\n\
          {{\"id\": 2, \"op\": \"predict\", \"features\": {}, \"a\": {a}}}\n\
-         {{\"id\": 3, \"op\": \"info\"}}\n",
+         {{\"id\": 3, \"op\": \"info\"}}\n\
+         {{\"id\": 4, \"op\": \"tsp\"}}\n",
         serde_json::to_string(&features).expect("json"),
     );
     let responses = roundtrip(&eng, &requests);
-    assert_eq!(responses.len(), 3);
-    assert!(!responses[0].ok);
-    assert!(responses[0]
-        .error
-        .as_ref()
-        .expect("error")
-        .contains("bare surrogate"));
+    assert_eq!(responses.len(), 4);
+    // A bare surrogate is reported before a missing upload.
+    for idx in [0, 3] {
+        assert!(!responses[idx].ok);
+        assert!(responses[idx]
+            .error
+            .as_ref()
+            .expect("error")
+            .contains("bare surrogate"));
+    }
     assert!(responses[1].ok);
     assert_eq!(responses[2].info.as_ref().expect("info").kind, "surrogate");
 }
