@@ -1,7 +1,9 @@
-//! Micro-benchmarks of the compute kernels behind inference and the
-//! annealers: blocked vs reference matmul at serving shapes, the
-//! fast-math training tier, and lockstep multi-replica sweeps vs the
-//! same work done one replica at a time.
+//! Micro-benchmarks of the compute kernels behind inference, training
+//! and the annealers: blocked vs reference matmul at serving and
+//! training shapes, the backward pass's `tmatmul` and `matmul_t`
+//! against the reference on explicit transposes, the fast-math training
+//! tier, and lockstep multi-replica sweeps vs the same work done one
+//! replica at a time.
 //!
 //! Every comparison is gated by a bit-equality assertion in setup — the
 //! blocked serve kernel and the batched replica sweep are only
@@ -27,24 +29,29 @@ fn filled(rows: usize, cols: usize, seed: u64) -> Matrix {
     m
 }
 
+/// Gate: a serve-tier product is only worth timing while it equals the
+/// historical ikj reference bit for bit.
+fn assert_bits_equal(got: &Matrix, want: &Matrix, what: &str) {
+    assert_eq!(got.shape(), want.shape());
+    for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what} drifted from reference");
+    }
+}
+
 fn bench_matmul(c: &mut Criterion) {
     // Serving shapes: (batch x features) · (features x hidden) for the
-    // surrogate's hidden layers, plus the 1-row interactive case.
-    for &(m, k, n) in &[(64usize, 25usize, 64usize), (64, 64, 64), (1, 65, 64)] {
+    // surrogate's hidden layers, plus the 1-row interactive case; then
+    // the quick-scale training forward (25 features, 48 hidden).
+    for &(m, k, n) in &[
+        (64usize, 25usize, 64usize),
+        (64, 64, 64),
+        (1, 65, 64),
+        (64, 25, 48),
+        (64, 48, 48),
+    ] {
         let a = filled(m, k, 11);
         let b = filled(k, n, 13);
-
-        // Gate: the blocked serve kernel must be bit-identical to the
-        // historical ikj reference before it is worth timing.
-        let blocked = a.matmul(&b);
-        let reference = a.matmul_reference(&b);
-        for (x, y) in blocked.as_slice().iter().zip(reference.as_slice()) {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "serve kernel drifted from reference"
-            );
-        }
+        assert_bits_equal(&a.matmul(&b), &a.matmul_reference(&b), "serve kernel");
 
         let mut group = c.benchmark_group(&format!("matmul_{m}x{k}x{n}"));
         group.bench_function("blocked_serve", |bch| bch.iter(|| a.matmul(&b)));
@@ -52,6 +59,29 @@ fn bench_matmul(c: &mut Criterion) {
         group.bench_function("fastmath", |bch| bch.iter(|| a.matmul_fastmath(&b)));
         group.finish();
     }
+}
+
+/// The backward pass at quick-scale training shapes, each paired with
+/// the reference on a transpose made before timing: `xᵀ · dY` for a
+/// 48-wide layer over a 64-row batch, and `dY · Wᵀ` through a 48×48
+/// weight.
+fn bench_backward(c: &mut Criterion) {
+    let x = filled(64, 48, 17);
+    let dy = filled(64, 48, 19);
+    let xt = x.transpose();
+    assert_bits_equal(&x.tmatmul(&dy), &xt.matmul_reference(&dy), "tmatmul");
+    let mut group = c.benchmark_group("tmatmul_48x64x48");
+    group.bench_function("blocked_serve", |bch| bch.iter(|| x.tmatmul(&dy)));
+    group.bench_function("reference_ikj", |bch| bch.iter(|| xt.matmul_reference(&dy)));
+    group.finish();
+
+    let w = filled(48, 48, 23);
+    let wt = w.transpose();
+    assert_bits_equal(&dy.matmul_t(&w), &dy.matmul_reference(&wt), "matmul_t");
+    let mut group = c.benchmark_group("matmul_t_64x48x48");
+    group.bench_function("blocked_serve", |bch| bch.iter(|| dy.matmul_t(&w)));
+    group.bench_function("reference_ikj", |bch| bch.iter(|| dy.matmul_reference(&wt)));
+    group.finish();
 }
 
 fn bench_replica_sweep(c: &mut Criterion) {
@@ -152,5 +182,5 @@ fn bench_replica_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matmul, bench_replica_sweep);
+criterion_group!(benches, bench_matmul, bench_backward, bench_replica_sweep);
 criterion_main!(benches);

@@ -588,7 +588,7 @@ impl EventLoop<'_> {
         // connection's sniffed wire format.
         if conn
             .session
-            .pump(self.engine.obs(), &mut conn.out, false)
+            .pump(self.engine, &mut conn.out, false)
             .is_err()
         {
             return Fate::Close;
@@ -617,7 +617,7 @@ impl EventLoop<'_> {
         self.stage_ready(conn);
         if conn
             .session
-            .pump(self.engine.obs(), &mut conn.out, false)
+            .pump(self.engine, &mut conn.out, false)
             .is_err()
         {
             return Fate::Close;

@@ -27,9 +27,12 @@
 
 use std::collections::VecDeque;
 
-use qross::serve::{CompletionNotify, ServeEngine, ServeObs};
+use qross::serve::{CompletionNotify, ServeEngine};
 
-use super::{bin, emit_line, emit_pending, emit_response, stage_item, Staged};
+use super::{
+    bin, emit_line, emit_pending, emit_response, metrics_response, stage_item, trace_response,
+    Staged,
+};
 
 /// Longest accepted request line (bytes, newline excluded). A client
 /// streaming one endless line used to grow the read buffer without
@@ -410,9 +413,10 @@ impl Session {
     /// `block` it stops at the first unanswered request; with `block` it
     /// waits for each one in turn, which needs no completion wake (a dead
     /// worker still yields its "worker disconnected" answer).
-    /// `serve_obs` is the engine's observability handle (`engine.obs()`):
-    /// emitting an engine-served response records its encode stage and
-    /// offers the finished span to the slowest-request trace log.
+    /// Emitting an engine-served response records its encode stage and
+    /// offers the finished span to the engine's slowest-request trace
+    /// log; a `metrics` or `trace` answer snapshots the engine here, so
+    /// it counts every request answered before it.
     ///
     /// # Errors
     ///
@@ -420,10 +424,11 @@ impl Session {
     /// schema).
     pub fn pump(
         &mut self,
-        serve_obs: &ServeObs,
+        engine: &ServeEngine,
         out: &mut Vec<u8>,
         block: bool,
     ) -> std::io::Result<()> {
+        let serve_obs = engine.obs();
         // While undecided the queue is necessarily empty, and the EOF tail
         // of an undecided stream is NDJSON by definition.
         let wire = self.codec.wire().unwrap_or(WireFormat::Ndjson);
@@ -452,12 +457,15 @@ impl Session {
                     )?;
                 }
                 Staged::Ready(response) => emit_response(&response, wire, scratch, out)?,
-                Staged::Metrics(payload) => match wire {
-                    WireFormat::Ndjson => emit_line(&*payload, scratch, out)?,
-                    WireFormat::Qbin => bin::encode_metrics_response(out, &payload),
-                },
+                Staged::Metrics(id) => {
+                    let payload = metrics_response(engine, id);
+                    match wire {
+                        WireFormat::Ndjson => emit_line(&payload, scratch, out)?,
+                        WireFormat::Qbin => bin::encode_metrics_response(out, &payload),
+                    }
+                }
                 // `trace` is an NDJSON-only op.
-                Staged::Trace(payload) => emit_line(&*payload, scratch, out)?,
+                Staged::Trace(id) => emit_line(&trace_response(engine, id), scratch, out)?,
             }
         }
         Ok(())

@@ -372,12 +372,16 @@ pub struct TraceResponse {
 enum Staged {
     /// response already complete (errors, `info`, `feedback`, `refresh`)
     Ready(Box<Response>),
-    /// a metrics snapshot, serialized at emit in the connection's wire
-    /// format — an NDJSON [`MetricsResponse`] line or a QBIN metrics
-    /// frame ([`bin::OP_RESP_METRICS`])
-    Metrics(Box<MetricsResponse>),
-    /// a trace-log dump (the op is NDJSON-only)
-    Trace(Box<TraceResponse>),
+    /// a `metrics` request (its id): the engine is snapshotted when the
+    /// answer is emitted, after every request staged before it, and
+    /// serialized in the connection's wire format — an NDJSON
+    /// [`MetricsResponse`] line or a QBIN metrics frame
+    /// ([`bin::OP_RESP_METRICS`])
+    Metrics(Option<u64>),
+    /// a `trace` request (its id; the op is NDJSON-only): the trace log
+    /// is dumped when the answer is emitted, so it holds the spans of
+    /// every request answered before it
+    Trace(Option<u64>),
     /// engine-served predictions still in flight
     Pending {
         /// response skeleton: everything but `predictions`
@@ -540,12 +544,13 @@ fn json_op(request: &mut Request) -> Result<Op, String> {
     })
 }
 
-/// The `metrics` op, either wire: snapshot the engine into the
-/// [`MetricsResponse`] schema; serialization happens at emit, per the
-/// connection's wire format.
-fn stage_metrics(engine: &ServeEngine, id: Option<u64>) -> Staged {
+/// The `metrics` op's answer, either wire: the engine's snapshot in the
+/// [`MetricsResponse`] schema. [`Session::pump`] builds it when the
+/// answer's turn comes, and serializes it per the connection's wire
+/// format.
+fn metrics_response(engine: &ServeEngine, id: Option<u64>) -> MetricsResponse {
     let m = engine.metrics();
-    Staged::Metrics(Box::new(MetricsResponse {
+    MetricsResponse {
         id,
         ok: true,
         metrics: MetricsOut {
@@ -576,14 +581,15 @@ fn stage_metrics(engine: &ServeEngine, id: Option<u64>) -> Staged {
                 })
                 .collect(),
         },
-    }))
+    }
 }
 
-/// The `trace` op (NDJSON-only): the engine's keep-the-N-slowest request
-/// log with per-stage latency breakdowns ([`TraceResponse`]).
-fn stage_trace(engine: &ServeEngine, id: Option<u64>) -> Staged {
+/// The `trace` op's answer (NDJSON-only): the engine's keep-the-N-slowest
+/// request log with per-stage latency breakdowns ([`TraceResponse`]),
+/// built by [`Session::pump`] when the answer's turn comes.
+fn trace_response(engine: &ServeEngine, id: Option<u64>) -> TraceResponse {
     let log = engine.obs().trace_log();
-    Staged::Trace(Box::new(TraceResponse {
+    TraceResponse {
         id,
         ok: true,
         capacity: log.capacity() as u64,
@@ -603,7 +609,7 @@ fn stage_trace(engine: &ServeEngine, id: Option<u64>) -> Staged {
                 encode_ns: e.stage_ns[obs::Stage::Encode as usize],
             })
             .collect(),
-    }))
+    }
 }
 
 /// Copies one CRC-verified QBIN request out of the connection's read
@@ -940,8 +946,8 @@ fn dispatch(
                 ..Default::default()
             })
         }
-        Op::Metrics => return stage_metrics(engine, id),
-        Op::Trace => return stage_trace(engine, id),
+        Op::Metrics => return Staged::Metrics(id),
+        Op::Trace => return Staged::Trace(id),
         Op::Refresh => {
             return match engine.refresh().and_then(|pending| pending.wait()) {
                 Ok(generation) => ready(Response {
@@ -1084,7 +1090,7 @@ where
             if session.in_flight() == 0 {
                 break;
             }
-            session.pump(engine.obs(), &mut out, true)?;
+            session.pump(engine, &mut out, true)?;
             writer.write_all(&out)?;
             writer.flush()?;
             out.clear();

@@ -31,6 +31,8 @@
 //! assert!((p - 0.5).abs() < 1e-12);
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod fit;
 pub mod integrate;
 pub mod kde;

@@ -278,7 +278,11 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// `self^T * other` without materialising the transpose.
+    /// `self^T * other` without materialising the transpose (**serve
+    /// tier**): [`crate::kernel::tmatmul_serve`], the same register-tile
+    /// body as [`Matrix::matmul`] reading `self`'s columns as the left
+    /// operand's rows, so it is bit-identical to
+    /// `self.transpose().matmul(other)`.
     ///
     /// # Panics
     ///
@@ -290,23 +294,26 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.cols, other.cols);
-        for k in 0..self.rows {
-            let arow = &self.data[k * self.cols..(k + 1) * self.cols];
-            let brow = &other.data[k * other.cols..(k + 1) * other.cols];
-            for (i, &aki) in arow.iter().enumerate() {
-                if aki == 0.0 {
-                    continue;
-                }
-                let orow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (j, &bkj) in brow.iter().enumerate() {
-                    orow[j] += aki * bkj;
-                }
-            }
-        }
+        crate::kernel::tmatmul_serve(
+            self.cols,
+            self.rows,
+            other.cols,
+            &self.data,
+            &other.data,
+            &mut out.data,
+        );
         out
     }
 
-    /// `self * other^T` without materialising the transpose.
+    /// `self * other^T` without materialising the transpose (**serve
+    /// tier**): [`crate::kernel::matmul_t_serve`], the same register-tile
+    /// body as [`Matrix::matmul`] with `other`'s rows packed as the right
+    /// operand's columns, so it is bit-identical to
+    /// `self.matmul(&other.transpose())`. Zero entries of `self` are
+    /// skipped, which differs from a plain dot product only where such a
+    /// zero meets a NaN or infinite entry of `other` (see the kernel).
+    /// Training's `dY · Wᵀ` never meets one: the weights stay finite,
+    /// because a non-finite loss stops training before `backward`.
     ///
     /// # Panics
     ///
@@ -318,17 +325,14 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..other.rows {
-                let brow = &other.data[j * other.cols..(j + 1) * other.cols];
-                let mut acc = 0.0;
-                for (a, b) in arow.iter().zip(brow.iter()) {
-                    acc += a * b;
-                }
-                out[(i, j)] = acc;
-            }
-        }
+        crate::kernel::matmul_t_serve(
+            self.rows,
+            self.cols,
+            other.rows,
+            &self.data,
+            &other.data,
+            &mut out.data,
+        );
         out
     }
 

@@ -2,7 +2,8 @@
 //! kernel, bit for bit.
 //!
 //! The serve path (`Dense::infer` → `Matrix::matmul`) promises *exact*
-//! f64 bit patterns across refactors; these tests are the contract.
+//! f64 bit patterns across refactors, and training's `tmatmul` /
+//! `matmul_t` run the same kernel; these tests are the contract.
 
 use proptest::prelude::*;
 
@@ -77,5 +78,22 @@ proptest! {
         let a = Matrix::from_vec(batch, feat, data_a[..batch * feat].to_vec());
         let b = Matrix::from_vec(feat, head, data_b[..feat * head].to_vec());
         assert_bits_identical(&a.matmul(&b), &a.matmul_reference(&b));
+    }
+
+    /// The transposed products equal the reference on explicit
+    /// transposes, bit for bit, on random shapes (the backward pass's
+    /// `xᵀ · dY` and `dY · Wᵀ`).
+    #[test]
+    fn transposed_products_match_reference_bitwise(
+        (m, k, n) in (1usize..24, 1usize..24, 1usize..24),
+        data_a in proptest::collection::vec(element(), 24 * 24),
+        data_b in proptest::collection::vec(element(), 24 * 24),
+    ) {
+        let a = Matrix::from_vec(k, m, data_a[..k * m].to_vec());
+        let b = Matrix::from_vec(k, n, data_b[..k * n].to_vec());
+        assert_bits_identical(&a.tmatmul(&b), &a.transpose().matmul_reference(&b));
+        let c = Matrix::from_vec(m, k, data_a[..m * k].to_vec());
+        let d = Matrix::from_vec(n, k, data_b[..n * k].to_vec());
+        assert_bits_identical(&c.matmul_t(&d), &c.matmul_reference(&d.transpose()));
     }
 }

@@ -52,6 +52,12 @@ pub trait Layer: Send + Sync {
     /// Must be called after `forward` on the same batch.
     fn backward(&mut self, grad_out: &Matrix) -> Matrix;
 
+    /// [`Layer::backward`] without `dL/d(input)`: accumulates parameter
+    /// gradients only. [`crate::network::Mlp::backward`] calls it on the
+    /// network's first dense layer, whose input gradient nothing reads. A
+    /// no-op for layers with no parameters.
+    fn backward_params(&mut self, _grad_out: &Matrix) {}
+
     /// Visits `(value, gradient)` pairs of every trainable parameter in a
     /// stable order; a no-op for activation layers.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix));
@@ -168,14 +174,19 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        self.backward_params(grad_out);
+        // dX = dY · Wᵀ.
+        grad_out.matmul_t(&self.weights)
+    }
+
+    fn backward_params(&mut self, grad_out: &Matrix) {
         let input = self
             .cache_input
             .as_ref()
             .expect("backward called before forward");
-        // dW += xᵀ · dY; db += column sums of dY; dX = dY · Wᵀ.
+        // dW += xᵀ · dY; db += column sums of dY.
         self.grad_w.axpy(1.0, &input.tmatmul(grad_out));
         self.grad_b.axpy(1.0, &grad_out.sum_rows());
-        grad_out.matmul_t(&self.weights)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {

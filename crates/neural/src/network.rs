@@ -22,6 +22,9 @@ pub struct Mlp {
     layers: Vec<Box<dyn Layer>>,
     input_dim: usize,
     output_dim: usize,
+    /// index of the first dense layer (`layers.len()` if there is none):
+    /// where [`Mlp::backward`] stops
+    first_dense: usize,
 }
 
 impl std::fmt::Debug for Mlp {
@@ -136,12 +139,20 @@ impl Mlp {
 
     /// Backward pass: propagates the loss gradient and accumulates
     /// parameter gradients. Must follow a `forward` on the same batch.
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+    ///
+    /// It stops at the first dense layer, which accumulates its parameter
+    /// gradients ([`Layer::backward_params`]) but computes no input
+    /// gradient: nothing reads `dL/d(input)`, and the layers below it
+    /// have no parameters.
+    pub fn backward(&mut self, grad_output: &Matrix) {
+        let Some((first, above)) = self.layers[self.first_dense..].split_first_mut() else {
+            return;
+        };
+        let mut g: Option<Matrix> = None;
+        for layer in above.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_output)));
         }
-        g
+        first.backward_params(g.as_ref().unwrap_or(grad_output));
     }
 
     /// Visits every `(value, gradient)` parameter pair in stable order.
@@ -186,6 +197,11 @@ impl Mlp {
     pub fn from_state(state: &MlpState) -> Result<Self, NeuralError> {
         let mut width = state.input_dim;
         let mut layers: Vec<Box<dyn Layer>> = Vec::with_capacity(state.layers.len());
+        let first_dense = state
+            .layers
+            .iter()
+            .position(|spec| matches!(spec, LayerSpec::Dense { .. }))
+            .unwrap_or(state.layers.len());
         for (i, spec) in state.layers.iter().enumerate() {
             if let LayerSpec::Dense {
                 input,
@@ -214,6 +230,7 @@ impl Mlp {
             layers,
             input_dim: state.input_dim,
             output_dim: width,
+            first_dense,
         })
     }
 
@@ -335,6 +352,11 @@ impl MlpBuilder {
             layers,
             input_dim: self.input_dim,
             output_dim: width,
+            first_dense: self
+                .plan
+                .iter()
+                .position(|p| matches!(p, PlanItem::Dense(_)))
+                .expect("asserted above"),
         }
     }
 }
@@ -362,6 +384,48 @@ mod tests {
         assert_eq!(a.forward(&x), b.forward(&x));
         let mut c = MlpBuilder::new(2).dense(4).tanh().dense(1).build(10);
         assert_ne!(a.forward(&x), c.forward(&x));
+    }
+
+    /// `Mlp::backward` stops at the first dense layer without its input
+    /// gradient; every accumulated parameter gradient keeps the bits of
+    /// the full chain of `Layer::backward` calls, also with a
+    /// parameter-free layer below the first dense one.
+    #[test]
+    fn skipped_input_gradient_leaves_parameter_gradients_bit_identical() {
+        let build = || {
+            MlpBuilder::new(5)
+                .tanh()
+                .dense(12)
+                .relu()
+                .dense(9)
+                .relu()
+                .dense(2)
+                .build(17)
+        };
+        let x = Matrix::from_vec(11, 5, (0..55).map(|i| ((i * 7) as f64).sin()).collect());
+        let y = Matrix::from_vec(11, 2, (0..22).map(|i| ((i * 3) as f64).cos()).collect());
+        let (mut net, mut full) = (build(), build());
+        let mut grads = Vec::new();
+        for step in 0..2 {
+            let g = Loss::Mse.grad(&net.forward(&x), &y);
+            net.backward(&g);
+            let mut chain = Loss::Mse.grad(&full.forward(&x), &y);
+            for layer in full.layers.iter_mut().rev() {
+                chain = layer.backward(&chain);
+            }
+            let mut ours = Vec::new();
+            net.visit_params(&mut |_, g| ours.extend_from_slice(g.as_slice()));
+            grads.clear();
+            full.visit_params(&mut |_, g| grads.extend_from_slice(g.as_slice()));
+            assert_eq!(ours.len(), grads.len());
+            for (i, (a, b)) in ours.iter().zip(&grads).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "step {step} gradient {i}: {a} vs {b}"
+                );
+            }
+        }
     }
 
     /// End-to-end finite-difference gradient check through a two-layer

@@ -381,6 +381,26 @@ fn trace_op_dumps_slowest_requests_with_stage_breakdown() {
     }
 }
 
+/// A `trace` that arrives in the same read as the predicts before it
+/// must still see them: the log is dumped when the trace's answer is
+/// emitted, after theirs, not when the line is decoded.
+#[test]
+fn trace_in_one_stdio_buffer_sees_the_predicts_before_it() {
+    let engine = ServeEngine::new(test_model(), ServeConfig::default());
+    let mut requests: String = (0..4u64)
+        .map(|id| predict_line(id, id as usize, None))
+        .collect();
+    requests.push_str("{\"id\": 9, \"op\": \"trace\"}\n");
+    let mut out = Vec::new();
+    bench::protocol::serve_connection(&engine, requests.as_bytes(), &mut out)
+        .expect("stdio replay");
+    let lines: Vec<&str> = std::str::from_utf8(&out).expect("utf-8").lines().collect();
+    assert_eq!(lines.len(), 5);
+    let trace: TraceResponse = serde_json::from_str(lines[4]).expect("trace schema");
+    assert_eq!(trace.id, Some(9));
+    assert_eq!(trace.entries.len(), 4, "trace answered before the predicts");
+}
+
 #[test]
 fn tenant_rejections_split_into_quota_and_capacity_counters() {
     let harness = ObsHarness::start(ServeEngine::new(
