@@ -1,9 +1,8 @@
 //! Micro-benchmarks of the compute kernels behind inference, training
 //! and the annealers: blocked vs reference matmul at serving and
 //! training shapes, the backward pass's `tmatmul` and `matmul_t`
-//! against the reference on explicit transposes, the fast-math training
-//! tier, and lockstep multi-replica sweeps vs the same work done one
-//! replica at a time.
+//! against the reference on explicit transposes, and lockstep
+//! multi-replica sweeps vs the same work done one replica at a time.
 //!
 //! Every comparison is gated by a bit-equality assertion in setup — the
 //! blocked serve kernel and the batched replica sweep are only
@@ -56,7 +55,6 @@ fn bench_matmul(c: &mut Criterion) {
         let mut group = c.benchmark_group(&format!("matmul_{m}x{k}x{n}"));
         group.bench_function("blocked_serve", |bch| bch.iter(|| a.matmul(&b)));
         group.bench_function("reference_ikj", |bch| bch.iter(|| a.matmul_reference(&b)));
-        group.bench_function("fastmath", |bch| bch.iter(|| a.matmul_fastmath(&b)));
         group.finish();
     }
 }

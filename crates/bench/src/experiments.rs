@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use problems::tsp::generator::{generate_instance, GeneratorConfig};
 use problems::tsp::heuristics;
-use problems::{MvcInstance, TspEncoding, TspInstance};
+use problems::{MvcInstance, TspEncoding};
 use qross::collect::{collect_profile, observe, CollectConfig};
 use qross::eval::{aggregate_gap_curves, gap_curve, run_strategy_grid, MethodCurve};
 use qross::pipeline::{Pipeline, PipelineConfig, TrainedQross, A_DOMAIN};
@@ -683,11 +683,6 @@ pub fn micro_profile(encoding: &TspEncoding, seed: u64) -> usize {
         ..Default::default()
     };
     collect_profile(encoding, &solver, &cfg, seed).len()
-}
-
-/// Silences the unused-import lint for TspInstance in rustdoc examples.
-pub fn instance_name(inst: &TspInstance) -> &str {
-    inst.name()
 }
 
 #[cfg(test)]

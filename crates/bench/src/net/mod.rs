@@ -4,8 +4,8 @@
 //! One thread runs an event loop ([`serve_event_loop`]) multiplexing
 //! every connection over the shared [`ServeEngine`] worker pool:
 //!
-//! * [`sys::Poller`] — epoll via a minimal FFI shim (`poll(2)` fallback),
-//!   no tokio, no new dependencies;
+//! * [`sys::Poller`] — one epoll instance via a minimal FFI shim, no
+//!   tokio, no new dependencies;
 //! * per-connection sans-IO state — a [`Session`] fed by nonblocking
 //!   reads (sniffing NDJSON vs QBIN from the connection's first bytes,
 //!   so both protocols share one listen port) and holding staged
@@ -515,22 +515,10 @@ impl EventLoop<'_> {
         };
         match self.drive(&mut conn) {
             Fate::Close => {
+                // A parked listener is re-armed at the top of `run`,
+                // before the next wait.
                 let _ = self.poller.deregister(conn.stream.as_raw_fd());
                 self.live -= 1;
-                if self.live < self.config.max_conns()
-                    && !self.listener_active
-                    && !self.draining
-                    && self.backoff_until.is_none()
-                {
-                    // Capacity freed: resume accepting.
-                    if self
-                        .poller
-                        .register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-                        .is_ok()
-                    {
-                        self.listener_active = true;
-                    }
-                }
             }
             Fate::Keep => {
                 let want = conn.desired_interest(&self.config);

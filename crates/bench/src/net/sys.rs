@@ -1,5 +1,5 @@
-//! Minimal Linux readiness-notification FFI — `epoll(7)` with a
-//! `poll(2)` fallback — plus a self-pipe waker.
+//! Minimal Linux readiness-notification FFI — one `epoll(7)` instance —
+//! plus a self-pipe waker.
 //!
 //! No `libc`, no `mio`, no tokio: the offline build bakes in nothing but
 //! std, so the handful of syscalls the event loop needs are declared
@@ -7,14 +7,11 @@
 //! ([`Poller`], [`WakePipe`]); no raw fd or `unsafe` leaks past this
 //! module.
 
-use std::collections::HashMap;
 use std::io;
 use std::os::unix::io::RawFd;
 
 #[allow(non_camel_case_types)]
 type c_int = i32;
-#[allow(non_camel_case_types)]
-type c_short = i16;
 
 // On x86_64 the kernel ABI packs epoll_event (no padding between the
 // 32-bit mask and the 64-bit payload); other architectures use natural
@@ -25,14 +22,6 @@ type c_short = i16;
 struct EpollEvent {
     events: u32,
     data: u64,
-}
-
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct PollFd {
-    fd: c_int,
-    events: c_short,
-    revents: c_short,
 }
 
 const EPOLL_CLOEXEC: c_int = 0o2000000;
@@ -46,11 +35,6 @@ const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
 
-const POLLIN: c_short = 0x001;
-const POLLOUT: c_short = 0x004;
-const POLLERR: c_short = 0x008;
-const POLLHUP: c_short = 0x010;
-
 const O_NONBLOCK: c_int = 0o4000;
 const O_CLOEXEC: c_int = 0o2000000;
 
@@ -58,7 +42,6 @@ extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-    fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
     fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
@@ -96,17 +79,6 @@ impl Interest {
         }
         mask
     }
-
-    fn poll_mask(self) -> c_short {
-        let mut mask = 0;
-        if self.readable {
-            mask |= POLLIN;
-        }
-        if self.writable {
-            mask |= POLLOUT;
-        }
-        mask
-    }
 }
 
 /// One readiness event, keyed by the caller's token.
@@ -121,158 +93,69 @@ pub struct PollEvent {
     pub closed: bool,
 }
 
-enum Backend {
-    Epoll {
-        epfd: RawFd,
-    },
-    Poll {
-        interest: HashMap<RawFd, (u64, Interest)>,
-    },
-}
-
-/// Readiness poller: epoll where available, `poll(2)` otherwise. The
-/// fallback rebuilds its fd array per wait — O(n) per call, fine for the
-/// connection counts a poll-only host would see.
+/// Readiness poller over one `epoll(7)` instance.
 pub struct Poller {
-    backend: Backend,
+    epfd: RawFd,
 }
 
 impl Poller {
     pub fn new() -> io::Result<Poller> {
         // SAFETY: plain syscall, no pointers.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-        if epfd >= 0 {
-            return Ok(Poller {
-                backend: Backend::Epoll { epfd },
-            });
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
         }
-        let err = io::Error::last_os_error();
-        match err.raw_os_error() {
-            // ENOSYS(38)/EINVAL(22): no epoll on this kernel — fall back.
-            Some(38) | Some(22) => Ok(Poller {
-                backend: Backend::Poll {
-                    interest: HashMap::new(),
-                },
-            }),
-            _ => Err(err),
-        }
-    }
-
-    /// Whether this poller runs on the `poll(2)` fallback.
-    pub fn is_fallback(&self) -> bool {
-        matches!(self.backend, Backend::Poll { .. })
+        Ok(Poller { epfd })
     }
 
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd } => epoll_op(*epfd, EPOLL_CTL_ADD, fd, token, interest),
-            Backend::Poll { interest: map } => {
-                map.insert(fd, (token, interest));
-                Ok(())
-            }
-        }
+        epoll_op(self.epfd, EPOLL_CTL_ADD, fd, token, interest)
     }
 
     pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd } => epoll_op(*epfd, EPOLL_CTL_MOD, fd, token, interest),
-            Backend::Poll { interest: map } => {
-                map.insert(fd, (token, interest));
-                Ok(())
-            }
-        }
+        epoll_op(self.epfd, EPOLL_CTL_MOD, fd, token, interest)
     }
 
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd } => epoll_op(*epfd, EPOLL_CTL_DEL, fd, 0, Interest::READ),
-            Backend::Poll { interest: map } => {
-                map.remove(&fd);
-                Ok(())
-            }
-        }
+        epoll_op(self.epfd, EPOLL_CTL_DEL, fd, 0, Interest::READ)
     }
 
     /// Blocks up to `timeout_ms` (-1 = forever) and fills `events` with
     /// ready fds. Spurious wakeups (empty `events`) are normal.
     pub fn wait(&mut self, events: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
         events.clear();
-        match &mut self.backend {
-            Backend::Epoll { epfd } => {
-                let mut raw = [EpollEvent { events: 0, data: 0 }; 256];
-                let n = loop {
-                    // SAFETY: `raw` outlives the call and maxevents
-                    // matches its length.
-                    let n = unsafe {
-                        epoll_wait(*epfd, raw.as_mut_ptr(), raw.len() as c_int, timeout_ms)
-                    };
-                    if n >= 0 {
-                        break n as usize;
-                    }
-                    let err = io::Error::last_os_error();
-                    if err.kind() != io::ErrorKind::Interrupted {
-                        return Err(err);
-                    }
-                };
-                for ev in &raw[..n] {
-                    // Copy out of the (possibly packed) struct before use.
-                    let (mask, data) = (ev.events, ev.data);
-                    events.push(PollEvent {
-                        token: data,
-                        readable: mask & EPOLLIN != 0,
-                        writable: mask & EPOLLOUT != 0,
-                        closed: mask & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-                    });
-                }
-                Ok(())
+        let mut raw = [EpollEvent { events: 0, data: 0 }; 256];
+        let n = loop {
+            // SAFETY: `raw` outlives the call and maxevents matches its
+            // length.
+            let n =
+                unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), raw.len() as c_int, timeout_ms) };
+            if n >= 0 {
+                break n as usize;
             }
-            Backend::Poll { interest } => {
-                let mut fds: Vec<PollFd> = Vec::with_capacity(interest.len());
-                let mut tokens: Vec<u64> = Vec::with_capacity(interest.len());
-                for (&fd, &(token, want)) in interest.iter() {
-                    fds.push(PollFd {
-                        fd,
-                        events: want.poll_mask(),
-                        revents: 0,
-                    });
-                    tokens.push(token);
-                }
-                let n = loop {
-                    // SAFETY: `fds` outlives the call and nfds matches its
-                    // length.
-                    let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-                    if n >= 0 {
-                        break n;
-                    }
-                    let err = io::Error::last_os_error();
-                    if err.kind() != io::ErrorKind::Interrupted {
-                        return Err(err);
-                    }
-                };
-                if n > 0 {
-                    for (slot, token) in fds.iter().zip(tokens) {
-                        if slot.revents != 0 {
-                            events.push(PollEvent {
-                                token,
-                                readable: slot.revents & POLLIN != 0,
-                                writable: slot.revents & POLLOUT != 0,
-                                closed: slot.revents & (POLLERR | POLLHUP) != 0,
-                            });
-                        }
-                    }
-                }
-                Ok(())
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
             }
+        };
+        for ev in &raw[..n] {
+            // Copy out of the (possibly packed) struct before use.
+            let (mask, data) = (ev.events, ev.data);
+            events.push(PollEvent {
+                token: data,
+                readable: mask & EPOLLIN != 0,
+                writable: mask & EPOLLOUT != 0,
+                closed: mask & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+            });
         }
+        Ok(())
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        if let Backend::Epoll { epfd } = self.backend {
-            // SAFETY: we own the fd and drop it exactly once.
-            unsafe { close(epfd) };
-        }
+        // SAFETY: we own the fd and drop it exactly once.
+        unsafe { close(self.epfd) };
     }
 }
 

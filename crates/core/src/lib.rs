@@ -39,6 +39,8 @@
 //! # Ok::<(), qross::QrossError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod collect;
 pub mod dataset;
 pub mod eval;

@@ -15,9 +15,7 @@ use crate::surrogate::Surrogate;
 /// QROSS's composed proposal strategy for one instance.
 pub struct ComposedStrategy<'s> {
     surrogate: &'s Surrogate,
-    features: Vec<f64>,
     domain: (f64, f64),
-    batch: usize,
     pbs_targets: Vec<f64>,
     ofs: OnlineFitting,
     /// fallback ladder position when an offline proposal fails
@@ -59,9 +57,7 @@ impl<'s> ComposedStrategy<'s> {
         }
         ComposedStrategy {
             surrogate,
-            features,
             domain,
-            batch,
             pbs_targets: vec![0.8, 0.2],
             ofs: OnlineFitting::new(domain, seed),
             planned,
@@ -81,24 +77,6 @@ impl<'s> ComposedStrategy<'s> {
     /// The PBS targets used for trials 2–3.
     pub fn pbs_targets(&self) -> &[f64] {
         &self.pbs_targets
-    }
-
-    /// Re-plans the offline candidates (used by tests and by callers that
-    /// mutate the feature vector).
-    pub fn replan(&mut self) {
-        let mut planned = Vec::new();
-        if let Ok(m) = mfs::propose(self.surrogate, &self.features, self.domain, self.batch) {
-            planned.push(m.x);
-        }
-        for &p in &self.pbs_targets.clone() {
-            if let Ok(a) = pbs::propose(self.surrogate, &self.features, self.domain, p) {
-                planned.push(a);
-            }
-        }
-        if planned.is_empty() {
-            planned.push((self.domain.0 * self.domain.1).sqrt());
-        }
-        self.planned = planned;
     }
 }
 

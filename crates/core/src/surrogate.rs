@@ -257,10 +257,6 @@ impl Surrogate {
             optimizer: OptimizerConfig::adam(config.learning_rate),
             seed: config.seed,
             target_loss: None,
-            // Surrogate training stays on the bit-exact tier so persisted
-            // models reproduce across releases; opt into the fast-math
-            // tier through `neural::trainer::TrainConfig` directly.
-            fast_math: false,
         };
         let pf_hist = train_with_validation(
             &mut pf_net,
@@ -351,10 +347,6 @@ impl Surrogate {
             optimizer: OptimizerConfig::adam(config.learning_rate),
             seed: config.seed,
             target_loss: None,
-            // Surrogate training stays on the bit-exact tier so persisted
-            // models reproduce across releases; opt into the fast-math
-            // tier through `neural::trainer::TrainConfig` directly.
-            fast_math: false,
         };
         let tune =
             |net: &Mlp, y: &Matrix, loss: &Loss| -> Result<(Mlp, TrainHistory), QrossError> {

@@ -1,42 +1,29 @@
-//! Blocked matrix-multiply kernels and the two numeric tiers.
+//! Blocked matrix-multiply kernels: the workspace's one numeric tier.
 //!
-//! # Numeric tiers
+//! # Numeric tier
 //!
-//! The workspace distinguishes two tiers of floating-point guarantees:
-//!
-//! * **Serve tier (bit-exact).** [`matmul_serve`] — used by
-//!   [`Matrix::matmul`](crate::Matrix::matmul) and therefore by
-//!   `Dense::infer` / `Mlp::infer` / `Surrogate::predict*` and by
-//!   training's forward pass — and its transposed entries
-//!   [`tmatmul_serve`] / [`matmul_t_serve`] — behind
-//!   [`Matrix::tmatmul`](crate::Matrix::tmatmul) and
-//!   [`Matrix::matmul_t`](crate::Matrix::matmul_t), training's backward
-//!   pass — produce *exactly* the same `f64` bit patterns as the
-//!   reference implementation ([`matmul_reference`], on explicit
-//!   transposes for the transposed entries). Every output element is
-//!   accumulated into a single `f64` in ascending-`k` order, and the
-//!   reference's zero-skip (`a[i][k] == 0.0` contributes nothing, even
-//!   when `b[k][j]` is NaN or infinite) is preserved. Blocking, packing
-//!   and register tiling only change *which* elements are in flight
-//!   concurrently, never the per-element accumulation order, so the
-//!   result is bit-identical by construction (and property-tested).
-//!   Persisted artifacts, the train-once/serve-many replay contract and
-//!   bit-reproducible training rely on this tier.
-//!
-//! * **Fast-math tier (value-approximate).** [`matmul_fastmath`] —
-//!   exposed as [`Matrix::matmul_fastmath`](crate::Matrix::matmul_fastmath)
-//!   and opted into by the trainer via `TrainConfig::fast_math` — drops
-//!   the zero-skip branch and reassociates the `k` accumulation into two
-//!   interleaved partial sums for instruction-level parallelism. Results
-//!   agree with the serve tier to normal rounding accuracy but are *not*
-//!   bit-identical. Only collection/training paths, where no
-//!   bit-reproducibility contract exists across code versions, may use
-//!   it; within one binary it is still deterministic (same inputs, same
-//!   bits).
+//! Every product is bit-exact. [`matmul_serve`] — used by
+//! [`Matrix::matmul`](crate::Matrix::matmul) and therefore by
+//! `Dense::infer` / `Mlp::infer` / `Surrogate::predict*` and by
+//! training's forward pass — and its transposed entries
+//! [`tmatmul_serve`] / [`matmul_t_serve`] — behind
+//! [`Matrix::tmatmul`](crate::Matrix::tmatmul) and
+//! [`Matrix::matmul_t`](crate::Matrix::matmul_t), training's backward
+//! pass — produce *exactly* the same `f64` bit patterns as the
+//! reference implementation ([`matmul_reference`], on explicit
+//! transposes for the transposed entries). Every output element is
+//! accumulated into a single `f64` in ascending-`k` order, and the
+//! reference's zero-skip (`a[i][k] == 0.0` contributes nothing, even
+//! when `b[k][j]` is NaN or infinite) is preserved. Blocking, packing
+//! and register tiling only change *which* elements are in flight
+//! concurrently, never the per-element accumulation order, so the
+//! result is bit-identical by construction (and property-tested).
+//! Persisted artifacts, the train-once/serve-many replay contract and
+//! bit-reproducible training rely on this.
 //!
 //! # Kernel shape
 //!
-//! Every serve-tier product runs one generic register tile,
+//! Every product runs one generic register tile,
 //! `tile::<R, C>`: `R` rows of the left operand against `C` columns of
 //! the right one, with the `R x C` accumulators held in registers across
 //! the whole `k` walk. The sizes are const generics, so each
@@ -86,7 +73,7 @@ const PACK_MIN_ROWS: usize = 8;
 /// Reference ikj matrix multiply: the bit-exactness oracle.
 ///
 /// This is the historical `Matrix::matmul` loop, kept verbatim as the
-/// specification of the serve tier's numeric behaviour. `out` must be
+/// specification of every kernel's numeric behaviour. `out` must be
 /// zero-filled on entry.
 pub fn matmul_reference(m: usize, kk: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     debug_assert_eq!(a.len(), m * kk);
@@ -107,7 +94,7 @@ pub fn matmul_reference(m: usize, kk: usize, n: usize, a: &[f64], b: &[f64], out
     }
 }
 
-/// Serve-tier blocked multiply `out = a · b`: bit-identical to
+/// Blocked multiply `out = a · b`: bit-identical to
 /// [`matmul_reference`].
 ///
 /// `a` is `m x kk` and `b` is `kk x n`, both row-major. Every element of
@@ -131,7 +118,7 @@ pub fn matmul_serve(m: usize, kk: usize, n: usize, a: &[f64], b: &[f64], out: &m
     }
 }
 
-/// Serve-tier `out = aᵀ · b`, where `a` is `kk x m` and `b` is `kk x n`
+/// `out = aᵀ · b`, where `a` is `kk x m` and `b` is `kk x n`
 /// (row-major): bit-identical to [`matmul_reference`] on the explicit
 /// transpose of `a`, because it is the same tile body reading `a`'s
 /// columns as the left operand's rows. Overwrites `out` (`m x n`).
@@ -144,12 +131,12 @@ pub fn tmatmul_serve(m: usize, kk: usize, n: usize, a: &[f64], b: &[f64], out: &
     Isa::detect().product(m, kk, n, a, b, out);
 }
 
-/// Serve-tier `out = a · bᵀ`, where `a` is `m x kk` and `b` is `n x kk`
+/// `out = a · bᵀ`, where `a` is `m x kk` and `b` is `n x kk`
 /// (row-major): bit-identical to [`matmul_reference`] on the explicit
 /// transpose of `b`, because it is the same tile body with `b`'s rows
 /// packed as the right operand's columns. Overwrites `out` (`m x n`).
 ///
-/// Like every serve-tier product it skips zero entries of `a`, so a zero
+/// Like every product here it skips zero entries of `a`, so a zero
 /// of `a` against a NaN or infinite entry of `b` contributes nothing. A
 /// plain dot product would contribute NaN there; for finite `b` the two
 /// agree bit for bit, since adding `±0.0` to an accumulator that starts
@@ -469,65 +456,6 @@ impl Isa {
     }
 }
 
-/// Fast-math-tier multiply: branch-free, `k`-reassociated. **Not**
-/// bit-identical to the serve tier — see the module docs for which code
-/// paths may use it. `out` must be zero-filled on entry.
-///
-/// Each output lane keeps two partial accumulators over interleaved
-/// even/odd `k` and folds them at the end; there is no zero-skip, so a
-/// zero `a[i][k]` against a non-finite `b[k][j]` contributes NaN here
-/// where the serve tier contributes nothing.
-pub fn matmul_fastmath(m: usize, kk: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(a.len(), m * kk);
-    debug_assert_eq!(b.len(), kk * n);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 || kk == 0 {
-        return;
-    }
-    let full = n - n % NR;
-    let kpair = kk - kk % 2;
-    for i in 0..m {
-        let arow = &a[i * kk..(i + 1) * kk];
-        let mut j0 = 0;
-        while j0 < full {
-            let mut even = [0.0f64; NR];
-            let mut odd = [0.0f64; NR];
-            let mut k = 0;
-            while k < kpair {
-                let a0 = arow[k];
-                let a1 = arow[k + 1];
-                let b0: &[f64; NR] = b[k * n + j0..k * n + j0 + NR].try_into().unwrap();
-                let b1: &[f64; NR] = b[(k + 1) * n + j0..(k + 1) * n + j0 + NR]
-                    .try_into()
-                    .unwrap();
-                for l in 0..NR {
-                    even[l] += a0 * b0[l];
-                    odd[l] += a1 * b1[l];
-                }
-                k += 2;
-            }
-            if k < kk {
-                let a0 = arow[k];
-                let b0: &[f64; NR] = b[k * n + j0..k * n + j0 + NR].try_into().unwrap();
-                for l in 0..NR {
-                    even[l] += a0 * b0[l];
-                }
-            }
-            for l in 0..NR {
-                out[i * n + j0 + l] = even[l] + odd[l];
-            }
-            j0 += NR;
-        }
-        for j in full..n {
-            let mut s = 0.0f64;
-            for (k, &a0) in arow.iter().enumerate() {
-                s += a0 * b[k * n + j];
-            }
-            out[i * n + j] = s;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,24 +679,9 @@ mod tests {
     }
 
     #[test]
-    fn fastmath_close_to_reference() {
-        let (m, kk, n) = (6, 33, 20);
-        let a = dense(m, kk, |i| ((i * 3 + 1) as f64).sin());
-        let b = dense(kk, n, |i| ((i * 5 + 2) as f64).cos());
-        let mut want = vec![0.0; m * n];
-        let mut got = vec![0.0; m * n];
-        matmul_reference(m, kk, n, &a, &b, &mut want);
-        matmul_fastmath(m, kk, n, &a, &b, &mut got);
-        for (x, y) in want.iter().zip(got.iter()) {
-            assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
-        }
-    }
-
-    #[test]
     fn degenerate_dims_are_noops() {
         let mut out = [0.0f64; 0];
         matmul_serve(0, 3, 0, &[], &[], &mut out);
-        matmul_fastmath(0, 3, 0, &[], &[], &mut out);
         let mut out1 = [0.0f64; 4];
         matmul_serve(2, 0, 2, &[], &[], &mut out1);
         assert_eq!(out1, [0.0; 4]);

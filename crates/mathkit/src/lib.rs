@@ -4,9 +4,8 @@
 //!
 //! * [`matrix`] — dense row-major matrices with the small set of BLAS-like
 //!   operations the neural network and Gaussian-process code need;
-//! * [`kernel`] — register-tiled matmul kernels behind [`Matrix`], defining
-//!   the two numeric tiers (bit-exact serve tier vs opt-in fast-math
-//!   collection tier);
+//! * [`kernel`] — register-tiled matmul kernels behind [`Matrix`], all
+//!   bit-identical to the naive reference loop;
 //! * [`linalg`] — Cholesky factorisation and triangular solves for symmetric
 //!   positive-definite systems (Gaussian-process regression);
 //! * [`stats`] — descriptive statistics, online (Welford) accumulators,

@@ -145,11 +145,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow of row `r` as a slice.
     ///
     /// # Panics
@@ -180,7 +175,7 @@ impl Matrix {
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
-    /// Matrix multiplication `self * other` (**serve tier**: bit-exact).
+    /// Matrix multiplication `self * other` (bit-exact).
     ///
     /// Dispatches to the register-tiled blocked kernel
     /// ([`crate::kernel::matmul_serve`]), which is bit-identical to the
@@ -188,8 +183,8 @@ impl Matrix {
     /// element is accumulated into a single `f64` in ascending-`k` order
     /// with the zero-skip on `self` preserved. Inference paths
     /// (`Dense::infer`, `Mlp::infer`, `Surrogate::predict*`) rely on this
-    /// bit-exactness contract; see `mathkit::kernel` for the tier
-    /// definitions.
+    /// bit-exactness contract; see `mathkit::kernel` for the numeric
+    /// tier.
     ///
     /// # Panics
     ///
@@ -212,7 +207,7 @@ impl Matrix {
         out
     }
 
-    /// Reference ikj matrix multiply: the serve tier's bit-exactness
+    /// Reference ikj matrix multiply: the kernels' bit-exactness
     /// oracle. Semantically and bit-wise identical to [`Matrix::matmul`]
     /// but unblocked; kept for property tests and benchmarks that pin the
     /// blocked kernel against it.
@@ -238,36 +233,6 @@ impl Matrix {
         out
     }
 
-    /// Matrix multiplication `self * other` (**fast-math tier**).
-    ///
-    /// Branch-free, `k`-reassociated kernel: agrees with [`Matrix::matmul`]
-    /// to normal rounding accuracy but is **not** bit-identical. Only
-    /// collection/training paths without a cross-version
-    /// bit-reproducibility contract may use it (see `TrainConfig::fast_math`
-    /// and the `mathkit::kernel` tier docs). Deterministic within one
-    /// binary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul_fastmath(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        crate::kernel::matmul_fastmath(
-            self.rows,
-            self.cols,
-            other.cols,
-            &self.data,
-            &other.data,
-            &mut out.data,
-        );
-        out
-    }
-
     /// Reshapes `self` in place to `rows x cols`, reusing the existing
     /// allocation, and fills it with zeros. The scratch-reuse counterpart
     /// of [`Matrix::zeros`] for per-worker buffers on hot paths.
@@ -278,8 +243,8 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// `self^T * other` without materialising the transpose (**serve
-    /// tier**): [`crate::kernel::tmatmul_serve`], the same register-tile
+    /// `self^T * other` without materialising the transpose
+    /// (bit-exact): [`crate::kernel::tmatmul_serve`], the same register-tile
     /// body as [`Matrix::matmul`] reading `self`'s columns as the left
     /// operand's rows, so it is bit-identical to
     /// `self.transpose().matmul(other)`.
@@ -305,8 +270,8 @@ impl Matrix {
         out
     }
 
-    /// `self * other^T` without materialising the transpose (**serve
-    /// tier**): [`crate::kernel::matmul_t_serve`], the same register-tile
+    /// `self * other^T` without materialising the transpose
+    /// (bit-exact): [`crate::kernel::matmul_t_serve`], the same register-tile
     /// body as [`Matrix::matmul`] with `other`'s rows packed as the right
     /// operand's columns, so it is bit-identical to
     /// `self.matmul(&other.transpose())`. Zero entries of `self` are
@@ -363,15 +328,6 @@ impl Matrix {
     /// Panics on shape mismatch.
     pub fn sub(&self, other: &Matrix) -> Matrix {
         self.zip_with(other, |a, b| a - b)
-    }
-
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip_with(other, |a, b| a * b)
     }
 
     /// Element-wise combination with an arbitrary binary function.
@@ -494,11 +450,6 @@ impl Matrix {
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Largest absolute element; `0.0` for an empty matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
     }
 
     /// Extracts rows `indices` into a new matrix (used for mini-batching).

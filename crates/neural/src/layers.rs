@@ -67,13 +67,6 @@ pub trait Layer: Send + Sync {
 
     /// Serialisable description (including weights).
     fn spec(&self) -> LayerSpec;
-
-    /// Switches the layer's *training* path ([`Layer::forward`]) between
-    /// the bit-exact serve tier and the reassociated fast-math tier (see
-    /// `mathkit::kernel`). A no-op for layers with no matmul. The
-    /// inference path ([`Layer::infer`]) is never affected: serving
-    /// stays bit-exact regardless of this setting.
-    fn set_fast_math(&mut self, _on: bool) {}
 }
 
 /// Fully-connected affine layer `y = x·W + b`.
@@ -84,12 +77,6 @@ pub struct Dense {
     grad_w: Matrix,
     grad_b: Matrix,
     cache_input: Option<Matrix>,
-    // Training-only numeric tier (see `mathkit::kernel`): when set,
-    // `forward` uses the reassociated fast-math matmul. `infer` ignores
-    // it — the serve path is bit-exact unconditionally. Deliberately not
-    // part of `LayerSpec`: a persisted model must not carry a numeric
-    // tier with it.
-    fast_math: bool,
 }
 
 impl Dense {
@@ -111,7 +98,6 @@ impl Dense {
             grad_w: Matrix::zeros(input, output),
             grad_b: Matrix::zeros(1, output),
             cache_input: None,
-            fast_math: false,
         }
     }
 
@@ -123,7 +109,6 @@ impl Dense {
             grad_w: Matrix::zeros(input, output),
             grad_b: Matrix::zeros(1, output),
             cache_input: None,
-            fast_math: false,
         }
     }
 
@@ -148,12 +133,7 @@ impl Layer for Dense {
             self.weights.rows()
         );
         self.cache_input = Some(input.clone());
-        let product = if self.fast_math {
-            input.matmul_fastmath(&self.weights)
-        } else {
-            input.matmul(&self.weights)
-        };
-        product.add_row_broadcast(&self.bias)
+        input.matmul(&self.weights).add_row_broadcast(&self.bias)
     }
 
     fn infer(&self, input: &Matrix) -> Matrix {
@@ -206,10 +186,6 @@ impl Layer for Dense {
             weights: self.weights.as_slice().to_vec(),
             bias: self.bias.as_slice().to_vec(),
         }
-    }
-
-    fn set_fast_math(&mut self, on: bool) {
-        self.fast_math = on;
     }
 }
 
@@ -503,27 +479,6 @@ mod tests {
             let forwarded = layer.forward(&x);
             assert_eq!(inferred, forwarded);
         }
-    }
-
-    #[test]
-    fn fast_math_affects_forward_only() {
-        let mut rng = seeded_rng(23);
-        let mut d = Dense::new(25, 16, &mut rng);
-        let x = Matrix::from_rows(&[&[0.017; 25], &[-0.93; 25], &[41.5; 25]]);
-        let serve = d.infer(&x);
-        let exact = d.forward(&x);
-        assert_eq!(serve, exact);
-        d.set_fast_math(true);
-        // infer stays bit-identical to the serve tier…
-        assert_eq!(d.infer(&x), serve);
-        // …while forward switches to the reassociated tier: close, not
-        // necessarily bit-equal.
-        let fast = d.forward(&x);
-        for (a, b) in exact.as_slice().iter().zip(fast.as_slice()) {
-            assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
-        }
-        d.set_fast_math(false);
-        assert_eq!(d.forward(&x), exact);
     }
 
     #[test]

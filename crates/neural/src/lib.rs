@@ -36,6 +36,8 @@
 //! assert!(*history.train_loss.last().unwrap() < 0.05);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod layers;
 pub mod loss;
 pub mod network;

@@ -92,11 +92,11 @@ impl Mlp {
     /// **Multi-row bit-identity**: row `r` of the output is *bit-identical*
     /// to inferring row `r` alone. Dense layers accumulate each output
     /// element independently in ascending-`k` order regardless of blocking
-    /// ([`mathkit::Matrix::matmul`], the serve tier of `mathkit::kernel`)
+    /// ([`mathkit::Matrix::matmul`], the bit-exact `mathkit::kernel`)
     /// and activations are element-wise, so stacking rows cannot change
     /// any bit of any row — the guarantee the serving engine's
     /// micro-batching relies on to keep batched responses exactly equal to
-    /// per-request ones. [`Layer::set_fast_math`] never affects this path.
+    /// per-request ones.
     ///
     /// # Panics
     ///
@@ -166,17 +166,6 @@ impl Mlp {
     pub fn zero_grad(&mut self) {
         for layer in &mut self.layers {
             layer.zero_grad();
-        }
-    }
-
-    /// Selects the numeric tier of the *training* path: when `on`, dense
-    /// layers run [`Mlp::forward`] through the reassociated fast-math
-    /// matmul (`mathkit::kernel::matmul_fastmath`). [`Mlp::infer`] — the
-    /// serve path — is unaffected and stays bit-exact either way. The
-    /// setting is runtime-only: it is not serialised with the model.
-    pub fn set_fast_math(&mut self, on: bool) {
-        for layer in &mut self.layers {
-            layer.set_fast_math(on);
         }
     }
 

@@ -26,12 +26,6 @@ pub struct TrainConfig {
     pub seed: u64,
     /// stop early when the training loss drops below this value
     pub target_loss: Option<f64>,
-    /// run training forward passes through the reassociated fast-math
-    /// matmul tier (`mathkit::kernel::matmul_fastmath`). Training-only:
-    /// `Mlp::infer` — and therefore everything a served model answers —
-    /// stays on the bit-exact serve tier regardless. Off by default so
-    /// existing training runs reproduce historical loss curves exactly.
-    pub fast_math: bool,
 }
 
 impl Default for TrainConfig {
@@ -42,7 +36,6 @@ impl Default for TrainConfig {
             optimizer: OptimizerConfig::adam(1e-2),
             seed: 0,
             target_loss: None,
-            fast_math: false,
         }
     }
 }
@@ -103,7 +96,6 @@ pub fn train_with_validation(
     assert!(x.rows() > 0, "training set is empty");
     let n = x.rows();
     let batch = config.batch_size.clamp(1, n);
-    net.set_fast_math(config.fast_math);
     let mut opt = Optimizer::new(config.optimizer);
     let mut rng = derive_rng(config.seed, 0x7124);
     let mut order: Vec<usize> = (0..n).collect();
@@ -338,29 +330,6 @@ mod tests {
         // Determinism: same base + data + seed, same tuned network.
         let (tuned2, _) = fine_tune(&net, &x, &y, None, &Loss::Mse, &cfg).unwrap();
         assert_eq!(tuned.to_state(), tuned2.to_state());
-    }
-
-    #[test]
-    fn fast_math_training_converges_and_is_deterministic() {
-        let (x, y) = linear_data(64);
-        let run = || {
-            let mut net = MlpBuilder::new(2).dense(8).tanh().dense(1).build(6);
-            let cfg = TrainConfig {
-                epochs: 120,
-                fast_math: true,
-                ..Default::default()
-            };
-            let h = train(&mut net, &x, &y, &Loss::Mse, &cfg);
-            assert!(!h.diverged);
-            (net.to_json(), h.train_loss)
-        };
-        let (net_a, loss_a) = run();
-        assert!(*loss_a.last().unwrap() < loss_a[0], "loss did not decrease");
-        // The fast-math tier is reassociated, not nondeterministic: the
-        // same run reproduces bit-identical weights and loss curve.
-        let (net_b, loss_b) = run();
-        assert_eq!(net_a, net_b);
-        assert_eq!(loss_a, loss_b);
     }
 
     #[test]

@@ -35,6 +35,8 @@
 //! makes families addressable by name — adding one means touching only
 //! this crate plus one registration line.
 
+#![forbid(unsafe_code)]
+
 pub mod family;
 pub mod knapsack;
 pub mod maxcut;

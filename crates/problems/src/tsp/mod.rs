@@ -218,12 +218,6 @@ impl TspInstance {
             coords: None,
         }
     }
-
-    /// Replaces the name (used by generators and parsers).
-    pub fn with_name(mut self, name: &str) -> TspInstance {
-        self.name = name.to_string();
-        self
-    }
 }
 
 impl std::fmt::Display for TspInstance {

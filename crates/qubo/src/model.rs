@@ -229,11 +229,6 @@ impl QuboModel {
         self.linear[i]
     }
 
-    /// All linear coefficients.
-    pub fn linear_terms(&self) -> &[f64] {
-        &self.linear
-    }
-
     /// CSR range of row `i`.
     #[inline]
     fn row(&self, i: usize) -> std::ops::Range<usize> {

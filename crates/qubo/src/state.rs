@@ -262,11 +262,6 @@ impl<'m> QuboState<'m> {
         self.assign_all(&x);
     }
 
-    /// Consumes the state and returns the assignment.
-    pub fn into_assignment(self) -> Vec<u8> {
-        self.x
-    }
-
     /// Recomputes the energy from scratch (O(nnz)) — used by tests and
     /// debug assertions to validate the incremental bookkeeping.
     pub fn recompute_energy(&self) -> f64 {

@@ -110,11 +110,6 @@ impl ByteWriter {
             None => self.put_u8(0),
         }
     }
-
-    /// Writes raw bytes without a length prefix (caller frames them).
-    pub fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
 }
 
 /// Bounds-checked cursor over encoded bytes.

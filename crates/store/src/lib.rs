@@ -41,6 +41,7 @@
 //! Nothing in the decode path panics on corrupted input.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod json;

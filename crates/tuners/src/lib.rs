@@ -25,6 +25,8 @@
 //! assert!(best_y >= 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bayesopt;
 pub mod random;
 pub mod tpe;

@@ -338,6 +338,93 @@ fn metrics_op_answers_identically_on_both_wires() {
     assert_eq!(qbin_default.rows, ndjson_default.rows);
 }
 
+/// Every object key of a JSON line, in wire order (keys and string
+/// values of the `metrics` line hold no `"` or `:`).
+fn json_keys(line: &str) -> Vec<&str> {
+    line.match_indices("\":")
+        .map(|(end, _)| &line[line[..end].rfind('"').expect("key opens") + 1..end])
+        .collect()
+}
+
+/// The `metrics` schema is frozen (ARTIFACTS.md): the NDJSON line's keys
+/// in wire order — top level, `metrics` and each tenant row — and the
+/// QBIN `0x84` payload length its grammar implies for *k* tenants. Both renditions
+/// are excluded from byte-diff replays, so only this test pins them.
+#[test]
+fn metrics_schema_is_frozen_on_both_wires() {
+    let engine = ServeEngine::new(test_model(), ServeConfig::default());
+    let mut requests: String = (0..3u64)
+        .map(|id| predict_line(id, id as usize, Some("team-a")))
+        .collect();
+    requests.push_str(&predict_line(3, 3, None));
+    requests.push_str("{\"id\": 9, \"op\": \"metrics\"}\n");
+    let mut out = Vec::new();
+    bench::protocol::serve_connection(&engine, requests.as_bytes(), &mut out)
+        .expect("ndjson replay");
+    let text = std::str::from_utf8(&out).expect("utf-8");
+    let line = text.lines().last().expect("metrics line");
+
+    let metrics_keys = [
+        "uptime_secs",
+        "qps",
+        "latency_p50_us",
+        "latency_p99_us",
+        "batch_occupancy",
+        "cache_hit_rate",
+        "generation",
+        "queue_depth",
+        "rejected",
+        "rejected_quota",
+        "rejected_capacity",
+        "tenants",
+    ];
+    let tenant_keys = [
+        "tenant",
+        "weight",
+        "quota_rows",
+        "requests",
+        "rows",
+        "rejected",
+        "rejected_quota",
+        "rejected_capacity",
+        "pending_rows",
+    ];
+    let mut want = vec!["id", "ok", "metrics"];
+    want.extend(metrics_keys);
+    want.extend(tenant_keys);
+    want.extend(tenant_keys);
+    assert_eq!(json_keys(line), want, "two tenant rows: default and team-a");
+
+    let mut frame = Vec::new();
+    bin::encode_metrics_request(&mut frame, Some(9));
+    let mut out = Vec::new();
+    bench::protocol::serve_connection(&engine, frame.as_slice(), &mut out).expect("qbin replay");
+    let mut codec = bin::FrameCodec::new();
+    codec.feed(&out);
+    let frame = codec.next_frame().expect("one frame").expect("clean frame");
+    assert_eq!(frame.op, bin::OP_RESP_METRICS);
+    let decoded = bin::decode_metrics_response(&frame).expect("metrics frame");
+    let m = &decoded.metrics;
+    assert_eq!(m.tenants.len(), 2, "default and team-a");
+    let opt_f64 = |v: Option<f64>| 1 + 8 * usize::from(v.is_some());
+    // id: opt_u64, ok: u8, uptime_secs qps: f64×2, the two latency
+    // opt_f64s, batch_occupancy cache_hit_rate: f64×2, five u64
+    // counters, tenant_count: u32, then per tenant a str and eight u64s.
+    let want = (1 + 8)
+        + 1
+        + 16
+        + opt_f64(m.latency_p50_us)
+        + opt_f64(m.latency_p99_us)
+        + 16
+        + 5 * 8
+        + 4
+        + m.tenants
+            .iter()
+            .map(|t| 4 + t.tenant.len() + 8 * 8)
+            .sum::<usize>();
+    assert_eq!(frame.payload.len(), want);
+}
+
 #[test]
 fn trace_op_dumps_slowest_requests_with_stage_breakdown() {
     let harness = ObsHarness::start(ServeEngine::new(test_model(), ServeConfig::default()));
