@@ -166,7 +166,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
             .iter()
             .map(|s| {
                 registry.histogram(
-                    obs::labeled("bench_stage_ns", "stage", s),
+                    obs::labeled("bench_stage_ns", &[("stage", s)]),
                     "per-stage latency (bench copy)",
                 )
             })

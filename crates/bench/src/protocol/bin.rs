@@ -322,6 +322,15 @@ impl<'a> PayloadReader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
+    /// A `u64` on the wire that must fit the narrower `field` it decodes
+    /// into.
+    fn get_narrow<T: TryFrom<u64>>(&mut self, field: &str) -> Result<T, BinError> {
+        let v = self.get_u64()?;
+        T::try_from(v).map_err(|_| BinError::Malformed {
+            message: format!("{field} {v} out of range"),
+        })
+    }
+
     fn get_opt_u64(&mut self) -> Result<Option<u64>, BinError> {
         match self.get_u8()? {
             0 => Ok(None),
@@ -931,7 +940,9 @@ pub fn encode_instance(
 // Responses
 // ---------------------------------------------------------------------------
 
-use super::{MetricsOut, MetricsResponse, ModelInfo, PredictionOut, Response, TenantMetricsOut};
+use qross::serve::{EngineMetrics, TenantMetrics};
+
+use super::{MetricsResponse, ModelInfo, PredictionOut, Response};
 
 /// Encodes a [`Response`] as one QBIN frame appended to `out` — the
 /// binary rendition of the NDJSON response line, carrying the identical
@@ -1002,21 +1013,21 @@ pub fn encode_metrics_response(out: &mut Vec<u8>, payload: &MetricsResponse) {
         put_f64(p, m.batch_occupancy);
         put_f64(p, m.cache_hit_rate);
         put_u64(p, m.generation);
-        put_u64(p, m.queue_depth);
+        put_u64(p, m.queue_depth as u64);
         put_u64(p, m.rejected);
         put_u64(p, m.rejected_quota);
         put_u64(p, m.rejected_capacity);
         put_u32(p, m.tenants.len() as u32);
         for t in &m.tenants {
             put_str(p, &t.tenant);
-            put_u64(p, t.weight);
-            put_u64(p, t.quota_rows);
+            put_u64(p, u64::from(t.weight));
+            put_u64(p, t.quota_rows as u64);
             put_u64(p, t.requests);
             put_u64(p, t.rows);
             put_u64(p, t.rejected);
             put_u64(p, t.rejected_quota);
             put_u64(p, t.rejected_capacity);
-            put_u64(p, t.pending_rows);
+            put_u64(p, t.pending_rows as u64);
         }
     });
 }
@@ -1036,17 +1047,20 @@ pub fn decode_metrics_response(frame: &Frame<'_>) -> Result<MetricsResponse, Bin
     let mut r = PayloadReader::new(frame.payload);
     let id = r.get_opt_u64()?;
     let ok = r.get_u8()? != 0;
-    let uptime_secs = r.get_f64()?;
-    let qps = r.get_f64()?;
-    let latency_p50_us = r.get_opt_f64()?;
-    let latency_p99_us = r.get_opt_f64()?;
-    let batch_occupancy = r.get_f64()?;
-    let cache_hit_rate = r.get_f64()?;
-    let generation = r.get_u64()?;
-    let queue_depth = r.get_u64()?;
-    let rejected = r.get_u64()?;
-    let rejected_quota = r.get_u64()?;
-    let rejected_capacity = r.get_u64()?;
+    let mut metrics = EngineMetrics {
+        uptime_secs: r.get_f64()?,
+        qps: r.get_f64()?,
+        latency_p50_us: r.get_opt_f64()?,
+        latency_p99_us: r.get_opt_f64()?,
+        batch_occupancy: r.get_f64()?,
+        cache_hit_rate: r.get_f64()?,
+        generation: r.get_u64()?,
+        queue_depth: r.get_narrow("queue_depth")?,
+        rejected: r.get_u64()?,
+        rejected_quota: r.get_u64()?,
+        rejected_capacity: r.get_u64()?,
+        tenants: Vec::new(),
+    };
     let count = r.get_u32()? as usize;
     // Each tenant row needs at least its 4-byte name count plus eight
     // u64s; validate before allocating.
@@ -1056,40 +1070,22 @@ pub fn decode_metrics_response(frame: &Frame<'_>) -> Result<MetricsResponse, Bin
             available: r.remaining(),
         });
     }
-    let mut tenants = Vec::with_capacity(count);
+    metrics.tenants.reserve_exact(count);
     for _ in 0..count {
-        let tenant = r.get_str()?.to_string();
-        tenants.push(TenantMetricsOut {
-            tenant,
-            weight: r.get_u64()?,
-            quota_rows: r.get_u64()?,
+        metrics.tenants.push(TenantMetrics {
+            tenant: r.get_str()?.to_string(),
+            weight: r.get_narrow("weight")?,
+            quota_rows: r.get_narrow("quota_rows")?,
             requests: r.get_u64()?,
             rows: r.get_u64()?,
             rejected: r.get_u64()?,
             rejected_quota: r.get_u64()?,
             rejected_capacity: r.get_u64()?,
-            pending_rows: r.get_u64()?,
+            pending_rows: r.get_narrow("pending_rows")?,
         });
     }
     r.finish()?;
-    Ok(MetricsResponse {
-        id,
-        ok,
-        metrics: MetricsOut {
-            uptime_secs,
-            qps,
-            latency_p50_us,
-            latency_p99_us,
-            batch_occupancy,
-            cache_hit_rate,
-            generation,
-            queue_depth,
-            rejected,
-            rejected_quota,
-            rejected_capacity,
-            tenants,
-        },
-    })
+    Ok(MetricsResponse { id, ok, metrics })
 }
 
 /// Decodes one response frame's payload into the NDJSON-equivalent
@@ -1424,7 +1420,7 @@ mod tests {
         let payload = MetricsResponse {
             id: Some(42),
             ok: true,
-            metrics: MetricsOut {
+            metrics: EngineMetrics {
                 uptime_secs: 12.25,
                 qps: f64::from_bits(0x3FF8_0000_0000_0001),
                 latency_p50_us: Some(810.5),
@@ -1436,7 +1432,7 @@ mod tests {
                 rejected: 5,
                 rejected_quota: 2,
                 rejected_capacity: 3,
-                tenants: vec![TenantMetricsOut {
+                tenants: vec![TenantMetrics {
                     tenant: "team-a".to_string(),
                     weight: 4,
                     quota_rows: 128,

@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 use qross::serve::{CompletionNotify, ServeEngine};
 
 use super::{
-    bin, emit_line, emit_pending, emit_response, metrics_response, stage_item, trace_response,
+    bin, emit_line, emit_pending, emit_response, stage_item, trace_response, MetricsResponse,
     Staged,
 };
 
@@ -369,10 +369,10 @@ impl Session {
 
     /// Stages decoded requests (either wire) until `window` responses are
     /// in flight. A fatal frame error is answered and closes the input.
-    /// Once nothing more is buffered behind the last staged request, a
-    /// lone one the engine held runs now, on this thread (see
-    /// [`qross::serve::PendingPrediction::run_if_held`]); earlier held
-    /// requests need no call, since a request staged behind one sends
+    /// Once nothing more is buffered behind the last staged request, it
+    /// is polled: a lone one the engine held runs now, on this thread
+    /// (see [`qross::serve::PendingPrediction::poll`]); earlier held
+    /// requests need no poll, since a request staged behind one sends
     /// both to a worker batch. After [`Session::close_input`] the codec's
     /// EOF tail is staged exactly once. `notify` rides on every request
     /// that goes through the engine's batch queue.
@@ -397,7 +397,7 @@ impl Session {
                 continue;
             }
             if let Some(Staged::Pending { pending, .. }) = self.queue.back_mut() {
-                pending.run_if_held();
+                pending.poll();
             }
             if self.eof && !self.input_done {
                 self.input_done = true;
@@ -433,13 +433,11 @@ impl Session {
         // of an undecided stream is NDJSON by definition.
         let wire = self.codec.wire().unwrap_or(WireFormat::Ndjson);
         while let Some(front) = self.queue.front_mut() {
-            let answer = match front {
-                Staged::Pending { pending, .. } if !block => match pending.try_wait() {
-                    None => break,
-                    answer => answer,
-                },
-                _ => None,
-            };
+            if let Staged::Pending { pending, .. } = front {
+                if !block && !pending.poll() {
+                    break;
+                }
+            }
             let scratch = &mut self.scratch;
             match self.queue.pop_front().expect("front exists") {
                 Staged::Pending {
@@ -450,7 +448,7 @@ impl Session {
                     tenant,
                     decode_ns,
                 } => {
-                    let answer = answer.unwrap_or_else(|| pending.wait_spanned());
+                    let answer = pending.wait_spanned();
                     emit_pending(
                         serve_obs, op, &tenant, answer, decode_ns, head, a_values, wire, scratch,
                         out,
@@ -458,7 +456,11 @@ impl Session {
                 }
                 Staged::Ready(response) => emit_response(&response, wire, scratch, out)?,
                 Staged::Metrics(id) => {
-                    let payload = metrics_response(engine, id);
+                    let payload = MetricsResponse {
+                        id,
+                        ok: true,
+                        metrics: engine.metrics(),
+                    };
                     match wire {
                         WireFormat::Ndjson => emit_line(&payload, scratch, out)?,
                         WireFormat::Qbin => bin::encode_metrics_response(out, &payload),

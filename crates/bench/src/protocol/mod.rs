@@ -119,7 +119,7 @@ use std::io::{BufRead, Write};
 use problems::tsplib::parse_tsplib;
 use problems::{InstanceData, TspEncoding};
 use qross::online::FeedbackRecord;
-use qross::serve::{CompletionNotify, PendingPrediction, ServeEngine, ServeObs};
+use qross::serve::{CompletionNotify, EngineMetrics, PendingPrediction, ServeEngine, ServeObs};
 use qross::surrogate::SurrogatePrediction;
 use serde::{Deserialize, Serialize};
 
@@ -269,63 +269,19 @@ impl Response {
     }
 }
 
-/// One tenant's row in a [`MetricsResponse`]. Counters are cumulative
-/// since engine start; `pending_rows` is the instantaneous backlog that
-/// `quota_rows` (0 = unlimited) bounds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TenantMetricsOut {
-    pub tenant: String,
-    pub weight: u64,
-    pub quota_rows: u64,
-    pub requests: u64,
-    pub rows: u64,
-    pub rejected: u64,
-    /// rejections because this tenant's own row quota was full
-    pub rejected_quota: u64,
-    /// rejections because the global queue capacity was full
-    pub rejected_capacity: u64,
-    pub pending_rows: u64,
-}
-
-/// Engine metrics payload (`metrics` op). Latency quantiles come from a
-/// log₂-bucketed histogram (exact to within √2); `null` until the first
-/// request completes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricsOut {
-    pub uptime_secs: f64,
-    /// accepted requests per second, averaged over the uptime
-    pub qps: f64,
-    pub latency_p50_us: Option<f64>,
-    pub latency_p99_us: Option<f64>,
-    /// mean rows per forward pass (cache hits excluded)
-    pub batch_occupancy: f64,
-    /// cache hits / accepted rows
-    pub cache_hit_rate: f64,
-    /// model generation currently serving new requests
-    pub generation: u64,
-    /// queued (unanswered) rows across all tenants right now
-    pub queue_depth: u64,
-    /// total rejected requests (tenant quotas + global capacity)
-    pub rejected: u64,
-    /// rejections because a tenant's own row quota was full
-    pub rejected_quota: u64,
-    /// rejections because the global queue capacity was full
-    pub rejected_capacity: u64,
-    pub tenants: Vec<TenantMetricsOut>,
-}
-
 /// The `metrics` op's response line. Deliberately **not** a [`Response`]:
 /// the `Response` schema is byte-frozen (the vendored serde subset
 /// serializes every field, so adding one would change every response
 /// line and break the replay fixtures' byte-identity contract), and
 /// metrics are wall-clock-dependent anyway — they never take part in
-/// byte-diff replays.
+/// byte-diff replays. Its `metrics` is the engine's own snapshot struct,
+/// whose field order is the frozen schema.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsResponse {
     /// the request's `id`, echoed
     pub id: Option<u64>,
     pub ok: bool,
-    pub metrics: MetricsOut,
+    pub metrics: EngineMetrics,
 }
 
 /// One entry of a [`TraceResponse`]: a slow request's identity and its
@@ -542,46 +498,6 @@ fn json_op(request: &mut Request) -> Result<Op, String> {
         }
         None => return Err("missing `op`".into()),
     })
-}
-
-/// The `metrics` op's answer, either wire: the engine's snapshot in the
-/// [`MetricsResponse`] schema. [`Session::pump`] builds it when the
-/// answer's turn comes, and serializes it per the connection's wire
-/// format.
-fn metrics_response(engine: &ServeEngine, id: Option<u64>) -> MetricsResponse {
-    let m = engine.metrics();
-    MetricsResponse {
-        id,
-        ok: true,
-        metrics: MetricsOut {
-            uptime_secs: m.uptime_secs,
-            qps: m.qps,
-            latency_p50_us: m.latency_p50_us,
-            latency_p99_us: m.latency_p99_us,
-            batch_occupancy: m.batch_occupancy,
-            cache_hit_rate: m.cache_hit_rate,
-            generation: m.generation,
-            queue_depth: m.queue_depth as u64,
-            rejected: m.rejected,
-            rejected_quota: m.rejected_quota,
-            rejected_capacity: m.rejected_capacity,
-            tenants: m
-                .tenants
-                .into_iter()
-                .map(|t| TenantMetricsOut {
-                    tenant: t.tenant,
-                    weight: u64::from(t.weight),
-                    quota_rows: t.quota_rows as u64,
-                    requests: t.requests,
-                    rows: t.rows,
-                    rejected: t.rejected,
-                    rejected_quota: t.rejected_quota,
-                    rejected_capacity: t.rejected_capacity,
-                    pending_rows: t.pending_rows as u64,
-                })
-                .collect(),
-        },
-    }
 }
 
 /// The `trace` op's answer (NDJSON-only): the engine's keep-the-N-slowest
@@ -870,7 +786,7 @@ fn record_family_request(family: &str) {
             .iter()
             .map(|f| {
                 let counter = obs::global().counter(
-                    obs::labeled("qross_family_requests_total", "family", f.name()),
+                    obs::labeled("qross_family_requests_total", &[("family", f.name())]),
                     "instance uploads staged, by problem family",
                 );
                 (f.name(), counter)

@@ -17,10 +17,10 @@
 //!   matrix and answers them with a **single forward pass per head**
 //!   ([`crate::Surrogate::predict_many`]). A lone single-row request on
 //!   an idle engine (nothing queued, a worker parked) is held: queued
-//!   without waking a worker. Its handle runs it through the same batch
-//!   path on the calling thread (the front-end, once nothing more is
-//!   staged behind it, or the first poll), unless another request
-//!   arrived first and woke a worker, which then batches the two.
+//!   without waking a worker. Its handle's first poll, which the
+//!   front-end makes once nothing more is staged behind it, runs it
+//!   through the same batch path on the calling thread, unless another
+//!   request arrived first and woke a worker, which then batches the two.
 //!   Because every matrix row is accumulated independently in the same
 //!   operation order as a 1-row forward, batching is **bit-invisible**:
 //!   responses are exactly the f64s a sequential per-request `predict`
@@ -88,6 +88,7 @@ use crate::online::{
 use crate::pipeline::TrainedQross;
 use crate::surrogate::{FineTuneConfig, PredictScratch, Surrogate, SurrogatePrediction};
 use crate::QrossError;
+use serde::{Deserialize, Serialize};
 
 /// The immutable model a [`ServeEngine`] serves.
 ///
@@ -248,13 +249,15 @@ impl TenantPolicy {
 /// loop's self-pipe. Must be cheap and must not block.
 ///
 /// It fires only for jobs a worker completes. A full cache hit or an
-/// empty `a_values` returns a handle whose [`PendingPrediction::try_wait`]
-/// is already `Some`, and a held lone job that its handle runs on the
-/// calling thread ([`PendingPrediction::run_if_held`], or the first poll)
-/// is answered there; neither calls the hook.
+/// empty `a_values` returns a handle whose [`PendingPrediction::poll`]
+/// is already `true`, and a held lone job that its handle's first
+/// [`PendingPrediction::poll`] runs on the calling thread is answered
+/// there; neither calls the hook.
 pub type CompletionNotify = Arc<dyn Fn() + Send + Sync>;
 
-/// Monotonic serving counters (a snapshot of [`ServeEngine::stats`]).
+/// The engine-wide serving counters, read from the engine's registry
+/// in one pass ([`ServeEngine::stats`]; [`ServeEngine::metrics`] derives
+/// its rates from the same snapshot).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// requests accepted (including fully-cached fast-path responses)
@@ -266,6 +269,8 @@ pub struct ServeStats {
     /// forward-pass batches executed (by workers, or by the thread whose
     /// handle runs a lone job held on an idle engine)
     pub batches: usize,
+    /// rows answered by a forward pass (cache hits excluded)
+    pub batched_rows: usize,
     /// requests rejected with [`QrossError::Overloaded`]
     /// (`rejected_quota + rejected_capacity`)
     pub rejected: usize,
@@ -327,7 +332,7 @@ impl ServeObs {
         let r = &registry;
         let stage = obs::Stage::ALL.map(|s| {
             r.histogram(
-                obs::labeled("qross_serve_stage_ns", "stage", s.name()),
+                obs::labeled("qross_serve_stage_ns", &[("stage", s.name())]),
                 "per-stage request latency breakdown (ns)",
             )
         });
@@ -344,11 +349,11 @@ impl ServeObs {
                 "rows answered by forward passes (cache hits excluded)",
             ),
             rejected_quota: r.counter(
-                obs::labeled("qross_serve_rejected_total", "reason", "quota"),
+                obs::labeled("qross_serve_rejected_total", &[("reason", "quota")]),
                 "requests rejected, by reason (tenant quota vs global capacity)",
             ),
             rejected_capacity: r.counter(
-                obs::labeled("qross_serve_rejected_total", "reason", "capacity"),
+                obs::labeled("qross_serve_rejected_total", &[("reason", "capacity")]),
                 "requests rejected, by reason (tenant quota vs global capacity)",
             ),
             feedback: r.counter(
@@ -451,6 +456,7 @@ impl ServeObs {
             rows: self.rows.get() as usize,
             cache_hits: self.cache_hits.get() as usize,
             batches: self.batches.get() as usize,
+            batched_rows: self.batched_rows.get() as usize,
             rejected: quota + capacity,
             rejected_quota: quota,
             rejected_capacity: capacity,
@@ -667,7 +673,8 @@ fn deliver((answer, (tx, notify)): (Answer, Reply)) {
 }
 
 /// One tenant's admission state: its FIFO of queued jobs, its quota
-/// accounting, and its deficit-round-robin scheduling state.
+/// accounting, and its deficit-round-robin scheduling state. Its counts
+/// live in the registry ([`TenantSeries`]).
 struct TenantQueue {
     name: String,
     class: TenantClass,
@@ -681,19 +688,51 @@ struct TenantQueue {
     deficit: u64,
     /// whether this tenant is in the active ring
     queued: bool,
-    // -- per-tenant counters (mutated under the queue lock) --
-    requests: u64,
-    rows: u64,
-    /// rows dispatched while another tenant had queued jobs
-    contended_rows: u64,
-    rejected_quota: u64,
-    rejected_capacity: u64,
 }
 
-impl TenantQueue {
-    /// Total rejections (both reasons).
-    fn rejected(&self) -> u64 {
-        self.rejected_quota + self.rejected_capacity
+/// One tenant's labelled series in the engine's registry
+/// (`qross_serve_tenant_*_total{tenant="…"}`), registered with the
+/// tenant, so there are at most [`MAX_TENANTS`] of each.
+struct TenantSeries {
+    requests: Arc<obs::Counter>,
+    rows: Arc<obs::Counter>,
+    /// rows dispatched while another tenant had queued jobs: the service
+    /// this tenant won against live demand, which the deficit-weighted
+    /// round-robin shares by weight
+    contended_rows: Arc<obs::Counter>,
+    rejected_quota: Arc<obs::Counter>,
+    rejected_capacity: Arc<obs::Counter>,
+}
+
+impl TenantSeries {
+    fn register(registry: &obs::Registry, tenant: &str) -> TenantSeries {
+        let counter =
+            |base: &str, help| registry.counter(obs::labeled(base, &[("tenant", tenant)]), help);
+        let rejected = |reason| {
+            registry.counter(
+                obs::labeled(
+                    "qross_serve_tenant_rejected_total",
+                    &[("tenant", tenant), ("reason", reason)],
+                ),
+                "requests rejected per tenant, by reason (tenant quota vs global capacity)",
+            )
+        };
+        TenantSeries {
+            requests: counter(
+                "qross_serve_tenant_requests_total",
+                "requests accepted per tenant",
+            ),
+            rows: counter(
+                "qross_serve_tenant_rows_total",
+                "prediction rows answered per tenant",
+            ),
+            contended_rows: counter(
+                "qross_serve_tenant_contended_rows_total",
+                "rows dispatched per tenant while another tenant had queued jobs",
+            ),
+            rejected_quota: rejected("quota"),
+            rejected_capacity: rejected("capacity"),
+        }
     }
 }
 
@@ -704,6 +743,10 @@ impl TenantQueue {
 /// default tenant means one FIFO, exactly the pre-tenant behaviour.
 struct Queue {
     tenants: Vec<TenantQueue>,
+    /// each tenant's registry series, parallel to `tenants`
+    series: Vec<TenantSeries>,
+    /// the engine's registry, where `register` adds a tenant's series
+    registry: Arc<obs::Registry>,
     by_name: HashMap<String, usize>,
     /// round-robin ring of tenant indices with queued jobs
     active: VecDeque<usize>,
@@ -730,9 +773,11 @@ struct Queue {
 const DWRR_QUANTUM_ROWS: u64 = 2;
 
 impl Queue {
-    fn new(policy: &TenantPolicy) -> Queue {
+    fn new(policy: &TenantPolicy, registry: Arc<obs::Registry>) -> Queue {
         let mut queue = Queue {
             tenants: Vec::new(),
+            series: Vec::new(),
+            registry,
             by_name: HashMap::new(),
             active: VecDeque::new(),
             pending_rows: 0,
@@ -763,12 +808,9 @@ impl Queue {
             pending_rows: 0,
             deficit: 0,
             queued: false,
-            requests: 0,
-            rows: 0,
-            contended_rows: 0,
-            rejected_quota: 0,
-            rejected_capacity: 0,
         });
+        self.series
+            .push(TenantSeries::register(&self.registry, name));
         self.by_name.insert(name.to_string(), idx);
         idx
     }
@@ -869,7 +911,7 @@ impl Queue {
                 }
                 tenant.deficit = tenant.deficit.saturating_sub(job_rows as u64);
                 if contended {
-                    tenant.contended_rows += job_rows as u64;
+                    self.series[idx].contended_rows.add(job_rows as u64);
                 }
                 tenant.pending_rows -= job_rows;
                 self.pending_rows -= job_rows;
@@ -978,9 +1020,9 @@ impl Shared {
     /// * the handle's thread, for a lone single-row job on an idle
     ///   engine (nothing queued, a worker parked): the job is held —
     ///   queued without waking the worker, since a wake would only add a
-    ///   context switch to a one-row batch — and the handle takes it back
-    ///   if it is still the only job queued when the front-end calls
-    ///   [`PendingPrediction::run_if_held`] or first polls it;
+    ///   context switch to a one-row batch — and the handle's first
+    ///   [`PendingPrediction::poll`] takes it back if it is still the
+    ///   only job queued;
     /// * a worker otherwise, or when any request arrives behind a held
     ///   job: jobs are micro-batched and scheduled deficit-weighted
     ///   round-robin across tenants.
@@ -1017,8 +1059,8 @@ impl Shared {
         // Accepted-work counters are bumped only once a request is
         // actually admitted (inline or enqueued): a rejected request must
         // show up in `rejected`, never in `requests`/`rows`. Per-tenant
-        // accounting happens under the queue lock, which also owns the
-        // tenant registry.
+        // series are reached under the queue lock, which also owns the
+        // tenant table.
         let total_rows = a_values.len() as u64;
         let accept = |hits: u64| {
             self.obs.requests.inc();
@@ -1027,16 +1069,15 @@ impl Shared {
                 self.obs.cache_hits.add(hits);
             }
         };
-        let accept_tenant = |q: &mut Queue, idx: usize| {
-            let t = &mut q.tenants[idx];
-            t.requests += 1;
-            t.rows += total_rows;
+        let accept_tenant = |q: &Queue, idx: usize| {
+            q.series[idx].requests.inc();
+            q.series[idx].rows.add(total_rows);
         };
         if a_values.is_empty() {
             accept(0);
             let mut q = lock(&self.queue);
             let idx = q.tenant_index(tenant, &self.config.tenants);
-            accept_tenant(&mut q, idx);
+            accept_tenant(&q, idx);
             drop(q);
             self.obs.latency.record(0);
             self.obs.record_engine_stages(&span);
@@ -1069,7 +1110,7 @@ impl Shared {
             accept(hits);
             let mut q = lock(&self.queue);
             let idx = q.tenant_index(tenant, &self.config.tenants);
-            accept_tenant(&mut q, idx);
+            accept_tenant(&q, idx);
             drop(q);
             return Ok(PendingPrediction::ready(
                 self.obs.answer(submitted, span, results),
@@ -1093,18 +1134,18 @@ impl Shared {
         // backpressure, never unbounded buffering).
         let quota = q.tenants[idx].class.quota_rows;
         if quota > 0 && q.tenants[idx].pending_rows + pending > quota {
-            q.tenants[idx].rejected_quota += 1;
+            q.series[idx].rejected_quota.inc();
             self.obs.rejected_quota.inc();
             return Err(QrossError::Overloaded { capacity: quota });
         }
         if q.pending_rows + pending > self.config.queue_capacity {
-            q.tenants[idx].rejected_capacity += 1;
+            q.series[idx].rejected_capacity.inc();
             self.obs.rejected_capacity.inc();
             return Err(QrossError::Overloaded {
                 capacity: self.config.queue_capacity,
             });
         }
-        accept_tenant(&mut q, idx);
+        accept_tenant(&q, idx);
         let hold = pending == 1 && q.is_idle() && q.parked > 0;
         let (tx, rx) = mpsc::channel();
         q.push(
@@ -1162,30 +1203,30 @@ impl Shared {
     /// for observability, not for accounting.
     fn metrics(&self) -> EngineMetrics {
         let uptime = self.started.elapsed().as_secs_f64().max(1e-9);
-        let requests = self.obs.requests.get();
-        let batches = self.obs.batches.get();
-        let batched_rows = self.obs.batched_rows.get();
-        let rows = self.obs.rows.get();
-        let cache_hits = self.obs.cache_hits.get();
-        let rejected_quota = self.obs.rejected_quota.get();
-        let rejected_capacity = self.obs.rejected_capacity.get();
+        let stats = self.obs.snapshot();
         let (queue_depth, tenants) = {
             let q = lock(&self.queue);
             let tenants = q
                 .tenants
                 .iter()
-                .filter(|t| t.requests > 0 || t.rejected() > 0 || t.class != TenantClass::default())
-                .map(|t| TenantMetrics {
-                    tenant: t.name.clone(),
-                    weight: t.class.weight,
-                    quota_rows: t.class.quota_rows,
-                    requests: t.requests,
-                    rows: t.rows,
-                    contended_rows: t.contended_rows,
-                    rejected: t.rejected(),
-                    rejected_quota: t.rejected_quota,
-                    rejected_capacity: t.rejected_capacity,
-                    pending_rows: t.pending_rows,
+                .zip(&q.series)
+                .filter(|(t, s)| {
+                    s.requests.get() + s.rejected_quota.get() + s.rejected_capacity.get() > 0
+                        || t.class != TenantClass::default()
+                })
+                .map(|(t, s)| {
+                    let (quota, capacity) = (s.rejected_quota.get(), s.rejected_capacity.get());
+                    TenantMetrics {
+                        tenant: t.name.clone(),
+                        weight: t.class.weight,
+                        quota_rows: t.class.quota_rows,
+                        requests: s.requests.get(),
+                        rows: s.rows.get(),
+                        rejected: quota + capacity,
+                        rejected_quota: quota,
+                        rejected_capacity: capacity,
+                        pending_rows: t.pending_rows,
+                    }
                 })
                 .collect();
             (q.pending_rows, tenants)
@@ -1197,26 +1238,25 @@ impl Shared {
         self.obs.queue_depth.set(queue_depth as i64);
         self.obs.generation.set(generation as i64);
         let latency = self.obs.latency.snapshot();
+        let ratio = |num: usize, den: usize| {
+            if den > 0 {
+                num as f64 / den as f64
+            } else {
+                0.0
+            }
+        };
         EngineMetrics {
             uptime_secs: uptime,
-            qps: requests as f64 / uptime,
+            qps: stats.requests as f64 / uptime,
             latency_p50_us: latency.quantile(0.50).map(|ns| ns / 1_000.0),
             latency_p99_us: latency.quantile(0.99).map(|ns| ns / 1_000.0),
-            batch_occupancy: if batches > 0 {
-                batched_rows as f64 / batches as f64
-            } else {
-                0.0
-            },
-            cache_hit_rate: if rows > 0 {
-                cache_hits as f64 / rows as f64
-            } else {
-                0.0
-            },
+            batch_occupancy: ratio(stats.batched_rows, stats.batches),
+            cache_hit_rate: ratio(stats.cache_hits, stats.rows),
             generation,
             queue_depth,
-            rejected: rejected_quota + rejected_capacity,
-            rejected_quota,
-            rejected_capacity,
+            rejected: stats.rejected as u64,
+            rejected_quota: stats.rejected_quota as u64,
+            rejected_capacity: stats.rejected_capacity as u64,
             tenants,
         }
     }
@@ -1593,10 +1633,11 @@ fn swap_surrogate(model: &ServeModel, surrogate: Surrogate) -> Result<ServeModel
     }
 }
 
-/// One tenant's row in [`EngineMetrics`]. Counters are cumulative since
-/// engine start; `pending_rows` is the instantaneous queued backlog the
-/// tenant's `quota_rows` bounds.
-#[derive(Debug, Clone, PartialEq)]
+/// One tenant's row in [`EngineMetrics`], read from the tenant's
+/// registry series. Counters are cumulative since engine start;
+/// `pending_rows` is the instantaneous queued backlog the tenant's
+/// `quota_rows` bounds. Field order is the frozen wire order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantMetrics {
     pub tenant: String,
     pub weight: u32,
@@ -1604,10 +1645,6 @@ pub struct TenantMetrics {
     pub quota_rows: usize,
     pub requests: u64,
     pub rows: u64,
-    /// rows dispatched while another tenant had queued jobs: the service
-    /// this tenant won against live demand, which the deficit-weighted
-    /// round-robin shares by weight
-    pub contended_rows: u64,
     /// total rejections (`rejected_quota + rejected_capacity`)
     pub rejected: u64,
     /// rejections because this tenant's own row quota was full
@@ -1617,11 +1654,12 @@ pub struct TenantMetrics {
     pub pending_rows: usize,
 }
 
-/// Point-in-time engine metrics ([`ServeEngine::metrics`], and the
-/// `metrics` protocol op). Latency quantiles come from a log₂-bucketed
-/// histogram, so they are exact to within a factor of √2; `None` until
-/// the first request completes.
-#[derive(Debug, Clone, PartialEq)]
+/// Point-in-time engine metrics ([`ServeEngine::metrics`]) — also the
+/// frozen schema of the `metrics` protocol op, which serializes this
+/// struct field for field on both wires. Latency quantiles come from a
+/// log₂-bucketed histogram, so they are exact to within a factor of √2;
+/// `None` until the first request completes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineMetrics {
     pub uptime_secs: f64,
     /// accepted requests per second, averaged over the uptime
@@ -1654,8 +1692,8 @@ pub struct PendingPrediction {
 
 #[derive(Debug)]
 enum Pending {
-    /// answered in hand; `None` once taken
-    Ready(Option<Answer>),
+    /// answered, the answer in hand
+    Ready(Answer),
     /// queued; a worker sends the answer unless `held` (a lone job queued
     /// without a wake, not yet polled) lets the first poll run it here
     Queued {
@@ -1691,7 +1729,7 @@ fn disconnected() -> Answer {
 impl PendingPrediction {
     fn ready(answer: Answer) -> Self {
         PendingPrediction {
-            state: Pending::Ready(Some(answer)),
+            state: Pending::Ready(answer),
         }
     }
 
@@ -1701,24 +1739,52 @@ impl PendingPrediction {
         }
     }
 
-    /// Runs the request on the calling thread now if the engine held it
-    /// (a lone single-row job on an idle engine) and it is still the only
-    /// job queued; later polls then find the answer in hand. Otherwise a
-    /// no-op. Front-ends call this once nothing more is staged behind the
-    /// request, so a request with more input behind it stays queued for a
-    /// worker batch; the first poll does it too.
-    pub fn run_if_held(&mut self) {
-        let Pending::Queued { held, .. } = &mut self.state else {
-            return;
+    /// Non-blocking: whether the answer is in hand, for
+    /// [`PendingPrediction::wait_spanned`] to take without blocking.
+    ///
+    /// The first call runs the request on the calling thread if the
+    /// engine held it (a lone single-row job on an idle engine) and it is
+    /// still the only job queued. Otherwise, and on later calls, it moves
+    /// an answer a worker delivered into the handle; a dead worker counts
+    /// as answered, with the error [`PendingPrediction::wait`] reports.
+    /// Front-ends call it once nothing more is staged behind the request,
+    /// so a request with more input behind it stays queued for a worker
+    /// batch, and again after their completion wake fires.
+    pub fn poll(&mut self) -> bool {
+        let Pending::Queued { rx, held } = &mut self.state else {
+            return true;
         };
-        if let Some(Held { shared, ticket }) = held.take() {
-            if let Some(answer) = shared.claim(ticket) {
-                self.state = Pending::Ready(Some(answer));
+        let claimed = held
+            .take()
+            .and_then(|Held { shared, ticket }| shared.claim(ticket));
+        let answer = claimed.or_else(|| match rx.try_recv() {
+            Ok(answer) => Some(answer),
+            Err(mpsc::TryRecvError::Empty) => None,
+            Err(mpsc::TryRecvError::Disconnected) => Some(disconnected()),
+        });
+        match answer {
+            Some(answer) => {
+                self.state = Pending::Ready(answer);
+                true
             }
+            None => false,
         }
     }
 
-    /// Blocks until the engine answers.
+    /// Takes the answer with the request's trace span, blocking only if
+    /// [`PendingPrediction::poll`] finds none in hand. The span is the
+    /// request's trace as the engine finished it (queue/batch/forward/
+    /// cache stages filled in); the wire layer adds its encode time and
+    /// offers it to the engine's [`obs::TraceLog`].
+    pub fn wait_spanned(mut self) -> (obs::Span, Result<Vec<SurrogatePrediction>, QrossError>) {
+        self.poll();
+        match self.state {
+            Pending::Ready(answer) => answer,
+            Pending::Queued { rx, .. } => rx.recv().unwrap_or_else(|_| disconnected()),
+        }
+    }
+
+    /// [`PendingPrediction::wait_spanned`] without the span.
     ///
     /// # Errors
     ///
@@ -1726,42 +1792,6 @@ impl PendingPrediction {
     /// [`QrossError::Serve`] if the worker holding it died.
     pub fn wait(self) -> Result<Vec<SurrogatePrediction>, QrossError> {
         self.wait_spanned().1
-    }
-
-    /// [`PendingPrediction::wait`] plus the request's trace span, for
-    /// blocking drivers that record encode time and feed the engine's
-    /// [`obs::TraceLog`].
-    pub fn wait_spanned(mut self) -> (obs::Span, Result<Vec<SurrogatePrediction>, QrossError>) {
-        self.run_if_held();
-        match self.state {
-            Pending::Ready(answer) => answer,
-            Pending::Queued { rx, .. } => rx.recv().ok(),
-        }
-        .unwrap_or_else(disconnected)
-    }
-
-    /// Non-blocking poll: `Some((span, result))` once the engine has
-    /// answered, `None` while the request is still in flight. Event-loop
-    /// drivers call this after their wake pipe fires instead of parking a
-    /// thread per request. The first poll of a held lone job runs it on
-    /// the polling thread (see [`PendingPrediction::run_if_held`]). A dead
-    /// worker reports as `Some((_, Err(Serve)))`, matching
-    /// [`PendingPrediction::wait`]. The span is the request's trace as the
-    /// engine finished it (queue/batch/forward/cache stages filled in);
-    /// the wire layer adds its encode time and offers it to the engine's
-    /// [`obs::TraceLog`].
-    pub fn try_wait(
-        &mut self,
-    ) -> Option<(obs::Span, Result<Vec<SurrogatePrediction>, QrossError>)> {
-        self.run_if_held();
-        match &mut self.state {
-            Pending::Ready(answer) => Some(answer.take().unwrap_or_else(disconnected)),
-            Pending::Queued { rx, .. } => match rx.try_recv() {
-                Ok(answer) => Some(answer),
-                Err(mpsc::TryRecvError::Empty) => None,
-                Err(mpsc::TryRecvError::Disconnected) => Some(disconnected()),
-            },
-        }
     }
 }
 
@@ -1927,6 +1957,7 @@ impl ServeEngine {
                 })
             }
         };
+        let obs = ServeObs::new();
         let shared = Arc::new(Shared {
             slot: Mutex::new(Arc::new(VersionedModel {
                 generation: 0,
@@ -1934,12 +1965,12 @@ impl ServeEngine {
             })),
             generation: AtomicU64::new(0),
             feature_dim,
-            queue: Mutex::new(Queue::new(&config.tenants)),
+            queue: Mutex::new(Queue::new(&config.tenants, Arc::clone(obs.registry()))),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
             config,
             started: Instant::now(),
             work_ready: Condvar::new(),
-            obs: ServeObs::new(),
+            obs,
             online: online_shared,
         });
         let trainer = shared.online.as_ref().map(|online| {
@@ -2040,9 +2071,9 @@ impl ServeEngine {
     /// wait on. This is the non-blocking entry point protocol front-ends
     /// use to keep many requests in flight — which is what gives workers
     /// batches to stack. A lone single-row request on an idle engine
-    /// (nothing queued, a worker parked) wakes no worker: its handle
-    /// computes it ([`PendingPrediction::run_if_held`], or the first
-    /// poll), unless a later submit woke a worker first.
+    /// (nothing queued, a worker parked) wakes no worker: its handle's
+    /// first [`PendingPrediction::poll`] computes it, unless a later
+    /// submit woke a worker first.
     ///
     /// `notify` is an optional completion hook, invoked after a worker
     /// makes the result receivable — event-loop front-ends use it to wake
@@ -2262,30 +2293,8 @@ mod tests {
 
     #[test]
     fn backpressure_rejects_when_queue_full() {
-        // No workers running: build the shared state directly so the
-        // queue can only fill.
-        let model = ServeModel::Surrogate(Arc::new(tiny_surrogate()));
-        let shared = Arc::new(Shared {
-            feature_dim: model.feature_dim(),
-            slot: Mutex::new(Arc::new(VersionedModel {
-                generation: 0,
-                model,
-            })),
-            generation: AtomicU64::new(0),
-            config: ServeConfig {
-                workers: 1,
-                max_batch_rows: 8,
-                queue_capacity: 3,
-                cache_capacity: 0,
-                tenants: TenantPolicy::default(),
-            },
-            queue: Mutex::new(Queue::new(&TenantPolicy::default())),
-            started: Instant::now(),
-            work_ready: Condvar::new(),
-            cache: Mutex::new(LruCache::new(0)),
-            obs: ServeObs::new(),
-            online: None,
-        });
+        // No workers running, so the queue can only fill.
+        let shared = workerless(TenantPolicy::default(), 3);
         let submit = |a_values: Vec<f64>| shared.submit_opts(None, vec![0.0, 0.0], a_values, None);
         assert!(submit(vec![1.0, 2.0]).is_ok());
         assert!(submit(vec![1.0]).is_ok());
@@ -2687,6 +2696,7 @@ mod tests {
     /// `drain_batch` by hand and observe scheduling order deterministically.
     fn workerless(tenants: TenantPolicy, queue_capacity: usize) -> Arc<Shared> {
         let model = ServeModel::Surrogate(Arc::new(tiny_surrogate()));
+        let obs = ServeObs::new();
         Arc::new(Shared {
             feature_dim: model.feature_dim(),
             slot: Mutex::new(Arc::new(VersionedModel {
@@ -2694,7 +2704,7 @@ mod tests {
                 model,
             })),
             generation: AtomicU64::new(0),
-            queue: Mutex::new(Queue::new(&tenants)),
+            queue: Mutex::new(Queue::new(&tenants, Arc::clone(obs.registry()))),
             config: ServeConfig {
                 workers: 1,
                 max_batch_rows: 8,
@@ -2705,7 +2715,7 @@ mod tests {
             started: Instant::now(),
             work_ready: Condvar::new(),
             cache: Mutex::new(LruCache::new(0)),
-            obs: ServeObs::new(),
+            obs,
             online: None,
         })
     }
@@ -3020,18 +3030,16 @@ mod tests {
         let mut pending = eng
             .submit_opts(Some("solo"), f.to_vec(), vec![a], Some(Arc::clone(&notify)))
             .expect("admitted");
-        let served = pending
-            .try_wait()
-            .expect("answered by the first poll")
-            .1
-            .expect("prediction");
+        assert!(pending.poll(), "answered by the first poll");
+        let served = pending.wait().expect("prediction");
         assert_eq!(served.len(), 1);
         assert_bits(&served[0], &direct);
         // A repeat is a full cache hit: answered at submit.
         let mut repeat = eng
             .submit_opts(Some("solo"), f.to_vec(), vec![a], Some(notify))
             .expect("admitted");
-        let cached = repeat.try_wait().expect("cache hit in hand").1.expect("ok");
+        assert!(repeat.poll(), "cache hit in hand");
+        let cached = repeat.wait().expect("ok");
         assert_bits(&cached[0], &direct);
         assert_eq!(
             fired.load(Ordering::SeqCst),
@@ -3045,7 +3053,7 @@ mod tests {
             let mut pending = queued
                 .submit_opts(Some("solo"), f.to_vec(), vec![a], None)
                 .expect("admitted");
-            assert!(pending.try_wait().is_none(), "workerless engine answered");
+            assert!(!pending.poll(), "workerless engine answered");
             run_queued_by_hand(&queued);
             assert_bits(&pending.wait().expect("answered")[0], &direct);
         }
@@ -3083,9 +3091,9 @@ mod tests {
                     .expect("admitted")
             })
             .collect();
-        // Neither is held any more, so the front-end's nudge runs nothing.
+        // Neither is held any more, so the front-end's poll runs nothing.
         for pending in &mut pending {
-            pending.run_if_held();
+            pending.poll();
         }
         for (pending, (f, a)) in pending.into_iter().zip(&queries) {
             assert_bits(&pending.wait().expect("answered")[0], &sur.predict(f, *a));
@@ -3128,19 +3136,39 @@ mod tests {
         let mut pending = shared
             .submit_opts(None, f.to_vec(), vec![a], Some(Arc::clone(&notify)))
             .expect("admitted");
-        assert!(pending.try_wait().is_none());
+        assert!(!pending.poll());
         assert_eq!(fired.load(Ordering::SeqCst), 0);
         assert_eq!(shared.metrics().queue_depth, 1);
         run_queued_by_hand(&shared);
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        let served = pending.try_wait().expect("answered").1.expect("ok");
-        assert_bits(&served[0], &sur.predict(&f, a));
+        assert!(pending.poll(), "answered");
+        assert_bits(&pending.wait().expect("ok")[0], &sur.predict(&f, a));
         // Answers already in hand never need a worker or a wake.
         let mut empty = shared
             .submit_opts(None, f.to_vec(), Vec::new(), Some(notify))
             .expect("admitted");
-        assert!(empty.try_wait().expect("in hand").1.expect("ok").is_empty());
+        assert!(empty.poll(), "in hand");
+        assert!(empty.wait().expect("ok").is_empty());
         assert_eq!(fired.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn polling_an_answered_handle_twice_keeps_its_answer() {
+        let sur = tiny_surrogate();
+        let (f, a) = ([0.6, -0.4], 1.75);
+        let eng = engine(ServeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        eng.predict(&f, a).expect("warms the cache");
+        let mut hit = eng
+            .submit_opts(None, f.to_vec(), vec![a], None)
+            .expect("admitted");
+        assert!(hit.poll(), "a cache hit is answered at submit");
+        assert!(hit.poll(), "a second poll lost the answer");
+        let (_, served) = hit.wait_spanned();
+        let served = served.expect("the cached answer, not a dead worker");
+        assert_bits(&served[0], &sur.predict(&f, a));
     }
 
     #[test]

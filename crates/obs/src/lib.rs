@@ -76,9 +76,30 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// Formats `base{label="value"}` — the canonical labeled-metric name
+/// Formats `base{label="value",…}` — the canonical labeled-metric name
 /// accepted by [`Registry`] registration and understood by the
-/// exposition renderer.
-pub fn labeled(base: &str, label: &str, value: &str) -> String {
-    format!("{base}{{{label}=\"{value}\"}}")
+/// exposition renderer. Values are escaped as text format 0.0.4
+/// requires (`\` → `\\`, `"` → `\"`, newline → `\n`), so a value that
+/// comes off the wire, such as a tenant name, stays inside its own
+/// sample line.
+pub fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
+    let mut name = format!("{base}{{");
+    for (k, (label, value)) in labels.iter().enumerate() {
+        if k > 0 {
+            name.push(',');
+        }
+        name.push_str(label);
+        name.push_str("=\"");
+        for c in value.chars() {
+            match c {
+                '\\' => name.push_str("\\\\"),
+                '"' => name.push_str("\\\""),
+                '\n' => name.push_str("\\n"),
+                c => name.push(c),
+            }
+        }
+        name.push('"');
+    }
+    name.push('}');
+    name
 }

@@ -12,7 +12,8 @@ use std::fmt::Write as _;
 use crate::registry::{HistSnapshot, MetricView, Registry, HIST_BUCKETS};
 
 /// Splits `base{labels}` into `(base, labels)`; labels is empty for a
-/// plain name.
+/// plain name. A base name holds no `{`, so the first one opens the
+/// label set whatever the escaped label values contain.
 fn split_name(name: &str) -> (&str, &str) {
     match name.split_once('{') {
         Some((base, rest)) => (base, rest.strip_suffix('}').unwrap_or(rest)),
@@ -132,9 +133,9 @@ mod tests {
     #[test]
     fn labeled_variants_share_one_header() {
         let reg = Registry::new();
-        reg.counter(crate::labeled("s_total", "solver", "sa"), "per-solver")
+        reg.counter(crate::labeled("s_total", &[("solver", "sa")]), "per-solver")
             .add(1);
-        reg.counter(crate::labeled("s_total", "solver", "da"), "per-solver")
+        reg.counter(crate::labeled("s_total", &[("solver", "da")]), "per-solver")
             .add(2);
         let text = render(&[&reg]);
         assert_eq!(text.matches("# TYPE s_total counter").count(), 1);
@@ -147,7 +148,7 @@ mod tests {
     #[test]
     fn histogram_labels_merge_with_le() {
         let reg = Registry::new();
-        let h = reg.histogram(crate::labeled("st_ns", "stage", "decode"), "per-stage");
+        let h = reg.histogram(crate::labeled("st_ns", &[("stage", "decode")]), "per-stage");
         h.record(2);
         let text = render(&[&reg]);
         if ENABLED {

@@ -41,15 +41,15 @@ fn table() -> &'static HashMap<&'static str, SweepObs> {
             .map(|&name| {
                 let handles = SweepObs {
                     sample_ns: obs::global().histogram(
-                        obs::labeled("qross_solver_sample_ns", "solver", name),
+                        obs::labeled("qross_solver_sample_ns", &[("solver", name)]),
                         "wall-clock duration of one solver sample() call",
                     ),
                     sweeps: obs::global().counter(
-                        obs::labeled("qross_solver_sweeps_total", "solver", name),
+                        obs::labeled("qross_solver_sweeps_total", &[("solver", name)]),
                         "solver sweeps executed (one pass of candidate flips)",
                     ),
                     energy_evals: obs::global().counter(
-                        obs::labeled("qross_solver_energy_evals_total", "solver", name),
+                        obs::labeled("qross_solver_energy_evals_total", &[("solver", name)]),
                         "candidate-move energy deltas evaluated",
                     ),
                 };

@@ -126,6 +126,17 @@ impl Drop for LoopHarness {
     }
 }
 
+/// A tenant's registry series, read from the engine's exposition.
+fn tenant_series(engine: &ServeEngine, base: &str, tenant: &str) -> u64 {
+    let series = obs::labeled(base, &[("tenant", tenant)]);
+    obs::prom::render(&[engine.obs().registry()])
+        .lines()
+        .find_map(|line| line.strip_prefix(series.as_str())?.strip_prefix(' '))
+        .expect("the tenant's series is registered")
+        .parse()
+        .expect("counter value")
+}
+
 /// Writes `requests`, half-closes, and reads the whole response stream.
 fn replay_over_tcp(mut stream: TcpStream, requests: &[u8]) -> Vec<u8> {
     stream.write_all(requests).expect("send requests");
@@ -310,7 +321,8 @@ fn flooding_tenant_cannot_starve_a_polite_tenant() {
         // queue, and no other. A client-side window cannot bracket that:
         // flood rows are admitted a whole pipelining window at a time, and
         // a descheduled client sees the polite session end late.
-        let contested_flood_rows = flood_metrics().map_or(0, |t| t.contended_rows);
+        let contested_flood_rows =
+            tenant_series(&engine, "qross_serve_tenant_contended_rows_total", "flood");
         // Equal weights mean the polite tenant's fair share of the
         // contested window is half the rows; the acceptance floor is a
         // quarter of that share, i.e. the flooder may win at most 7x

@@ -537,3 +537,95 @@ fn tenant_rejections_split_into_quota_and_capacity_counters() {
         0.0
     );
 }
+
+/// The scrape and the `metrics` op are two views of one set of counters:
+/// each tenant's `qross_serve_tenant_*` series equals its row in the
+/// NDJSON `metrics` line and in the decoded QBIN `0x84` frame.
+#[test]
+fn tenant_series_match_the_metrics_op_on_both_wires() {
+    let engine = ServeEngine::new(
+        test_model(),
+        ServeConfig {
+            tenants: TenantPolicy {
+                classes: vec![(
+                    "capped".to_string(),
+                    TenantClass {
+                        weight: 2,
+                        quota_rows: 1,
+                    },
+                )],
+                ..Default::default()
+            },
+            ..ServeConfig::default()
+        },
+    );
+    let mut requests: String = (0..3u64)
+        .map(|id| predict_line(id, id as usize, Some("team-a")))
+        .collect();
+    requests.push_str(&predict_line(3, 3, Some("capped")));
+    // A 3-row grid can never fit a 1-row quota: one quota rejection.
+    let features: Vec<String> = (0..FEAT_DIM).map(|c| format!("{c}.5")).collect();
+    requests.push_str(&format!(
+        "{{\"id\": 4, \"op\": \"predict\", \"tenant\": \"capped\", \
+         \"features\": [{}], \"a_values\": [0.5, 1.0, 2.0]}}\n",
+        features.join(", ")
+    ));
+    requests.push_str("{\"id\": 9, \"op\": \"metrics\"}\n");
+    let mut out = Vec::new();
+    bench::protocol::serve_connection(&engine, requests.as_bytes(), &mut out)
+        .expect("ndjson replay");
+    let text = std::str::from_utf8(&out).expect("utf-8");
+    let ndjson: MetricsResponse =
+        serde_json::from_str(text.lines().last().expect("metrics line")).expect("metrics schema");
+
+    let mut frame = Vec::new();
+    bin::encode_metrics_request(&mut frame, Some(9));
+    let mut out = Vec::new();
+    bench::protocol::serve_connection(&engine, frame.as_slice(), &mut out).expect("qbin replay");
+    let mut codec = bin::FrameCodec::new();
+    codec.feed(&out);
+    let frame = codec.next_frame().expect("one frame").expect("clean frame");
+    let qbin = bin::decode_metrics_response(&frame).expect("metrics frame");
+
+    let samples = parse_exposition(&obs::prom::render(&[engine.obs().registry()]));
+    let series = |base: &str, labels: &[(&str, &str)]| -> u64 {
+        let name = obs::labeled(base, labels);
+        samples[&name] as u64
+    };
+    let names: Vec<&str> = ndjson
+        .metrics
+        .tenants
+        .iter()
+        .map(|t| t.tenant.as_str())
+        .collect();
+    assert_eq!(names, ["capped", "team-a"], "rows in registration order");
+    assert_eq!(qbin.metrics.tenants, ndjson.metrics.tenants);
+    for row in &ndjson.metrics.tenants {
+        let tenant = [("tenant", row.tenant.as_str())];
+        let rejected = |reason| {
+            series(
+                "qross_serve_tenant_rejected_total",
+                &[("tenant", row.tenant.as_str()), ("reason", reason)],
+            )
+        };
+        assert_eq!(
+            series("qross_serve_tenant_requests_total", &tenant),
+            row.requests
+        );
+        assert_eq!(series("qross_serve_tenant_rows_total", &tenant), row.rows);
+        assert_eq!(rejected("quota"), row.rejected_quota);
+        assert_eq!(rejected("capacity"), row.rejected_capacity);
+        assert_eq!(row.rejected, row.rejected_quota + row.rejected_capacity);
+        assert!(samples.contains_key(&obs::labeled(
+            "qross_serve_tenant_contended_rows_total",
+            &tenant
+        )));
+    }
+    let capped = &ndjson.metrics.tenants[0];
+    assert_eq!(
+        (capped.requests, capped.rows, capped.rejected_quota),
+        (1, 1, 1)
+    );
+    let team_a = &ndjson.metrics.tenants[1];
+    assert_eq!((team_a.requests, team_a.rows, team_a.rejected), (3, 3, 0));
+}

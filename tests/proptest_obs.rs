@@ -4,9 +4,34 @@
 //! quantile(q2)`), bounded by the recorded extremes' bucket spans, and
 //! stable under recording order and shard interleaving — arbitrary
 //! value mixes, including the degenerate single-value and
-//! all-identical cases.
+//! all-identical cases. Label values, which may come off the wire,
+//! render escaped: one sample line per series, whatever they contain.
 
 use proptest::prelude::*;
+
+/// Label-value characters: the three the exposition format escapes, the
+/// label-set delimiters, the sample separator, plain and non-ASCII text.
+const LABEL_CHARS: [char; 12] = ['\\', '"', '\n', '{', '}', ',', '=', ' ', 'a', 'Z', '7', 'é'];
+
+/// Reads one `base{tenant="…"} value` sample line back into its
+/// unescaped label value and its value.
+fn parse_sample(line: &str, base: &str) -> Option<(String, u64)> {
+    let mut rest = line.strip_prefix(base)?.strip_prefix("{tenant=\"")?.chars();
+    let mut value = String::new();
+    loop {
+        match rest.next()? {
+            '"' => break,
+            '\\' => match rest.next()? {
+                'n' => value.push('\n'),
+                c @ ('\\' | '"') => value.push(c),
+                _ => return None,
+            },
+            c => value.push(c),
+        }
+    }
+    let sample = rest.as_str().strip_prefix("} ")?.parse().ok()?;
+    Some((value, sample))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -89,5 +114,39 @@ proptest! {
         prop_assert_eq!(a.count, b.count);
         prop_assert_eq!(a.sum, b.sum);
         prop_assert_eq!(a.buckets, b.buckets);
+    }
+
+    /// Any label value renders as exactly one sample line per series,
+    /// whose label unescapes back to the value and whose sample parses
+    /// back to what was counted.
+    #[test]
+    fn any_label_value_renders_one_parseable_sample_line(
+        series in proptest::collection::vec(
+            (proptest::collection::vec(0usize..LABEL_CHARS.len(), 0..12), 0u64..1_000_000),
+            1..8,
+        ),
+    ) {
+        let reg = obs::Registry::new();
+        let mut want = std::collections::BTreeMap::new();
+        for (chars, n) in &series {
+            let value: String = chars.iter().map(|&k| LABEL_CHARS[k]).collect();
+            reg.counter(obs::labeled("prop_total", &[("tenant", &value)]), "per-tenant")
+                .add(*n);
+            *want.entry(value).or_insert(0) += if obs::ENABLED { *n } else { 0 };
+        }
+        let text = obs::prom::render(&[&reg]);
+        let samples: Vec<&str> = text
+            .split('\n')
+            .filter(|line| !line.is_empty() && !line.starts_with('#'))
+            .collect();
+        prop_assert_eq!(samples.len(), want.len(), "exposition:\n{}", text);
+        let mut got = std::collections::BTreeMap::new();
+        for line in samples {
+            let parsed = parse_sample(line, "prop_total");
+            prop_assert!(parsed.is_some(), "unparseable sample line: {:?}", line);
+            let (value, n) = parsed.expect("checked");
+            got.insert(value, n);
+        }
+        prop_assert_eq!(got, want);
     }
 }
