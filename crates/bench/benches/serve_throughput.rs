@@ -1,4 +1,4 @@
-//! Criterion bench for the serving path: batched `predict_many` (one
+//! Criterion bench for the serving path: batched `predict_many_with` (one
 //! matrix forward per head, the serving engine's micro-batch primitive)
 //! vs the same queries issued as per-request `predict` calls, at batch
 //! sizes 1 / 16 / 64 / 256 — demonstrating that stacking concurrent
@@ -18,7 +18,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use neural::network::MlpBuilder;
 use qross::dataset::Scalers;
 use qross::serve::{ServeConfig, ServeEngine, ServeModel};
-use qross::surrogate::{Surrogate, SurrogateState};
+use qross::surrogate::{PredictScratch, Surrogate, SurrogateState};
 
 /// Paper-architecture surrogate (24 features + ln A, 64-wide heads),
 /// seed-built — no training needed to measure inference throughput.
@@ -74,7 +74,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     // Determinism gate: batched must equal per-row bit for bit.
     {
         let refs: Vec<(&[f64], f64)> = queries.iter().map(|(f, a)| (f.as_slice(), *a)).collect();
-        let batched = surrogate.predict_many(&refs);
+        let batched = surrogate.predict_many_with(&mut PredictScratch::new(), &refs);
         for (k, &(f, a)) in refs.iter().enumerate() {
             let single = surrogate.predict(f, a);
             assert_eq!(
@@ -103,7 +103,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
         group.bench_function(&format!("batched_{batch}"), |b| {
             b.iter(|| {
                 surrogate
-                    .predict_many(&refs)
+                    .predict_many_with(&mut PredictScratch::new(), &refs)
                     .iter()
                     .map(|p| p.pf)
                     .sum::<f64>()

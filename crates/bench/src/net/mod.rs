@@ -19,10 +19,10 @@
 //!   an idle engine is run on the loop thread as soon as nothing more is
 //!   buffered behind it, so both go out in the same pass;
 //! * backpressure end to end: a connection stops being read the moment
-//!   its staged-response window or write buffer fills, accepts pause at
-//!   the connection cap (the `pipeline_depth`, `write_buf_bytes` and
-//!   `max_conns` fields of [`EventLoopConfig`]), and persistent `accept`
-//!   failures back off exponentially instead of spinning hot;
+//!   its staged-response window ([`PIPELINE_DEPTH`] responses) or its
+//!   write buffer (256 KiB) fills, accepts pause at the connection cap
+//!   (the `max_conns` field of [`EventLoopConfig`]), and persistent
+//!   `accept` failures back off exponentially instead of spinning hot;
 //! * observability: the loop registers its own counters on the engine's
 //!   metrics registry — readiness events dispatched, backpressure read
 //!   pauses, accepts and accept backoffs — all no-ops under `obs-off`;
@@ -57,6 +57,10 @@ const TOKEN_CONN_BASE: u64 = 2;
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
 /// Ceiling for the accept retry delay.
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+
+/// Buffered unwritten response bytes per connection before its reads
+/// pause.
+const WRITE_BUF_BYTES: usize = 256 * 1024;
 
 /// Bounded exponential backoff for `accept` failures. A persistent
 /// error (EMFILE being the classic) used to spin the accept loop at
@@ -96,12 +100,6 @@ pub struct EventLoopConfig {
     /// accept cap: connections beyond this wait in the kernel backlog
     /// (0 = default 1024)
     pub max_conns: usize,
-    /// staged-but-unwritten responses per connection before its reads
-    /// pause (0 = [`PIPELINE_DEPTH`])
-    pub pipeline_depth: usize,
-    /// buffered unwritten response bytes per connection before its
-    /// reads pause (0 = 256 KiB)
-    pub write_buf_bytes: usize,
     /// cooperative shutdown: set the flag and the loop stops accepting,
     /// drains every in-flight response, closes every connection, and
     /// returns
@@ -114,22 +112,6 @@ impl EventLoopConfig {
             1024
         } else {
             self.max_conns
-        }
-    }
-
-    fn pipeline_depth(&self) -> usize {
-        if self.pipeline_depth == 0 {
-            PIPELINE_DEPTH
-        } else {
-            self.pipeline_depth
-        }
-    }
-
-    fn write_buf_bytes(&self) -> usize {
-        if self.write_buf_bytes == 0 {
-            256 * 1024
-        } else {
-            self.write_buf_bytes
         }
     }
 }
@@ -260,14 +242,13 @@ impl Conn {
 
     /// Whether reads are paused by backpressure: the client must drain
     /// responses before we accept more of its requests.
-    fn read_paused(&self, cfg: &EventLoopConfig) -> bool {
-        self.session.in_flight() >= cfg.pipeline_depth()
-            || self.unflushed() >= cfg.write_buf_bytes()
+    fn read_paused(&self) -> bool {
+        self.session.in_flight() >= PIPELINE_DEPTH || self.unflushed() >= WRITE_BUF_BYTES
     }
 
-    fn desired_interest(&self, cfg: &EventLoopConfig) -> Interest {
+    fn desired_interest(&self) -> Interest {
         Interest {
-            readable: !self.session.input_closed() && !self.read_paused(cfg),
+            readable: !self.session.input_closed() && !self.read_paused(),
             writable: self.unflushed() > 0,
         }
     }
@@ -521,7 +502,7 @@ impl EventLoop<'_> {
                 self.live -= 1;
             }
             Fate::Keep => {
-                let want = conn.desired_interest(&self.config);
+                let want = conn.desired_interest();
                 if want != conn.registered {
                     if conn.registered.readable && !want.readable && !conn.session.input_closed() {
                         // Pause *transition* (not per poll turn): the
@@ -557,7 +538,7 @@ impl EventLoop<'_> {
         let mut buf = [0u8; 16 * 1024];
         // Read while the socket has bytes and backpressure allows —
         // bounded: each staged request fills the pipelining window.
-        while !conn.session.input_closed() && !conn.read_paused(&self.config) {
+        while !conn.session.input_closed() && !conn.read_paused() {
             match conn.stream.read(&mut buf) {
                 Ok(0) => conn.session.close_input(),
                 Ok(n) => {
@@ -620,9 +601,9 @@ impl EventLoop<'_> {
     /// Stages decoded items (either wire format) while the pipelining
     /// window and the write buffer have room; see [`Session::stage`].
     fn stage_ready(&self, conn: &mut Conn) {
-        if !conn.read_paused(&self.config) {
-            let window = self.config.pipeline_depth();
-            conn.session.stage(self.engine, Some(&conn.notify), window);
+        if !conn.read_paused() {
+            conn.session
+                .stage(self.engine, Some(&conn.notify), PIPELINE_DEPTH);
         }
     }
 }

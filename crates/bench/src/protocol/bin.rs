@@ -35,11 +35,15 @@
 //!
 //! # Payload grammars
 //!
-//! Shared primitives (all little-endian): `opt_u64` is a presence byte
-//! (`0`/`1`) followed by a `u64` when present; `str` is a `u32` byte
-//! count followed by UTF-8 bytes; `f64s` is a `u32` element count
-//! followed by raw `f64` bit patterns, decoded as a **borrowed**
-//! [`F64View`] over the frame payload — no per-request `Vec<f64>`.
+//! The fixed-width fields (`u8`, `u32`, `u64`, `f64`, `opt_f64`) are read
+//! and written by `qross_store::codec`'s [`ByteReader`] and [`ByteWriter`],
+//! the `.qross` container's own primitives, and their errors keep their
+//! QBIN texts. QBIN's grammar sits on top of them (all little-endian):
+//! `opt_u64` is a presence byte (`0`/`1`) followed by a `u64` when
+//! present; `str` is a `u32` byte count followed by UTF-8 bytes; `f64s`
+//! is a `u32` element count followed by raw `f64` bit patterns, decoded
+//! as a **borrowed** [`F64View`] over the frame payload — no per-request
+//! `Vec<f64>`.
 //!
 //! Request ops:
 //!
@@ -81,7 +85,8 @@
 //! unknown NDJSON op.
 
 use problems::InstanceData;
-use qross_store::codec::crc32;
+use qross_store::codec::{crc32, ByteReader, ByteWriter};
+use qross_store::StoreError;
 
 /// The 4-byte frame magic — also the token the per-connection sniffer
 /// matches to pick QBIN over NDJSON on a shared port.
@@ -272,79 +277,45 @@ impl<'a> F64View<'a> {
     }
 }
 
-/// Bounds-checked cursor over one frame payload, yielding **borrowed**
-/// slices — the wire-side sibling of `qross_store`'s `ByteReader`, with
-/// `u32` length prefixes (a frame payload is capped at
-/// [`MAX_FRAME_BYTES`], so 32 bits always suffice).
-struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Every read error the shared codec raises maps onto its QBIN twin with
+/// the same text: a short payload stays [`BinError::Truncated`], a bad
+/// tag or trailing bytes become [`BinError::Malformed`].
+impl From<StoreError> for BinError {
+    fn from(e: StoreError) -> Self {
+        match e {
+            StoreError::Truncated { needed, available } => {
+                BinError::Truncated { needed, available }
+            }
+            StoreError::Corrupt { message } => BinError::Malformed { message },
+            // `ByteReader` raises only the two above.
+            other => BinError::Malformed {
+                message: other.to_string(),
+            },
+        }
+    }
 }
 
-impl<'a> PayloadReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        PayloadReader { buf, pos: 0 }
-    }
+/// QBIN's payload grammar over the shared bounds-checked reads of
+/// `qross_store`'s [`ByteReader`]: `u32` counts (a frame payload is
+/// capped at [`MAX_FRAME_BYTES`], so 32 bits always suffice), strings and
+/// `f64` runs **borrowed** from the payload, presence-tagged `u64`s and
+/// bools, and `u64`s range-checked into narrower fields.
+trait WireRead<'a> {
+    fn get_opt_u64(&mut self) -> Result<Option<u64>, BinError>;
+    fn get_opt_bool(&mut self) -> Result<Option<bool>, BinError>;
+    fn get_narrow<T: TryFrom<u64>>(&mut self, field: &str) -> Result<T, BinError>;
+    fn get_counted(&mut self, elem_size: usize) -> Result<&'a [u8], BinError>;
+    fn get_str32(&mut self) -> Result<&'a str, BinError>;
+    fn get_f64s(&mut self) -> Result<F64View<'a>, BinError>;
+    fn get_u64s(&mut self) -> Result<Vec<u64>, BinError>;
+    fn get_edges(&mut self) -> Result<Vec<(u32, u32, f64)>, BinError>;
+}
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], BinError> {
-        if self.remaining() < n {
-            return Err(BinError::Truncated {
-                needed: n,
-                available: self.remaining(),
-            });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn get_u8(&mut self) -> Result<u8, BinError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn get_u32(&mut self) -> Result<u32, BinError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn get_u64(&mut self) -> Result<u64, BinError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn get_f64(&mut self) -> Result<f64, BinError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// A `u64` on the wire that must fit the narrower `field` it decodes
-    /// into.
-    fn get_narrow<T: TryFrom<u64>>(&mut self, field: &str) -> Result<T, BinError> {
-        let v = self.get_u64()?;
-        T::try_from(v).map_err(|_| BinError::Malformed {
-            message: format!("{field} {v} out of range"),
-        })
-    }
-
+impl<'a> WireRead<'a> for ByteReader<'a> {
     fn get_opt_u64(&mut self) -> Result<Option<u64>, BinError> {
         match self.get_u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.get_u64()?)),
-            other => Err(BinError::Malformed {
-                message: format!("invalid Option tag {other:#04x}"),
-            }),
-        }
-    }
-
-    fn get_opt_f64(&mut self) -> Result<Option<f64>, BinError> {
-        match self.get_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.get_f64()?)),
             other => Err(BinError::Malformed {
                 message: format!("invalid Option tag {other:#04x}"),
             }),
@@ -362,6 +333,15 @@ impl<'a> PayloadReader<'a> {
         }
     }
 
+    /// A `u64` on the wire that must fit the narrower `field` it decodes
+    /// into.
+    fn get_narrow<T: TryFrom<u64>>(&mut self, field: &str) -> Result<T, BinError> {
+        let v = self.get_u64()?;
+        T::try_from(v).map_err(|_| BinError::Malformed {
+            message: format!("{field} {v} out of range"),
+        })
+    }
+
     /// A `u32`-count-prefixed element run, validated against the
     /// remaining payload *before* anything is read or allocated.
     fn get_counted(&mut self, elem_size: usize) -> Result<&'a [u8], BinError> {
@@ -371,10 +351,10 @@ impl<'a> PayloadReader<'a> {
             .ok_or_else(|| BinError::Malformed {
                 message: format!("element count {n} overflows"),
             })?;
-        self.take(bytes)
+        Ok(self.take(bytes)?)
     }
 
-    fn get_str(&mut self) -> Result<&'a str, BinError> {
+    fn get_str32(&mut self) -> Result<&'a str, BinError> {
         let bytes = self.get_counted(1)?;
         std::str::from_utf8(bytes).map_err(|e| BinError::Malformed {
             message: format!("invalid UTF-8 string: {e}"),
@@ -389,93 +369,64 @@ impl<'a> PayloadReader<'a> {
     /// `instance` payload's `dims` are a handful of entries, not a hot
     /// path). Validated against the remaining payload before allocating.
     fn get_u64s(&mut self) -> Result<Vec<u64>, BinError> {
-        let bytes = self.get_counted(8)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|chunk| {
-                let mut raw = [0u8; 8];
-                raw.copy_from_slice(chunk);
-                u64::from_le_bytes(raw)
-            })
-            .collect())
+        let mut run = ByteReader::new(self.get_counted(8)?);
+        let mut out = Vec::with_capacity(run.remaining() / 8);
+        while run.remaining() > 0 {
+            out.push(run.get_u64()?);
+        }
+        Ok(out)
     }
 
     /// A `u32`-count-prefixed run of `(u32, u32, f64)` edges, validated
     /// against the remaining payload (16 bytes each) before allocating.
     fn get_edges(&mut self) -> Result<Vec<(u32, u32, f64)>, BinError> {
-        let bytes = self.get_counted(16)?;
-        Ok(bytes
-            .chunks_exact(16)
-            .map(|chunk| {
-                let u = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-                let v = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-                let mut raw = [0u8; 8];
-                raw.copy_from_slice(&chunk[8..16]);
-                (u, v, f64::from_bits(u64::from_le_bytes(raw)))
-            })
-            .collect())
-    }
-
-    /// Rejects trailing bytes — same discipline as the store decoders.
-    fn finish(&self) -> Result<(), BinError> {
-        if self.remaining() != 0 {
-            return Err(BinError::Malformed {
-                message: format!("{} trailing bytes after payload", self.remaining()),
-            });
+        let mut run = ByteReader::new(self.get_counted(16)?);
+        let mut out = Vec::with_capacity(run.remaining() / 16);
+        while run.remaining() > 0 {
+            out.push((run.get_u32()?, run.get_u32()?, run.get_f64()?));
         }
-        Ok(())
+        Ok(out)
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// The write side of the grammar [`WireRead`] reads, over
+/// [`ByteWriter`]'s fixed-width writes.
+trait WireWrite {
+    fn put_opt_u64(&mut self, v: Option<u64>);
+    fn put_opt_bool(&mut self, v: Option<bool>);
+    fn put_str32(&mut self, s: &str);
+    fn put_f64s(&mut self, xs: &[f64]);
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v);
+impl WireWrite for ByteWriter {
+    fn put_opt_u64(&mut self, v: Option<u64>) {
+        match v {
+            None => self.put_u8(0),
+            Some(v) => {
+                self.put_u8(1);
+                self.put_u64(v);
+            }
         }
     }
-}
 
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_f64(out, v);
-        }
+    fn put_opt_bool(&mut self, v: Option<bool>) {
+        self.put_u8(match v {
+            None => 0,
+            Some(false) => 1,
+            Some(true) => 2,
+        });
     }
-}
 
-fn put_opt_bool(out: &mut Vec<u8>, v: Option<bool>) {
-    out.push(match v {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    });
-}
+    fn put_str32(&mut self, s: &str) {
+        self.put_u32(s.len() as u32);
+        self.put_bytes(s.as_bytes());
+    }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
-    put_u32(out, xs.len() as u32);
-    for &x in xs {
-        put_f64(out, x);
+    fn put_f64s(&mut self, xs: &[f64]) {
+        self.put_u32(xs.len() as u32);
+        for &x in xs {
+            self.put_f64(x);
+        }
     }
 }
 
@@ -486,15 +437,18 @@ fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
 /// Appends one complete frame to `out`: header, the payload `build`
 /// writes, patched length, trailing CRC. Encoding goes **directly into
 /// the caller's buffer** (the per-connection write buffer on the serve
-/// path) — no intermediate allocation.
-pub fn write_frame(out: &mut Vec<u8>, op: u8, build: impl FnOnce(&mut Vec<u8>)) {
+/// path): the [`ByteWriter`] `build` gets takes that buffer over and
+/// hands it back, so there is no intermediate allocation or copy.
+pub fn write_frame(out: &mut Vec<u8>, op: u8, build: impl FnOnce(&mut ByteWriter)) {
     let start = out.len();
     out.extend_from_slice(&QBIN_MAGIC);
     out.push(QBIN_VERSION);
     out.push(op);
     out.extend_from_slice(&[0u8; 4]); // length, patched below
     let payload_start = out.len();
-    build(out);
+    let mut payload = ByteWriter::from(std::mem::take(out));
+    build(&mut payload);
+    *out = payload.into_bytes();
     let len = (out.len() - payload_start) as u32;
     out[start + 6..start + 10].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&out[start + 4..]);
@@ -763,11 +717,11 @@ pub enum BinRequest<'a> {
 /// [`BinError::Truncated`] / [`BinError::Malformed`] for payloads that
 /// do not match their op's grammar.
 pub fn decode_request<'a>(frame: &Frame<'a>) -> Result<BinRequest<'a>, BinError> {
-    let mut r = PayloadReader::new(frame.payload);
+    let mut r = ByteReader::new(frame.payload);
     let request = match frame.op {
         OP_PREDICT => {
             let id = r.get_opt_u64()?;
-            let tenant = r.get_str()?;
+            let tenant = r.get_str32()?;
             let a_values = r.get_f64s()?;
             let features = r.get_f64s()?;
             BinRequest::Predict {
@@ -787,7 +741,7 @@ pub fn decode_request<'a>(frame: &Frame<'a>) -> Result<BinRequest<'a>, BinError>
             let e_avg = r.get_f64()?;
             let e_std = r.get_f64()?;
             let seed = r.get_u64()?;
-            let tag = r.get_str()?;
+            let tag = r.get_str32()?;
             let features = r.get_f64s()?;
             BinRequest::Feedback {
                 id,
@@ -808,9 +762,9 @@ pub fn decode_request<'a>(frame: &Frame<'a>) -> Result<BinRequest<'a>, BinError>
         },
         OP_INSTANCE => {
             let id = r.get_opt_u64()?;
-            let tenant = r.get_str()?;
-            let family = r.get_str()?;
-            let name = r.get_str()?.to_string();
+            let tenant = r.get_str32()?;
+            let family = r.get_str32()?;
+            let name = r.get_str32()?.to_string();
             let dims = r.get_u64s()?;
             let scalars = r.get_f64s()?.to_vec();
             let vec_count = r.get_u32()? as usize;
@@ -853,16 +807,16 @@ pub fn encode_predict(
     features: &[f64],
 ) {
     write_frame(out, OP_PREDICT, |p| {
-        put_opt_u64(p, id);
-        put_str(p, tenant);
-        put_f64s(p, a_values);
-        put_f64s(p, features);
+        p.put_opt_u64(id);
+        p.put_str32(tenant);
+        p.put_f64s(a_values);
+        p.put_f64s(features);
     });
 }
 
 /// Encodes an info request frame.
 pub fn encode_info(out: &mut Vec<u8>, id: Option<u64>) {
-    write_frame(out, OP_INFO, |p| put_opt_u64(p, id));
+    write_frame(out, OP_INFO, |p| p.put_opt_u64(id));
 }
 
 /// Encodes a feedback request frame.
@@ -879,25 +833,25 @@ pub fn encode_feedback(
     features: &[f64],
 ) {
     write_frame(out, OP_FEEDBACK, |p| {
-        put_opt_u64(p, id);
-        put_f64(p, a);
-        put_f64(p, pf);
-        put_f64(p, e_avg);
-        put_f64(p, e_std);
-        put_u64(p, seed);
-        put_str(p, tag);
-        put_f64s(p, features);
+        p.put_opt_u64(id);
+        p.put_f64(a);
+        p.put_f64(pf);
+        p.put_f64(e_avg);
+        p.put_f64(e_std);
+        p.put_u64(seed);
+        p.put_str32(tag);
+        p.put_f64s(features);
     });
 }
 
 /// Encodes a refresh request frame.
 pub fn encode_refresh(out: &mut Vec<u8>, id: Option<u64>) {
-    write_frame(out, OP_REFRESH, |p| put_opt_u64(p, id));
+    write_frame(out, OP_REFRESH, |p| p.put_opt_u64(id));
 }
 
 /// Encodes a metrics request frame.
 pub fn encode_metrics_request(out: &mut Vec<u8>, id: Option<u64>) {
-    write_frame(out, OP_METRICS, |p| put_opt_u64(p, id));
+    write_frame(out, OP_METRICS, |p| p.put_opt_u64(id));
 }
 
 /// Encodes an instance request frame: the compact wire form of
@@ -913,26 +867,26 @@ pub fn encode_instance(
     a_values: &[f64],
 ) {
     write_frame(out, OP_INSTANCE, |p| {
-        put_opt_u64(p, id);
-        put_str(p, tenant);
-        put_str(p, family);
-        put_str(p, &data.name);
-        put_u32(p, data.dims.len() as u32);
+        p.put_opt_u64(id);
+        p.put_str32(tenant);
+        p.put_str32(family);
+        p.put_str32(&data.name);
+        p.put_u32(data.dims.len() as u32);
         for &d in &data.dims {
-            put_u64(p, d);
+            p.put_u64(d);
         }
-        put_f64s(p, &data.scalars);
-        put_u32(p, data.vecs.len() as u32);
+        p.put_f64s(&data.scalars);
+        p.put_u32(data.vecs.len() as u32);
         for vec in &data.vecs {
-            put_f64s(p, vec);
+            p.put_f64s(vec);
         }
-        put_u32(p, data.edges.len() as u32);
+        p.put_u32(data.edges.len() as u32);
         for &(u, v, w) in &data.edges {
-            put_u32(p, u);
-            put_u32(p, v);
-            put_f64(p, w);
+            p.put_u32(u);
+            p.put_u32(v);
+            p.put_f64(w);
         }
-        put_f64s(p, a_values);
+        p.put_f64s(a_values);
     });
 }
 
@@ -955,45 +909,45 @@ pub fn encode_response(out: &mut Vec<u8>, response: &Response) {
     if !response.ok {
         let message = response.error.as_deref().unwrap_or("request failed");
         write_frame(out, OP_RESP_ERROR, |p| {
-            put_opt_u64(p, response.id);
-            put_str(p, message);
+            p.put_opt_u64(response.id);
+            p.put_str32(message);
         });
         return;
     }
     if let Some(predictions) = &response.predictions {
         write_frame(out, OP_RESP_PREDICT, |p| {
-            put_opt_u64(p, response.id);
-            put_u32(p, predictions.len() as u32);
+            p.put_opt_u64(response.id);
+            p.put_u32(predictions.len() as u32);
             for row in predictions {
-                put_f64(p, row.a);
-                put_u64(p, row.pf_bits);
-                put_u64(p, row.e_avg_bits);
-                put_u64(p, row.e_std_bits);
+                p.put_f64(row.a);
+                p.put_u64(row.pf_bits);
+                p.put_u64(row.e_avg_bits);
+                p.put_u64(row.e_std_bits);
             }
         });
         return;
     }
     if let Some(info) = &response.info {
         write_frame(out, OP_RESP_INFO, |p| {
-            put_opt_u64(p, response.id);
-            p.push(u8::from(info.kind == "bundle"));
-            put_u32(p, info.feature_dim as u32);
-            put_u64(p, info.generation);
-            p.push(u8::from(info.online));
-            put_opt_u64(p, info.dataset_len);
-            put_opt_u64(p, info.train_instances);
-            put_opt_u64(p, info.feedback_count);
-            put_opt_u64(p, info.buffer_len);
-            put_opt_u64(p, info.refresh_after);
+            p.put_opt_u64(response.id);
+            p.put_bool(info.kind == "bundle");
+            p.put_u32(info.feature_dim as u32);
+            p.put_u64(info.generation);
+            p.put_bool(info.online);
+            p.put_opt_u64(info.dataset_len);
+            p.put_opt_u64(info.train_instances);
+            p.put_opt_u64(info.feedback_count);
+            p.put_opt_u64(info.buffer_len);
+            p.put_opt_u64(info.refresh_after);
         });
         return;
     }
     write_frame(out, OP_RESP_ACK, |p| {
-        put_opt_u64(p, response.id);
-        put_opt_u64(p, response.generation);
-        put_opt_u64(p, response.feedback_count);
-        put_opt_u64(p, response.buffer_len);
-        put_opt_bool(p, response.refreshed);
+        p.put_opt_u64(response.id);
+        p.put_opt_u64(response.generation);
+        p.put_opt_u64(response.feedback_count);
+        p.put_opt_u64(response.buffer_len);
+        p.put_opt_bool(response.refreshed);
     });
 }
 
@@ -1004,30 +958,30 @@ pub fn encode_response(out: &mut Vec<u8>, response: &Response) {
 pub fn encode_metrics_response(out: &mut Vec<u8>, payload: &MetricsResponse) {
     let m = &payload.metrics;
     write_frame(out, OP_RESP_METRICS, |p| {
-        put_opt_u64(p, payload.id);
-        p.push(u8::from(payload.ok));
-        put_f64(p, m.uptime_secs);
-        put_f64(p, m.qps);
-        put_opt_f64(p, m.latency_p50_us);
-        put_opt_f64(p, m.latency_p99_us);
-        put_f64(p, m.batch_occupancy);
-        put_f64(p, m.cache_hit_rate);
-        put_u64(p, m.generation);
-        put_u64(p, m.queue_depth as u64);
-        put_u64(p, m.rejected);
-        put_u64(p, m.rejected_quota);
-        put_u64(p, m.rejected_capacity);
-        put_u32(p, m.tenants.len() as u32);
+        p.put_opt_u64(payload.id);
+        p.put_bool(payload.ok);
+        p.put_f64(m.uptime_secs);
+        p.put_f64(m.qps);
+        p.put_opt_f64(m.latency_p50_us);
+        p.put_opt_f64(m.latency_p99_us);
+        p.put_f64(m.batch_occupancy);
+        p.put_f64(m.cache_hit_rate);
+        p.put_u64(m.generation);
+        p.put_u64(m.queue_depth as u64);
+        p.put_u64(m.rejected);
+        p.put_u64(m.rejected_quota);
+        p.put_u64(m.rejected_capacity);
+        p.put_u32(m.tenants.len() as u32);
         for t in &m.tenants {
-            put_str(p, &t.tenant);
-            put_u64(p, u64::from(t.weight));
-            put_u64(p, t.quota_rows as u64);
-            put_u64(p, t.requests);
-            put_u64(p, t.rows);
-            put_u64(p, t.rejected);
-            put_u64(p, t.rejected_quota);
-            put_u64(p, t.rejected_capacity);
-            put_u64(p, t.pending_rows as u64);
+            p.put_str32(&t.tenant);
+            p.put_u64(u64::from(t.weight));
+            p.put_u64(t.quota_rows as u64);
+            p.put_u64(t.requests);
+            p.put_u64(t.rows);
+            p.put_u64(t.rejected);
+            p.put_u64(t.rejected_quota);
+            p.put_u64(t.rejected_capacity);
+            p.put_u64(t.pending_rows as u64);
         }
     });
 }
@@ -1044,7 +998,7 @@ pub fn decode_metrics_response(frame: &Frame<'_>) -> Result<MetricsResponse, Bin
     if frame.op != OP_RESP_METRICS {
         return Err(BinError::UnknownOp { op: frame.op });
     }
-    let mut r = PayloadReader::new(frame.payload);
+    let mut r = ByteReader::new(frame.payload);
     let id = r.get_opt_u64()?;
     let ok = r.get_u8()? != 0;
     let mut metrics = EngineMetrics {
@@ -1073,7 +1027,7 @@ pub fn decode_metrics_response(frame: &Frame<'_>) -> Result<MetricsResponse, Bin
     metrics.tenants.reserve_exact(count);
     for _ in 0..count {
         metrics.tenants.push(TenantMetrics {
-            tenant: r.get_str()?.to_string(),
+            tenant: r.get_str32()?.to_string(),
             weight: r.get_narrow("weight")?,
             quota_rows: r.get_narrow("quota_rows")?,
             requests: r.get_u64()?,
@@ -1099,11 +1053,11 @@ pub fn decode_metrics_response(frame: &Frame<'_>) -> Result<MetricsResponse, Bin
 /// [`BinError::UnknownOp`] / [`BinError::Truncated`] /
 /// [`BinError::Malformed`] as for requests.
 pub fn decode_response(frame: &Frame<'_>) -> Result<Response, BinError> {
-    let mut r = PayloadReader::new(frame.payload);
+    let mut r = ByteReader::new(frame.payload);
     let response = match frame.op {
         OP_RESP_ERROR => {
             let id = r.get_opt_u64()?;
-            let message = r.get_str()?.to_string();
+            let message = r.get_str32()?.to_string();
             Response {
                 id,
                 ok: false,
@@ -1292,13 +1246,13 @@ mod tests {
         // not allocate.
         let mut out = Vec::new();
         write_frame(&mut out, OP_INSTANCE, |p| {
-            put_opt_u64(p, None);
-            put_str(p, "");
-            put_str(p, "mvc");
-            put_str(p, "g");
-            put_u32(p, 0); // dims
-            put_f64s(p, &[]); // scalars
-            put_u32(p, u32::MAX); // hostile vec count
+            p.put_opt_u64(None);
+            p.put_str32("");
+            p.put_str32("mvc");
+            p.put_str32("g");
+            p.put_u32(0); // dims
+            p.put_f64s(&[]); // scalars
+            p.put_u32(u32::MAX); // hostile vec count
         });
         let mut codec = FrameCodec::new();
         codec.feed(&out);
@@ -1387,7 +1341,7 @@ mod tests {
     #[test]
     fn unknown_op_is_typed_not_fatal() {
         let mut out = Vec::new();
-        write_frame(&mut out, 0x42, |p| put_opt_u64(p, None));
+        write_frame(&mut out, 0x42, |p| p.put_opt_u64(None));
         let (op, payload) = single_frame(&out).expect("frame itself is well-formed");
         let frame = Frame {
             version: QBIN_VERSION,
@@ -1475,17 +1429,17 @@ mod tests {
         // Truncated before allocating.
         let mut bad = Vec::new();
         write_frame(&mut bad, OP_RESP_METRICS, |p| {
-            put_opt_u64(p, None);
-            p.push(1);
+            p.put_opt_u64(None);
+            p.put_u8(1);
             for _ in 0..4 {
-                put_f64(p, 0.0);
+                p.put_f64(0.0);
             }
-            p.push(0); // p50 absent
-            p.push(0); // p99 absent
+            p.put_u8(0); // p50 absent
+            p.put_u8(0); // p99 absent
             for _ in 0..5 {
-                put_u64(p, 0);
+                p.put_u64(0);
             }
-            put_u32(p, u32::MAX); // hostile tenant count
+            p.put_u32(u32::MAX); // hostile tenant count
         });
         let mut codec = FrameCodec::new();
         codec.feed(&bad);
@@ -1496,12 +1450,58 @@ mod tests {
         ));
     }
 
+    /// The client-side decoders' payload rejections keep their exact
+    /// texts: a bad bool tag in an ack frame, and a `u64` that does not
+    /// fit the narrower field it decodes into.
+    #[test]
+    fn client_payload_rejections_keep_their_texts() {
+        let mut ack = Vec::new();
+        write_frame(&mut ack, OP_RESP_ACK, |p| {
+            for _ in 0..4 {
+                p.put_opt_u64(None);
+            }
+            p.put_u8(3); // refreshed: not an opt_bool tag
+        });
+        assert_eq!(
+            decode_response_stream(&ack).unwrap_err().to_string(),
+            "qbin: malformed payload: invalid bool tag 0x03"
+        );
+
+        let mut metrics = Vec::new();
+        write_frame(&mut metrics, OP_RESP_METRICS, |p| {
+            p.put_opt_u64(Some(1));
+            p.put_u8(1);
+            p.put_f64(1.0);
+            p.put_f64(2.0);
+            p.put_opt_f64(None);
+            p.put_opt_f64(Some(3.0));
+            p.put_f64(4.0);
+            p.put_f64(0.5);
+            for _ in 0..5 {
+                p.put_u64(0);
+            }
+            p.put_u32(1);
+            p.put_str32("t");
+            p.put_u64(1 << 32); // weight is a u32
+            for _ in 0..7 {
+                p.put_u64(0);
+            }
+        });
+        let mut codec = FrameCodec::new();
+        codec.feed(&metrics);
+        let frame = codec.next_frame().expect("frame").expect("CRC valid");
+        assert_eq!(
+            decode_metrics_response(&frame).unwrap_err().to_string(),
+            "qbin: malformed payload: weight 4294967296 out of range"
+        );
+    }
+
     #[test]
     fn trailing_payload_bytes_rejected() {
         let mut out = Vec::new();
         write_frame(&mut out, OP_INFO, |p| {
-            put_opt_u64(p, None);
-            p.push(0xEE); // trailing garbage inside a valid frame
+            p.put_opt_u64(None);
+            p.put_u8(0xEE); // trailing garbage inside a valid frame
         });
         let mut codec = FrameCodec::new();
         codec.feed(&out);

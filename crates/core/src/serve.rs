@@ -15,7 +15,7 @@
 //! * **Micro-batching** — concurrent requests queue as jobs; a worker
 //!   drains several jobs at once, stacks their feature rows into one
 //!   matrix and answers them with a **single forward pass per head**
-//!   ([`crate::Surrogate::predict_many`]). A lone single-row request on
+//!   ([`crate::Surrogate::predict_many_with`]). A lone single-row request on
 //!   an idle engine (nothing queued, a worker parked) is held: queued
 //!   without waking a worker. Its handle's first poll, which the
 //!   front-end makes once nothing more is staged behind it, runs it

@@ -4,10 +4,8 @@
 //! The wire format (container header, section table, CRC per section) is
 //! owned by the `qross-store` crate and specified in `ARTIFACTS.md`; this
 //! module supplies the per-type payload layouts — how a
-//! [`SurrogateDataset`], a [`SurrogateState`], a [`PipelineConfig`], a
-//! trained [`QrossBundle`] and the evaluation outputs
-//! ([`MethodCurve`] / [`StrategyRun`]) map onto sections of codec
-//! primitives. Every `f64` travels as its raw bit pattern, so a decode is
+//! [`SurrogateDataset`], a [`SurrogateState`], a [`PipelineConfig`] and
+//! a trained [`QrossBundle`] map onto sections of codec primitives. Every `f64` travels as its raw bit pattern, so a decode is
 //! bit-identical to what was encoded; decoders validate shapes and
 //! finiteness where the in-memory invariants demand it and return typed
 //! [`StoreError`]s — never panics — on malformed input.
@@ -23,8 +21,6 @@
 //! | [`PipelineConfig`]   | `PCFG`   | `DATA` |
 //! | [`CollectedCorpus`]  | `CORP` (payload v2) | `PCFG`, `FEAT`, `INST`, `DSET` |
 //! | [`QrossBundle`]      | `BNDL` (payload v2) | `PCFG`, `FEAT`, `SURR`, `INST`, `RPRT` |
-//! | [`MethodCurve`]      | `MCRV`   | `DATA` |
-//! | [`StrategyRun`]      | `SRUN`   | `DATA` |
 //!
 //! The `SURR` payload was bumped 1 → 2 **compatibly** for the online
 //! hot-swap loop: v2 adds an optional `LINE` section carrying the swap
@@ -52,9 +48,8 @@ use qross_store::codec::{ByteReader, ByteWriter};
 use qross_store::{get_mlp_state, put_mlp_state, Artifact, SectionReader, SectionWriter};
 use qross_store::{StoreError, FORMAT_VERSION};
 
-use crate::collect::{CollectConfig, SolverObservation};
+use crate::collect::CollectConfig;
 use crate::dataset::{DatasetRow, Scalers, SurrogateDataset};
-use crate::eval::{MethodCurve, StrategyRun};
 use crate::features::FeaturizerSpec;
 use crate::online::{LineageHeader, SurrogateCheckpoint};
 use crate::pipeline::{CollectedCorpus, PipelineConfig, QrossBundle};
@@ -467,26 +462,6 @@ fn get_pipeline_config(r: &mut ByteReader<'_>) -> Result<PipelineConfig, StoreEr
     })
 }
 
-fn put_observation(w: &mut ByteWriter, obs: &SolverObservation) {
-    w.put_f64(obs.a);
-    w.put_f64(obs.pf);
-    w.put_f64(obs.e_avg);
-    w.put_f64(obs.e_std);
-    w.put_opt_f64(obs.best_fitness);
-    w.put_f64(obs.min_energy);
-}
-
-fn get_observation(r: &mut ByteReader<'_>) -> Result<SolverObservation, StoreError> {
-    Ok(SolverObservation {
-        a: r.get_f64()?,
-        pf: r.get_f64()?,
-        e_avg: r.get_f64()?,
-        e_std: r.get_f64()?,
-        best_fitness: r.get_opt_f64()?,
-        min_energy: r.get_f64()?,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Artifact implementations
 // ---------------------------------------------------------------------------
@@ -757,70 +732,6 @@ impl QrossBundle {
     }
 }
 
-impl Artifact for MethodCurve {
-    const KIND: [u8; 4] = *b"MCRV";
-
-    fn write_sections(&self, out: &mut SectionWriter) {
-        out.section(*b"DATA", |w| {
-            w.put_str(&self.method);
-            w.put_f64_slice(&self.mean);
-            w.put_f64_slice(&self.ci95);
-        });
-    }
-
-    fn read_sections(reader: &SectionReader<'_>) -> Result<Self, StoreError> {
-        let mut r = reader.section(*b"DATA")?;
-        let curve = MethodCurve {
-            method: r.get_str()?,
-            mean: r.get_f64_vec()?,
-            ci95: r.get_f64_vec()?,
-        };
-        r.finish()?;
-        if curve.mean.len() != curve.ci95.len() {
-            return Err(corrupt(format!(
-                "curve `{}`: {} means vs {} CI half-widths",
-                curve.method,
-                curve.mean.len(),
-                curve.ci95.len()
-            )));
-        }
-        Ok(curve)
-    }
-}
-
-impl Artifact for StrategyRun {
-    const KIND: [u8; 4] = *b"SRUN";
-
-    fn write_sections(&self, out: &mut SectionWriter) {
-        out.section(*b"DATA", |w| {
-            w.put_str(&self.strategy);
-            w.put_str(&self.instance);
-            w.put_usize(self.trials.len());
-            for obs in &self.trials {
-                put_observation(w, obs);
-            }
-        });
-    }
-
-    fn read_sections(reader: &SectionReader<'_>) -> Result<Self, StoreError> {
-        let mut r = reader.section(*b"DATA")?;
-        let strategy = r.get_str()?;
-        let instance = r.get_str()?;
-        // An observation is 41 bytes minimum (5 f64 + option tag).
-        let n = r.get_len(41)?;
-        let mut trials = Vec::with_capacity(n);
-        for _ in 0..n {
-            trials.push(get_observation(&mut r)?);
-        }
-        r.finish()?;
-        Ok(StrategyRun {
-            strategy,
-            instance,
-            trials,
-        })
-    }
-}
-
 /// Compile-time guard: the module is written against container format 1;
 /// bumping `qross-store`'s `FORMAT_VERSION` must be a conscious decision
 /// revisiting every payload layout here.
@@ -895,57 +806,6 @@ mod tests {
             let back = PipelineConfig::from_store_bytes(&cfg.to_store_bytes()).unwrap();
             assert_eq!(back, cfg);
         }
-    }
-
-    #[test]
-    fn method_curve_and_run_roundtrip() {
-        let curve = MethodCurve {
-            method: "qross".to_string(),
-            mean: vec![0.5, 0.25, 0.1],
-            ci95: vec![0.05, 0.04, 0.02],
-        };
-        let back = MethodCurve::from_store_bytes(&curve.to_store_bytes()).unwrap();
-        assert_eq!(back, curve);
-
-        let run = StrategyRun {
-            strategy: "tpe".to_string(),
-            instance: "t9".to_string(),
-            trials: vec![
-                SolverObservation {
-                    a: 1.5,
-                    pf: 0.5,
-                    e_avg: 3.0,
-                    e_std: 0.25,
-                    best_fitness: Some(12.0),
-                    min_energy: 2.5,
-                },
-                SolverObservation {
-                    a: 0.5,
-                    pf: 0.0,
-                    e_avg: 1.0,
-                    e_std: 0.5,
-                    best_fitness: None,
-                    min_energy: 0.75,
-                },
-            ],
-        };
-        let back = StrategyRun::from_store_bytes(&run.to_store_bytes()).unwrap();
-        assert_eq!(back, run);
-    }
-
-    #[test]
-    fn curve_length_mismatch_rejected() {
-        let curve = MethodCurve {
-            method: "x".to_string(),
-            mean: vec![0.1, 0.2],
-            ci95: vec![0.01],
-        };
-        // Encoding is possible; decoding must reject the inconsistency.
-        let bytes = curve.to_store_bytes();
-        assert!(matches!(
-            MethodCurve::from_store_bytes(&bytes),
-            Err(StoreError::Corrupt { .. })
-        ));
     }
 
     #[test]

@@ -90,10 +90,11 @@ pub struct SurrogatePrediction {
     pub e_std: f64,
 }
 
-/// Reusable input-staging buffer for the batched predict paths
-/// ([`Surrogate::predict_many_with`] / [`Surrogate::predict_grid_with`]).
+/// Reusable input-staging buffer for the batched predict path
+/// ([`Surrogate::predict_many_with`]; [`Surrogate::predict_grid`] uses a
+/// fresh one).
 ///
-/// The batched paths stage query rows into an input matrix before the
+/// The batched path stages query rows into an input matrix before the
 /// forward pass; holding one scratch per worker keeps that staging
 /// allocation out of the serve hot loop (the same pattern as solver
 /// replica scratch reuse). Using a scratch never changes any output bit.
@@ -409,43 +410,8 @@ impl Surrogate {
     ///
     /// Panics on feature-width mismatch or a non-positive `a`.
     pub fn predict_grid(&self, features: &[f64], a_values: &[f64]) -> Vec<SurrogatePrediction> {
-        self.predict_grid_with(&mut PredictScratch::new(), features, a_values)
-    }
-
-    /// [`Surrogate::predict_grid`] staging the input batch in a reusable
-    /// per-worker [`PredictScratch`] instead of allocating a fresh input
-    /// matrix per call. Output is identical (exact `f64` bits): the
-    /// scratch only changes where the input rows are staged, never what
-    /// they contain.
-    ///
-    /// # Panics
-    ///
-    /// Panics on feature-width mismatch or a non-positive `a`.
-    pub fn predict_grid_with(
-        &self,
-        scratch: &mut PredictScratch,
-        features: &[f64],
-        a_values: &[f64],
-    ) -> Vec<SurrogatePrediction> {
-        if a_values.is_empty() {
-            return Vec::new();
-        }
-        let d = self.scalers.input_dim();
-        let x = &mut scratch.x;
-        x.reset_zeroed(a_values.len(), d);
-        for (r, &a) in a_values.iter().enumerate() {
-            x.row_slice_mut(r)
-                .copy_from_slice(&self.scalers.input_row(features, a));
-        }
-        let pf_out = self.pf_net.infer(x);
-        let e_out = self.e_net.infer(x);
-        (0..a_values.len())
-            .map(|r| SurrogatePrediction {
-                pf: pf_out[(r, 0)].clamp(0.0, 1.0),
-                e_avg: self.scalers.e_avg.inverse(e_out[(r, 0)]),
-                e_std: self.scalers.e_std.inverse(e_out[(r, 1)]).max(1e-9),
-            })
-            .collect()
+        let rows = a_values.iter().map(|&a| (features, a));
+        self.predict_rows(&mut PredictScratch::new(), rows)
     }
 
     /// Predicts many independent `(features, A)` queries in a single
@@ -453,6 +419,9 @@ impl Surrogate {
     /// primitive. Where [`Surrogate::predict_grid`] batches one instance
     /// over many `A` values, this batches arbitrary queries from
     /// *different* instances (and different `A`s) into one forward pass.
+    /// The input rows are staged in `scratch`, which the engine holds one
+    /// of per worker thread; a fresh [`PredictScratch::new`] gives the
+    /// same bits.
     ///
     /// **Bit-exactness contract**: entry `k` of the result equals
     /// `predict(queries[k].0, queries[k].1)` with exact `f64` equality.
@@ -467,39 +436,36 @@ impl Surrogate {
     ///
     /// Panics on feature-width mismatch or a non-positive `a` (callers
     /// that face untrusted input — the serving engine — validate first).
-    pub fn predict_many(&self, queries: &[(&[f64], f64)]) -> Vec<SurrogatePrediction> {
-        self.predict_many_with(&mut PredictScratch::new(), queries)
-    }
-
-    /// [`Surrogate::predict_many`] staging the input batch in a reusable
-    /// per-worker [`PredictScratch`] instead of allocating a fresh input
-    /// matrix per call — the serving engine holds one scratch per worker
-    /// thread. Output is identical (exact `f64` bits) and the
-    /// bit-exactness contract of [`Surrogate::predict_many`] carries over
-    /// unchanged: the scratch only changes where the input rows are
-    /// staged, never what they contain.
-    ///
-    /// # Panics
-    ///
-    /// Panics on feature-width mismatch or a non-positive `a`.
     pub fn predict_many_with(
         &self,
         scratch: &mut PredictScratch,
         queries: &[(&[f64], f64)],
     ) -> Vec<SurrogatePrediction> {
-        if queries.is_empty() {
+        self.predict_rows(scratch, queries.iter().copied())
+    }
+
+    /// The one batched body behind [`Surrogate::predict_grid`] and
+    /// [`Surrogate::predict_many_with`]: stages the `(features, A)` rows
+    /// into `scratch`, runs one forward per head and unscales each
+    /// output row.
+    fn predict_rows<'q>(
+        &self,
+        scratch: &mut PredictScratch,
+        rows: impl ExactSizeIterator<Item = (&'q [f64], f64)>,
+    ) -> Vec<SurrogatePrediction> {
+        let n = rows.len();
+        if n == 0 {
             return Vec::new();
         }
-        let d = self.scalers.input_dim();
         let x = &mut scratch.x;
-        x.reset_zeroed(queries.len(), d);
-        for (r, (features, a)) in queries.iter().enumerate() {
+        x.reset_zeroed(n, self.scalers.input_dim());
+        for (r, (features, a)) in rows.enumerate() {
             x.row_slice_mut(r)
-                .copy_from_slice(&self.scalers.input_row(features, *a));
+                .copy_from_slice(&self.scalers.input_row(features, a));
         }
         let pf_out = self.pf_net.infer(x);
         let e_out = self.e_net.infer(x);
-        (0..queries.len())
+        (0..n)
             .map(|r| SurrogatePrediction {
                 pf: pf_out[(r, 0)].clamp(0.0, 1.0),
                 e_avg: self.scalers.e_avg.inverse(e_out[(r, 0)]),
@@ -557,35 +523,6 @@ impl Surrogate {
             e_net,
             scalers: state.scalers,
         })
-    }
-
-    /// Serialises to JSON.
-    ///
-    /// Prefer the artifact store for persistence — [`SurrogateState`]
-    /// implements `qross_store::Artifact`, giving checksummed bit-exact
-    /// binary `save`/`load` plus this JSON form as a debugging fallback.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QrossError::Persistence`] when serialisation fails
-    /// (this used to be an `expect` panic path).
-    pub fn to_json(&self) -> Result<String, QrossError> {
-        serde_json::to_string(&self.to_state()).map_err(|e| QrossError::Persistence {
-            message: format!("json: {e}"),
-        })
-    }
-
-    /// Restores from [`Surrogate::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QrossError::Persistence`] for malformed input.
-    pub fn from_json(json: &str) -> Result<Self, QrossError> {
-        let state: SurrogateState =
-            serde_json::from_str(json).map_err(|e| QrossError::Persistence {
-                message: format!("json: {e}"),
-            })?;
-        Self::from_state(state)
     }
 }
 
@@ -698,7 +635,7 @@ mod tests {
             .enumerate()
             .map(|(k, f)| (f.as_slice(), 0.1 + 0.7 * k as f64))
             .collect();
-        let batched = sur.predict_many(&queries);
+        let batched = sur.predict_many_with(&mut PredictScratch::new(), &queries);
         assert_eq!(batched.len(), queries.len());
         for (k, &(f, a)) in queries.iter().enumerate() {
             let single = sur.predict(f, a);
@@ -706,7 +643,9 @@ mod tests {
             assert_eq!(batched[k].e_avg.to_bits(), single.e_avg.to_bits());
             assert_eq!(batched[k].e_std.to_bits(), single.e_std.to_bits());
         }
-        assert!(sur.predict_many(&[]).is_empty());
+        assert!(sur
+            .predict_many_with(&mut PredictScratch::new(), &[])
+            .is_empty());
     }
 
     #[test]
@@ -818,17 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let ds = synthetic_dataset(6, 8);
-        let (sur, _) = Surrogate::train(&ds, &quick_config()).unwrap();
-        let json = sur.to_json().unwrap();
-        let back = Surrogate::from_json(&json).unwrap();
-        let p1 = sur.predict(&[0.2], 0.7);
-        let p2 = back.predict(&[0.2], 0.7);
-        assert_eq!(p1, p2);
-    }
-
-    #[test]
     fn empty_dataset_rejected() {
         let ds = SurrogateDataset::new(2);
         assert!(matches!(
@@ -837,18 +765,10 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn corrupt_json_rejected() {
-        assert!(matches!(
-            Surrogate::from_json("{not json"),
-            Err(QrossError::Persistence { .. })
-        ));
-    }
-
-    /// Scratch-reusing entry points are an allocation optimisation only:
-    /// they must return exactly the f64 bits of the allocating variants,
-    /// including when the same scratch is reused across calls of
-    /// different batch sizes (the serving worker's access pattern).
+    /// Reusing a scratch is an allocation optimisation only: it must
+    /// return exactly the f64 bits of a fresh scratch, including when the
+    /// same scratch is reused across calls of different batch sizes (the
+    /// serving worker's access pattern).
     #[test]
     fn scratch_variants_are_bit_identical() {
         let ds = synthetic_dataset(10, 12);
@@ -867,7 +787,9 @@ mod tests {
         for &rows in &[7usize, 2, 13, 1, 64] {
             let a_values: Vec<f64> = (0..rows).map(|k| 0.2 + 0.37 * k as f64).collect();
             let grid = sur.predict_grid(&[0.4], &a_values);
-            let grid_scratch = sur.predict_grid_with(&mut scratch, &[0.4], &a_values);
+            let grid_queries: Vec<(&[f64], f64)> =
+                a_values.iter().map(|&a| (&[0.4][..], a)).collect();
+            let grid_scratch = sur.predict_many_with(&mut scratch, &grid_queries);
             assert_same(&grid, &grid_scratch);
 
             let feats: Vec<[f64; 1]> = (0..rows).map(|k| [k as f64 / rows as f64]).collect();
@@ -876,7 +798,7 @@ mod tests {
                 .zip(&a_values)
                 .map(|(f, &a)| (f.as_slice(), a))
                 .collect();
-            let many = sur.predict_many(&queries);
+            let many = sur.predict_many_with(&mut PredictScratch::new(), &queries);
             let many_scratch = sur.predict_many_with(&mut scratch, &queries);
             assert_same(&many, &many_scratch);
         }

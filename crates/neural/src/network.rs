@@ -222,25 +222,6 @@ impl Mlp {
             first_dense,
         })
     }
-
-    /// Serialises the model to a JSON string.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(&self.to_state()).expect("model state serialises")
-    }
-
-    /// Restores a model from [`Mlp::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NeuralError::InvalidModel`] for malformed JSON or
-    /// inconsistent shapes.
-    pub fn from_json(json: &str) -> Result<Self, NeuralError> {
-        let state: MlpState =
-            serde_json::from_str(json).map_err(|e| NeuralError::InvalidModel {
-                message: format!("json: {e}"),
-            })?;
-        Self::from_state(&state)
-    }
 }
 
 /// Serialisable network snapshot.
@@ -540,16 +521,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_predictions() {
-        let mut net = MlpBuilder::new(3).dense(6).relu().dense(2).build(21);
-        let x = Matrix::from_rows(&[&[0.5, 0.1, -0.3]]);
-        let want = net.forward(&x);
-        let json = net.to_json();
-        let mut back = Mlp::from_json(&json).unwrap();
-        assert_eq!(back.forward(&x), want);
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! unchanged. Variable-length values (strings, vectors) carry a `u64`
 //! element-count prefix.
 //!
+//! The fixed-width reads and writes are also the primitives of the QBIN
+//! wire protocol (`bench::protocol::bin`), which layers its own grammar
+//! on top: `u32` counts, borrowed strings and `f64` runs, and
+//! presence-tagged integers and bools. That grammar lives with the wire;
+//! this module keeps one prefix width.
+//!
 //! Decoding never panics: every read is bounds-checked and returns
 //! [`StoreError::Truncated`] when the input runs out, and length prefixes
 //! are validated against the remaining bytes *before* any allocation, so
@@ -46,7 +52,7 @@ impl ByteWriter {
         self.buf
     }
 
-    /// Bytes written so far.
+    /// Bytes in the buffer so far.
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -59,6 +65,11 @@ impl ByteWriter {
     /// Writes one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
+    }
+
+    /// Writes raw bytes, with no prefix.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Writes a `u32` (LE).
@@ -89,7 +100,7 @@ impl ByteWriter {
     /// Writes a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put_bytes(s.as_bytes());
     }
 
     /// Writes a length-prefixed `f64` slice.
@@ -109,6 +120,14 @@ impl ByteWriter {
             }
             None => self.put_u8(0),
         }
+    }
+}
+
+/// Appends to an existing buffer: encoding goes straight into the
+/// caller's `Vec`, which [`ByteWriter::into_bytes`] hands back.
+impl From<Vec<u8>> for ByteWriter {
+    fn from(buf: Vec<u8>) -> Self {
+        ByteWriter { buf }
     }
 }
 

@@ -391,17 +391,28 @@ fn qbin_rejections_are_answered_in_order_and_survived() {
     bin::encode_predict(&mut stream, Some(1), "", &[], &features);
     bin::encode_predict(&mut stream, Some(2), "", &[1.0], &[1.0]);
     // A CRC-valid frame whose predict payload stops after one byte.
-    bin::write_frame(&mut stream, bin::OP_PREDICT, |p| p.push(1));
-    bin::write_frame(&mut stream, 0x09, |p| p.push(0));
+    bin::write_frame(&mut stream, bin::OP_PREDICT, |p| p.put_u8(1));
+    bin::write_frame(&mut stream, 0x09, |p| p.put_u8(0));
     bin::encode_instance(&mut stream, Some(5), "", "nosuch", &bad_edge, &[1.0]);
     bin::encode_instance(&mut stream, Some(6), "", "maxcut", &bad_edge, &[1.0]);
     bin::encode_feedback(&mut stream, Some(7), 1.0, 0.5, 3.0, 0.5, 3, "t", &features);
     bin::encode_refresh(&mut stream, Some(8));
+    // Payload-grammar rejections: an invalid Option tag in the id, a
+    // non-UTF-8 tenant, one byte trailing a valid info payload, and an
+    // `f64s` count that outruns the payload.
+    bin::write_frame(&mut stream, bin::OP_INFO, |p| p.put_u8(7));
+    bin::write_frame(&mut stream, bin::OP_PREDICT, |p| {
+        p.put_bytes(&[0, 2, 0, 0, 0, 0xFF, 0xFE])
+    });
+    bin::write_frame(&mut stream, bin::OP_INFO, |p| p.put_bytes(&[0, 0xEE]));
+    bin::write_frame(&mut stream, bin::OP_PREDICT, |p| {
+        p.put_bytes(&[0, 0, 0, 0, 0, 3, 0, 0, 0])
+    });
     bin::encode_info(&mut stream, Some(9));
 
     let offline = "bad request: engine is not running in online mode (start it with --online / \
                    ServeEngine::with_online)";
-    let expected: [(Option<u64>, &str); 8] = [
+    let expected: [(Option<u64>, &str); 12] = [
         (Some(1), "predict needs `a` or `a_values`"),
         (Some(2), "bad request: expected 24 features, got 1"),
         (
@@ -424,6 +435,24 @@ fn qbin_rejections_are_answered_in_order_and_survived() {
         ),
         (Some(7), offline),
         (Some(8), offline),
+        (
+            None,
+            "bad request: bad QBIN request: qbin: malformed payload: invalid Option tag 0x07",
+        ),
+        (
+            None,
+            "bad request: bad QBIN request: qbin: malformed payload: invalid UTF-8 string: \
+             invalid utf-8 sequence of 1 bytes from index 0",
+        ),
+        (
+            None,
+            "bad request: bad QBIN request: qbin: malformed payload: 1 trailing bytes after \
+             payload",
+        ),
+        (
+            None,
+            "bad request: bad QBIN request: qbin: truncated frame (24 bytes needed, 0 available)",
+        ),
     ];
     let responses = replay_qbin(&engine, &stream);
     assert_eq!(responses.len(), expected.len() + 1, "one answer per frame");

@@ -12,6 +12,7 @@ use qross_repro::qross::pipeline::{collect_dataset, Pipeline, PipelineConfig};
 use qross_repro::qross::strategy::{ProposalStrategy, TunerStrategy};
 use qross_repro::solvers::sa::{SaConfig, SimulatedAnnealer};
 use qross_repro::tuners::RandomSearch;
+use qross_store::Artifact;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -88,7 +89,7 @@ fn eval_grid_is_worker_count_invariant() {
 
 /// The full pipeline (collection + training) is invariant in the worker
 /// knob: surrogates trained at different worker counts serialise to the
-/// same JSON.
+/// same `.qross` bytes (every weight as its exact bit pattern).
 #[test]
 fn trained_surrogate_is_worker_count_invariant() {
     let mut cfg = PipelineConfig::micro();
@@ -96,20 +97,20 @@ fn trained_surrogate_is_worker_count_invariant() {
     cfg.test_instances = 2;
     cfg.surrogate.epochs = 40;
     let s = solver();
-    let json_at = |workers: usize| {
+    let bytes_at = |workers: usize| {
         let mut c = cfg;
         c.workers = workers;
         Pipeline::new(c)
             .try_run(&s)
             .expect("micro pipeline trains")
             .surrogate
-            .to_json()
-            .expect("serialises")
+            .to_state()
+            .to_store_bytes()
     };
-    let reference = json_at(1);
+    let reference = bytes_at(1);
     for workers in [2, 8, 0] {
         assert_eq!(
-            json_at(workers),
+            bytes_at(workers),
             reference,
             "surrogate diverged at {workers} workers"
         );

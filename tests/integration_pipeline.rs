@@ -6,8 +6,11 @@ use qross_repro::qross::collect::observe;
 use qross_repro::qross::eval::{gap_curve, run_strategy};
 use qross_repro::qross::pipeline::{Pipeline, PipelineConfig, A_DOMAIN};
 use qross_repro::qross::strategy::{mfs, pbs, ComposedStrategy, TunerStrategy};
+use qross_repro::qross::surrogate::SurrogateState;
+use qross_repro::qross::Surrogate;
 use qross_repro::solvers::sa::{SaConfig, SimulatedAnnealer};
 use qross_repro::tuners::RandomSearch;
+use qross_store::Artifact;
 
 fn solver() -> SimulatedAnnealer {
     SimulatedAnnealer::new(SaConfig {
@@ -159,8 +162,9 @@ fn persisted_surrogate_reproduces_proposals() {
     let a_before = mfs::propose(&trained.surrogate, &features, A_DOMAIN, 12)
         .unwrap()
         .x;
-    let json = trained.surrogate.to_json().expect("serialises");
-    let reloaded = qross_repro::qross::Surrogate::from_json(&json).unwrap();
+    let bytes = trained.surrogate.to_state().to_store_bytes();
+    let state = SurrogateState::from_store_bytes(&bytes).expect("reloads");
+    let reloaded = Surrogate::from_state(state).unwrap();
     let a_after = mfs::propose(&reloaded, &features, A_DOMAIN, 12).unwrap().x;
     assert!((a_before - a_after).abs() < 1e-12);
 }

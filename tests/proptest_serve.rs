@@ -1,5 +1,5 @@
 //! Property-based tests for the serving path's core contract:
-//! `Surrogate::predict_many` (the micro-batcher's primitive) is
+//! `Surrogate::predict_many_with` (the micro-batcher's primitive) is
 //! **bit-identical** — exact `f64` equality, not epsilon-close — to
 //! per-row `Surrogate::predict`, for arbitrary surrogates, arbitrary
 //! query mixes and arbitrary batch shapes. This is what makes batching
@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use qross_repro::mathkit::stats::ZScore;
 use qross_repro::neural::network::MlpBuilder;
 use qross_repro::qross::dataset::Scalers;
-use qross_repro::qross::surrogate::{Surrogate, SurrogateState};
+use qross_repro::qross::surrogate::{PredictScratch, Surrogate, SurrogateState};
 
 /// A surrogate with seed-derived weights and property-drawn scalers —
 /// covers wildly different network weights and normalisations without
@@ -62,7 +62,7 @@ fn surrogate_strategy() -> impl Strategy<Value = Surrogate> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// predict_many == map(predict), bit for bit, for any surrogate and
+    /// predict_many_with == map(predict), bit for bit, for any surrogate and
     /// any query batch.
     #[test]
     fn predict_many_is_bit_identical_to_predict(
@@ -82,7 +82,7 @@ proptest! {
             .collect();
         let refs: Vec<(&[f64], f64)> =
             queries.iter().map(|(f, a)| (f.as_slice(), *a)).collect();
-        let batched = sur.predict_many(&refs);
+        let batched = sur.predict_many_with(&mut PredictScratch::new(), &refs);
         prop_assert_eq!(batched.len(), refs.len());
         for (k, &(f, a)) in refs.iter().enumerate() {
             let single = sur.predict(f, a);
@@ -109,10 +109,12 @@ proptest! {
             (0..feat_dim).map(|c| feature_scale * (c as f64 - 1.0)).collect();
         let refs: Vec<(&[f64], f64)> =
             a_grid.iter().map(|&a| (features.as_slice(), a)).collect();
-        let whole = sur.predict_many(&refs);
+        // One scratch across the three calls, as an engine worker reuses it.
+        let mut scratch = PredictScratch::new();
+        let whole = sur.predict_many_with(&mut scratch, &refs);
         let cut = split.min(refs.len());
-        let mut parts = sur.predict_many(&refs[..cut]);
-        parts.extend(sur.predict_many(&refs[cut..]));
+        let mut parts = sur.predict_many_with(&mut scratch, &refs[..cut]);
+        parts.extend(sur.predict_many_with(&mut scratch, &refs[cut..]));
         prop_assert_eq!(&whole, &parts);
         // And predict_grid (one instance, many A) agrees with both.
         let grid = sur.predict_grid(&features, &a_grid);
