@@ -8,11 +8,17 @@
 //! configured engines and every response must carry **identical f64 bit
 //! patterns** — if the binary path changes so much as one mantissa bit,
 //! the bench fails rather than timing a wrong answer.
+//!
+//! The `crc32` group pairs the slicing-by-8 CRC every QBIN frame carries
+//! with its bitwise oracle in one binary, over the bytes a one-row
+//! predict request and response frame sum and over a bundle-sized
+//! section. Read it as the per-row ratio within one run: absolute times
+//! of this harness move between runs.
 
 use std::io::Cursor;
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use bench::protocol::{bin, serve_connection, Request, Response};
 use neural::network::MlpBuilder;
@@ -21,6 +27,7 @@ use qross::pipeline::{PipelineConfig, TrainedQross};
 use qross::serve::{ServeConfig, ServeEngine, ServeModel};
 use qross::surrogate::{Surrogate, SurrogateState, TrainReport};
 use qross::StatisticalFeaturizer;
+use qross_store::codec::{crc32, crc32_bitwise};
 
 /// Feature width of [`StatisticalFeaturizer`].
 const FEAT_DIM: usize = 24;
@@ -191,6 +198,37 @@ fn bench_protocol_codec(c: &mut Criterion) {
         ndjson_stream.len(),
         qbin_stream.len()
     );
+
+    // --- frame checksum: table vs bitwise oracle, same bytes ----------
+    // The summed span of a frame is everything after the magic and
+    // before the trailing CRC, as in `bin::write_frame`.
+    let frame_span = |frame: &[u8]| frame[4..frame.len() - bin::CRC_LEN].to_vec();
+    let mut response_frame = Vec::new();
+    bin::encode_response(&mut response_frame, &responses[1]);
+    let section: Vec<u8> = (0..76_600u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    let inputs = [
+        ("response", frame_span(&response_frame)),
+        ("request", frame_span(&qbin_request_stream(&requests[1..2]))),
+        ("section", section),
+    ];
+    let mut group = c.benchmark_group("crc32");
+    for (what, bytes) in &inputs {
+        assert_eq!(
+            crc32(bytes),
+            crc32_bitwise(bytes),
+            "CRC-32 table and oracle disagree"
+        );
+        let size = bytes.len();
+        group.bench_function(&format!("table/{what}_{size}B"), |b| {
+            b.iter(|| crc32(black_box(bytes)))
+        });
+        group.bench_function(&format!("bitwise/{what}_{size}B"), |b| {
+            b.iter(|| crc32_bitwise(black_box(bytes)))
+        });
+    }
+    group.finish();
 
     // --- request decode: the server's per-request hot path -----------
     let mut group = c.benchmark_group("protocol_codec_decode_requests");

@@ -10,7 +10,7 @@
 //!   reads (sniffing NDJSON vs QBIN from the connection's first bytes,
 //!   so both protocols share one listen port) and holding staged
 //!   responses in request order, plus a write buffer flushed as the
-//!   socket drains;
+//!   socket drains (with `TCP_NODELAY`, so no response waits on Nagle);
 //! * a [`sys::WakePipe`] self-pipe: engine workers complete a prediction
 //!   and wake the poller through the job's completion hook, so the loop
 //!   never spins and never parks a thread per request. Answers the
@@ -25,7 +25,8 @@
 //!   `accept` failures back off exponentially instead of spinning hot;
 //! * observability: the loop registers its own counters on the engine's
 //!   metrics registry — readiness events dispatched, backpressure read
-//!   pauses, accepts and accept backoffs — all no-ops under `obs-off`;
+//!   pauses, accepts, accept backoffs, and socket `read`/`write` calls —
+//!   all no-ops under `obs-off`;
 //! * graceful drain: a shutdown flag stops accepting, finishes every
 //!   in-flight response, then closes.
 //!
@@ -61,6 +62,9 @@ const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 /// Buffered unwritten response bytes per connection before its reads
 /// pause.
 const WRITE_BUF_BYTES: usize = 256 * 1024;
+
+/// Bytes one socket `read` asks for.
+const READ_BUF_BYTES: usize = 16 * 1024;
 
 /// Bounded exponential backoff for `accept` failures. A persistent
 /// error (EMFILE being the classic) used to spin the accept loop at
@@ -130,6 +134,10 @@ struct NetObs {
     accepted: Arc<obs::Counter>,
     /// accept failures that parked the listener with a backoff delay
     accept_backoffs: Arc<obs::Counter>,
+    /// `read` calls on connection sockets, EAGAIN included
+    socket_reads: Arc<obs::Counter>,
+    /// `write` calls on connection sockets, EAGAIN included
+    socket_writes: Arc<obs::Counter>,
 }
 
 impl NetObs {
@@ -150,6 +158,14 @@ impl NetObs {
             accept_backoffs: registry.counter(
                 "qross_net_accept_backoffs_total",
                 "accept failures that parked the listener with an exponential backoff",
+            ),
+            socket_reads: registry.counter(
+                "qross_net_socket_reads_total",
+                "read calls on connection sockets, EAGAIN included",
+            ),
+            socket_writes: registry.counter(
+                "qross_net_socket_writes_total",
+                "write calls on connection sockets, EAGAIN included",
             ),
         }
     }
@@ -289,6 +305,7 @@ pub fn serve_event_loop(
         wake,
         completed: Arc::new(Mutex::new(Vec::new())),
         conns: Vec::new(),
+        read_buf: vec![0; READ_BUF_BYTES],
         live: 0,
         listener,
         listener_active: true,
@@ -310,6 +327,9 @@ struct EventLoop<'a> {
     /// by the loop after a wake
     completed: Arc<Mutex<Vec<u64>>>,
     conns: Vec<Option<Conn>>,
+    /// every connection's reads land here before [`Session::feed`]
+    /// copies them out, so no pass zero-fills a fresh buffer
+    read_buf: Vec<u8>,
     live: usize,
     listener: TcpListener,
     listener_active: bool,
@@ -345,7 +365,7 @@ impl EventLoop<'_> {
                     if let Some(conn) = self.conns[idx].as_mut() {
                         conn.session.close_input();
                     }
-                    self.step(idx);
+                    self.step(idx, false);
                 }
             }
             if self.draining && self.live == 0 {
@@ -383,7 +403,7 @@ impl EventLoop<'_> {
             self.poller.wait(&mut events, timeout_ms)?;
             self.obs.readiness_events.add(events.len() as u64);
 
-            for ev in std::mem::take(&mut events) {
+            for ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKE => {
@@ -391,11 +411,15 @@ impl EventLoop<'_> {
                         let mut ready = std::mem::take(&mut *lock_completed(&self.completed));
                         ready.sort_unstable();
                         ready.dedup();
+                        // A completion moves responses, not request bytes:
+                        // pending input raises its own readiness event.
                         for token in ready {
-                            self.step((token - TOKEN_CONN_BASE) as usize);
+                            self.step((token - TOKEN_CONN_BASE) as usize, false);
                         }
                     }
-                    token => self.step((token - TOKEN_CONN_BASE) as usize),
+                    token => {
+                        self.step((token - TOKEN_CONN_BASE) as usize, ev.readable || ev.closed)
+                    }
                 }
             }
         }
@@ -423,7 +447,14 @@ impl EventLoop<'_> {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     self.backoff.reset();
-                    if stream.set_nonblocking(true).is_err() {
+                    // No Nagle: a response written while the previous
+                    // one is still unacknowledged would otherwise wait
+                    // for the client's next segment to carry the ACK.
+                    if stream
+                        .set_nonblocking(true)
+                        .and_then(|()| stream.set_nodelay(true))
+                        .is_err()
+                    {
                         continue; // drop this connection, keep accepting
                     }
                     let idx = match self.conns.iter().position(Option::is_none) {
@@ -453,7 +484,7 @@ impl EventLoop<'_> {
                     self.obs.accepted.inc();
                     // The client may have sent requests before we
                     // registered; serving them now saves a loop turn.
-                    self.step(idx);
+                    self.step(idx, true);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -486,15 +517,16 @@ impl EventLoop<'_> {
     }
 
     /// Runs one connection's state machine to quiescence and applies
-    /// the outcome (interest update or close). Safe to call with a
+    /// the outcome (interest update or close); `read` says whether the
+    /// socket may have bytes or an EOF to read. Safe to call with a
     /// stale index — a recycled or empty slot is a no-op (a spurious
     /// pump on a recycled slot can only emit responses that were
     /// genuinely ready).
-    fn step(&mut self, idx: usize) {
+    fn step(&mut self, idx: usize, read: bool) {
         let Some(mut conn) = self.conns.get_mut(idx).and_then(Option::take) else {
             return;
         };
-        match self.drive(&mut conn) {
+        match self.drive(&mut conn, read) {
             Fate::Close => {
                 // A parked listener is re-armed at the top of `run`,
                 // before the next wait.
@@ -534,18 +566,25 @@ impl EventLoop<'_> {
     /// through level-triggered readiness or a completion wake. Work per
     /// pass is bounded by the pipelining window. `Close` means the
     /// stream should be dropped.
-    fn drive(&mut self, conn: &mut Conn) -> Fate {
-        let mut buf = [0u8; 16 * 1024];
+    fn drive(&mut self, conn: &mut Conn, read: bool) -> Fate {
         // Read while the socket has bytes and backpressure allows —
-        // bounded: each staged request fills the pipelining window.
-        while !conn.session.input_closed() && !conn.read_paused() {
-            match conn.stream.read(&mut buf) {
+        // bounded: each staged request fills the pipelining window. A
+        // short read has emptied the socket: rather than confirm that
+        // with a `read` that returns EAGAIN, stop; epoll is
+        // level-triggered, so bytes that arrive later, or an EOF, raise
+        // the next readiness event.
+        while read && !conn.session.input_closed() && !conn.read_paused() {
+            self.obs.socket_reads.inc();
+            match conn.stream.read(&mut self.read_buf) {
                 Ok(0) => conn.session.close_input(),
                 Ok(n) => {
-                    conn.session.feed(&buf[..n]);
+                    conn.session.feed(&self.read_buf[..n]);
                     // Stage eagerly: staging is what advances the
                     // `read_paused` window.
                     self.stage_ready(conn);
+                    if n < self.read_buf.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -564,6 +603,7 @@ impl EventLoop<'_> {
         }
         // Flush as much as the socket will take.
         while conn.unflushed() > 0 {
+            self.obs.socket_writes.inc();
             match conn.stream.write(&conn.out[conn.written..]) {
                 Ok(0) => return Fate::Close,
                 Ok(n) => conn.written += n,

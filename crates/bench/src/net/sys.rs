@@ -93,9 +93,16 @@ pub struct PollEvent {
     pub closed: bool,
 }
 
+/// Most events one [`Poller::wait`] returns; more stay pending for the
+/// next call (epoll is level-triggered).
+const MAX_EVENTS: usize = 256;
+
 /// Readiness poller over one `epoll(7)` instance.
 pub struct Poller {
     epfd: RawFd,
+    /// the kernel's output array for `epoll_wait`, allocated once instead
+    /// of zero-filled on every call
+    raw: Box<[EpollEvent; MAX_EVENTS]>,
 }
 
 impl Poller {
@@ -105,7 +112,10 @@ impl Poller {
         if epfd < 0 {
             return Err(io::Error::last_os_error());
         }
-        Ok(Poller { epfd })
+        Ok(Poller {
+            epfd,
+            raw: Box::new([EpollEvent { events: 0, data: 0 }; MAX_EVENTS]),
+        })
     }
 
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
@@ -124,7 +134,7 @@ impl Poller {
     /// ready fds. Spurious wakeups (empty `events`) are normal.
     pub fn wait(&mut self, events: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
         events.clear();
-        let mut raw = [EpollEvent { events: 0, data: 0 }; 256];
+        let raw = &mut self.raw;
         let n = loop {
             // SAFETY: `raw` outlives the call and maxevents matches its
             // length.

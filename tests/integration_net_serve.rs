@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bench::net::{serve_event_loop, EventLoopConfig};
-use bench::protocol::{serve_connection, MetricsResponse, Response, MAX_LINE_BYTES};
+use bench::protocol::{bin, serve_connection, MetricsResponse, Response, MAX_LINE_BYTES};
 use qross_repro::mathkit::stats::ZScore;
 use qross_repro::neural::network::MlpBuilder;
 use qross_repro::qross::dataset::Scalers;
@@ -128,11 +128,16 @@ impl Drop for LoopHarness {
 
 /// A tenant's registry series, read from the engine's exposition.
 fn tenant_series(engine: &ServeEngine, base: &str, tenant: &str) -> u64 {
-    let series = obs::labeled(base, &[("tenant", tenant)]);
+    counter(engine, &obs::labeled(base, &[("tenant", tenant)]))
+}
+
+/// A series of the engine's registry (which the event loop registers
+/// its own counters on), read from its exposition.
+fn counter(engine: &ServeEngine, name: &str) -> u64 {
     obs::prom::render(&[engine.obs().registry()])
         .lines()
-        .find_map(|line| line.strip_prefix(series.as_str())?.strip_prefix(' '))
-        .expect("the tenant's series is registered")
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .expect("the counter is registered")
         .parse()
         .expect("counter value")
 }
@@ -509,4 +514,44 @@ fn metrics_op_reports_engine_counters_over_tcp() {
         .find(|t| t.tenant == "default")
         .expect("default tenant row");
     assert_eq!(default.requests, 6);
+}
+
+#[test]
+fn a_lone_predict_costs_one_socket_read_and_one_write() {
+    const N: u64 = 50;
+    let harness = LoopHarness::start(
+        ServeEngine::new(test_model(), ServeConfig::default()),
+        EventLoopConfig::default(),
+    );
+    let mut stream = harness.connect();
+    let mut frame = Vec::new();
+    for id in 0..N {
+        // Closed loop: each predict is alone on the wire until answered.
+        let (_, a) = query(id as usize);
+        let features: Vec<f64> = (0..FEAT_DIM)
+            .map(|c| (id as usize + c) as f64 / 9.0)
+            .collect();
+        frame.clear();
+        bin::encode_predict(&mut frame, Some(id), "", &[a], &features);
+        stream.write_all(&frame).expect("send predict");
+        let mut response = vec![0u8; bin::HEADER_LEN];
+        stream.read_exact(&mut response).expect("response header");
+        let len = u32::from_le_bytes(response[6..10].try_into().expect("4 bytes")) as usize;
+        response.resize(bin::HEADER_LEN + len + bin::CRC_LEN, 0);
+        stream
+            .read_exact(&mut response[bin::HEADER_LEN..])
+            .expect("response payload");
+        let answer = &bin::decode_response_stream(&response).expect("one clean frame")[0];
+        assert!(answer.ok && answer.id == Some(id), "{answer:?}");
+    }
+    // Each request is one short read; the one spare read is the probe
+    // made when the connection is accepted. A read loop that confirms
+    // every short read with an EAGAIN `read` makes 2N.
+    let reads = counter(&harness.engine, "qross_net_socket_reads_total");
+    assert!(
+        (N..=N + 1).contains(&reads),
+        "{reads} reads for {N} predicts"
+    );
+    let writes = counter(&harness.engine, "qross_net_socket_writes_total");
+    assert_eq!(writes, N, "{writes} writes for {N} predicts");
 }
