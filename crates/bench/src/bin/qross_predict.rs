@@ -1,11 +1,11 @@
 //! `qross-predict` — the serve half of the train-once / serve-many loop.
 //!
-//! Reloads a model written by `qross-train` (binary or JSON, sniffed by
-//! magic bytes) in a *fresh process* and regenerates the predictions
-//! manifest. Because the manifest stores exact `f64` bit patterns, a
-//! plain `diff` against the training process's manifest proves the
-//! reloaded model is bit-identical to the trained one — the whole point
-//! of the artifact store.
+//! Reloads a `.qross` model written by `qross-train` (a `--format json`
+//! dump does not load) in a *fresh process* and regenerates the
+//! predictions manifest. Because the manifest stores exact `f64` bit
+//! patterns, a plain `diff` against the training process's manifest
+//! proves the reloaded model is bit-identical to the trained one — the
+//! whole point of the artifact store.
 //!
 //! TSP bundles are self-contained: the manifest's batch size, strategy
 //! seed and evaluation instances all come from the bundle itself, so

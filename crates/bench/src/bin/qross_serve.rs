@@ -25,8 +25,8 @@
 //! untagged class.
 //!
 //! The model may be a full `.qross` bundle (TSP: enables the `tsp`
-//! upload op) or a bare surrogate snapshot (MVC/QAP: `predict` only),
-//! binary or JSON, sniffed by magic bytes.
+//! upload op), a bare surrogate snapshot (MVC/QAP: `predict` only) or an
+//! online checkpoint; a JSON dump is rejected.
 //!
 //! All diagnostics go to stderr; stdout carries protocol bytes only.
 
@@ -199,19 +199,16 @@ fn parse_cli() -> ServeCli {
     cli
 }
 
-/// Loads a bundle if the artifact is one, otherwise a bare surrogate
-/// snapshot (v1) or an online checkpoint (`SURR` v2 with lineage) —
-/// a serving process can resume from its own checkpoints.
+/// Loads a `.qross` bundle if the artifact is one, otherwise a surrogate
+/// checkpoint: a bare v1 snapshot or an online checkpoint (`SURR` v2 with
+/// lineage), so a serving process can resume from its own checkpoints.
+/// Nothing else loads; a JSON dump fails both attempts as a bad magic.
 fn load_model(path: &str) -> Result<ServeModel, String> {
     let bundle_err = match TrainedQross::load(path) {
         Ok(trained) => return Ok(ServeModel::Bundle(Arc::new(trained))),
         Err(e) => e,
     };
-    let state_err = match SurrogateState::load_auto(path) {
-        Ok(state) => return surrogate_model(state),
-        Err(e) => e,
-    };
-    match SurrogateCheckpoint::load_auto(path) {
+    match SurrogateCheckpoint::load(path) {
         Ok(checkpoint) => {
             if let Some(l) = &checkpoint.lineage {
                 eprintln!(
@@ -222,17 +219,16 @@ fn load_model(path: &str) -> Result<ServeModel, String> {
             }
             surrogate_model(checkpoint.state)
         }
-        // Every attempt failed: report each decoder's own diagnosis —
+        // Both attempts failed: report each decoder's own diagnosis —
         // a corrupt checkpoint must surface its precise error, not the
         // unrelated kind-mismatch from the bundle attempt.
         Err(checkpoint_err) => Err(format!(
-            "loading model failed — as bundle: {bundle_err}; as surrogate snapshot: \
-             {state_err}; as checkpoint: {checkpoint_err}"
+            "loading model failed — as bundle: {bundle_err}; as checkpoint: {checkpoint_err}"
         )),
     }
 }
 
-fn surrogate_model(state: qross::surrogate::SurrogateState) -> Result<ServeModel, String> {
+fn surrogate_model(state: SurrogateState) -> Result<ServeModel, String> {
     Surrogate::from_state(state)
         .map(|surrogate| ServeModel::Surrogate(Arc::new(surrogate)))
         .map_err(|e| format!("restoring surrogate failed: {e}"))
@@ -242,10 +238,10 @@ fn surrogate_model(state: qross::surrogate::SurrogateState) -> Result<ServeModel
 /// fine-tune: a bare `DSET` dataset or a full `CORP` collect-stage
 /// corpus (its dataset is used).
 fn load_corpus(path: &str) -> Result<SurrogateDataset, String> {
-    if let Ok(ds) = SurrogateDataset::load_auto(path) {
+    if let Ok(ds) = SurrogateDataset::load(path) {
         return Ok(ds);
     }
-    CollectedCorpus::load_auto(path)
+    CollectedCorpus::load(path)
         .map(|corpus| corpus.dataset)
         .map_err(|e| format!("loading corpus failed: {e}"))
 }

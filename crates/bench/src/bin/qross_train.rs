@@ -5,7 +5,8 @@
 //! solver data, trains the surrogate, and writes two artifacts:
 //!
 //! * the **model** — a `.qross` bundle (TSP) or surrogate snapshot
-//!   (other families), binary by default, JSON with `--format json`;
+//!   (other families); `--format json` writes a JSON dump instead, for
+//!   reading only — nothing loads it;
 //! * the **predictions manifest** — every grid prediction (and, for TSP,
 //!   every planned strategy proposal) as exact `f64` bit patterns.
 //!

@@ -60,14 +60,6 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    pub const WRITE: Interest = Interest {
-        readable: false,
-        writable: true,
-    };
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 
     fn epoll_mask(self) -> u32 {
         let mut mask = EPOLLRDHUP;

@@ -199,8 +199,8 @@ pub struct ServeCli {
     pub model: String,
     /// manifest path (empty = binary-specific default)
     pub manifest: String,
-    /// write the model through the JSON fallback instead of the binary
-    /// container (`--format json`, `qross-train` only)
+    /// write the model as a write-only JSON dump instead of the binary
+    /// container (`--format json`, `qross-train` only); nothing loads it
     pub json_model: bool,
 }
 
@@ -402,7 +402,7 @@ pub fn run_predict() {
         );
         tsp_manifest(&trained)
     } else {
-        let state = SurrogateState::load_auto(&args.model)
+        let state = SurrogateState::load(&args.model)
             .unwrap_or_else(|e| fail(&format!("loading surrogate failed: {e}")));
         let surrogate = Surrogate::from_state(state)
             .unwrap_or_else(|e| fail(&format!("restoring surrogate failed: {e}")));

@@ -269,15 +269,15 @@ impl TrainedQross {
     }
 
     /// Restores a model saved by [`TrainedQross::save`] — the **serve**
-    /// stage's entry point. Accepts both the binary container and the
-    /// JSON fallback (sniffed by magic bytes).
+    /// stage's entry point. Only the binary `.qross` bundle loads; a JSON
+    /// dump fails as a bad magic.
     ///
     /// # Errors
     ///
     /// [`QrossError::Persistence`] for unreadable, corrupt or
     /// incompatible bundles.
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<TrainedQross, QrossError> {
-        QrossBundle::load_auto(path)?.into_trained()
+        QrossBundle::load(path)?.into_trained()
     }
 
     /// Extracts the feature vector the surrogate expects for `encoding`.

@@ -825,35 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn json_load_enforces_binary_invariants() {
-        // The JSON format silently degrades non-finite values to `null`
-        // (→ NaN on decode); `load_json`/`load_auto` must catch that via
-        // revalidation instead of returning an invariant-violating
-        // dataset that poisons downstream scaler fits.
-        let ds = sample_dataset();
-        let json = serde_json::to_string_pretty(&ds).unwrap();
-        let evil = json.replacen("\"pf\":", "\"pf\": null, \"ignored\":", 1);
-        assert_ne!(evil, json, "test setup failed to corrupt the JSON");
-        let dir = std::env::temp_dir().join("qross_core_store_json");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("evil.json");
-        std::fs::write(&path, &evil).unwrap();
-        assert!(matches!(
-            SurrogateDataset::load_json(&path),
-            Err(StoreError::Corrupt { .. })
-        ));
-        assert!(matches!(
-            SurrogateDataset::load_auto(&path),
-            Err(StoreError::Corrupt { .. })
-        ));
-        // The untampered JSON still loads fine through both paths.
-        std::fs::write(&path, &json).unwrap();
-        assert_eq!(SurrogateDataset::load_json(&path).unwrap(), ds);
-        assert_eq!(SurrogateDataset::load_auto(&path).unwrap(), ds);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn instances_roundtrip_via_corpus() {
         let inst = TspInstance::from_coords(
             "tri",

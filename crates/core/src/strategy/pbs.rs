@@ -60,9 +60,6 @@ pub fn propose(
     Ok(m.x.exp())
 }
 
-/// The standard multi-trial ladder from §3.4.2 (`p = 90, 70, 50, 30, 10%`).
-pub const LADDER: [f64; 5] = [0.9, 0.7, 0.5, 0.3, 0.1];
-
 /// Proposes one `A` per target in `targets`, skipping targets the
 /// surrogate cannot resolve.
 pub fn propose_ladder(

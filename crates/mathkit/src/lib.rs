@@ -8,8 +8,7 @@
 //!   bit-identical to the naive reference loop;
 //! * [`linalg`] — Cholesky factorisation and triangular solves for symmetric
 //!   positive-definite systems (Gaussian-process regression);
-//! * [`stats`] — descriptive statistics, online (Welford) accumulators,
-//!   confidence intervals;
+//! * [`stats`] — descriptive statistics and confidence intervals;
 //! * [`special`] — error function, Gaussian pdf/cdf and its inverse;
 //! * [`integrate`] — adaptive Simpson and fixed-order Gauss–Legendre
 //!   quadrature (used by the Minimum Fitness Strategy integral);

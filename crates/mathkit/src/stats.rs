@@ -217,118 +217,6 @@ pub fn mean_ci95(xs: &[f64]) -> MeanCi {
     }
 }
 
-/// Online mean/variance accumulator (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use mathkit::stats::OnlineStats;
-/// let mut acc = OnlineStats::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     acc.push(x);
-/// }
-/// assert_eq!(acc.mean(), 2.0);
-/// assert_eq!(acc.count(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance; `0.0` when empty.
-    pub fn variance_population(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation; `0.0` when empty.
-    pub fn std_population(&self) -> f64 {
-        self.variance_population().sqrt()
-    }
-
-    /// Sample variance; `0.0` for fewer than two observations.
-    pub fn variance_sample(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Smallest observation; `+inf` when empty.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation; `-inf` when empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 /// Min-max normalisation of a slice to `[0, 1]`; a constant slice maps to
 /// all zeros.
 pub fn minmax_normalize(xs: &[f64]) -> Vec<f64> {
@@ -447,36 +335,6 @@ mod tests {
         let ci = mean_ci95(&[3.0]);
         assert_eq!(ci.half_width, 0.0);
         assert_eq!(ci.mean, 3.0);
-    }
-
-    #[test]
-    fn online_matches_batch() {
-        let xs = [0.5, -1.0, 2.0, 3.5, 3.5, -2.25];
-        let mut acc = OnlineStats::new();
-        for &x in &xs {
-            acc.push(x);
-        }
-        assert!((acc.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((acc.variance_population() - variance_population(&xs)).abs() < 1e-12);
-        assert_eq!(acc.min(), -2.25);
-        assert_eq!(acc.max(), 3.5);
-    }
-
-    #[test]
-    fn online_merge_matches_whole() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sin()).collect();
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..20] {
-            a.push(x);
-        }
-        for &x in &xs[20..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 50);
-        assert!((a.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((a.variance_population() - variance_population(&xs)).abs() < 1e-12);
     }
 
     #[test]

@@ -8,10 +8,7 @@
 //!   binary variables stored as flat **CSR arrays** (`row_offsets` /
 //!   `col_indices` / `values`, plus a `mirror` permutation linking each
 //!   entry to its symmetric twin), built through [`QuboBuilder`]; energy
-//!   evaluation walks contiguous memory, and
-//!   [`QuboModel::map_coefficients`] transforms coefficients while
-//!   **reusing the CSR skeleton** instead of rebuilding adjacency (used by
-//!   the noise/precision solver wrappers);
+//!   evaluation walks contiguous memory;
 //! * [`state`] — [`QuboState`]: the single incremental flip engine shared
 //!   by every solver — cached total energy, a maintained flip-delta vector
 //!   (`flip_delta` is an O(1) read, `flip` an O(degree) update), and bulk

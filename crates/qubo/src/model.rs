@@ -352,42 +352,6 @@ impl QuboModel {
         Ok(self.energy(x))
     }
 
-    /// Returns a new model with every coefficient (linear, quadratic and
-    /// offset) passed through `f`.
-    ///
-    /// The CSR skeleton (`row_offsets`, `col_indices`, `mirror`) is shared
-    /// structure and is **reused by clone**, not rebuilt: only the value
-    /// arrays are transformed, so the cost is O(n + nnz) with no sorting or
-    /// adjacency reconstruction. `f` is applied exactly once per distinct
-    /// coupling (the `i < j` copy, ascending), mirroring the result into
-    /// the twin entry — stateful closures see each coefficient once, in the
-    /// same deterministic order as the previous adjacency-list layout.
-    ///
-    /// This is how the precision/noise solver wrappers inject coefficient
-    /// quantisation and analog control error (paper appendix B) without the
-    /// solvers knowing about the degradation model.
-    pub fn map_coefficients<F: FnMut(f64) -> f64>(&self, mut f: F) -> QuboModel {
-        let linear: Vec<f64> = self.linear.iter().map(|&v| f(v)).collect();
-        let mut values = vec![0.0f64; self.values.len()];
-        for i in 0..self.num_vars() {
-            for idx in self.row(i) {
-                if (self.col_indices[idx] as usize) > i {
-                    let w = f(self.values[idx]);
-                    values[idx] = w;
-                    values[self.mirror[idx] as usize] = w;
-                }
-            }
-        }
-        QuboModel {
-            offset: f(self.offset),
-            linear,
-            row_offsets: self.row_offsets.clone(),
-            col_indices: self.col_indices.clone(),
-            values,
-            mirror: self.mirror.clone(),
-        }
-    }
-
     /// Iterates over all couplings as `(i, j, w)` with `i < j`.
     pub fn couplings(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.num_vars()).flat_map(move |i| {
@@ -503,29 +467,6 @@ mod tests {
         assert_eq!(m.max_abs_coefficient(), 3.0);
         let empty = QuboBuilder::new(2).build();
         assert_eq!(empty.max_abs_coefficient(), 0.0);
-    }
-
-    #[test]
-    fn map_coefficients_scales_energy() {
-        let m = toy();
-        let doubled = m.map_coefficients(|w| 2.0 * w);
-        for bits in 0..8u8 {
-            let x = [bits & 1, (bits >> 1) & 1, (bits >> 2) & 1];
-            assert!((doubled.energy(&x) - 2.0 * m.energy(&x)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn map_coefficients_visits_each_coupling_once() {
-        let m = toy();
-        let mut calls = 0usize;
-        let mapped = m.map_coefficients(|w| {
-            calls += 1;
-            w
-        });
-        // 3 linear + 2 couplings + 1 offset.
-        assert_eq!(calls, 6);
-        assert_eq!(mapped, m);
     }
 
     #[test]

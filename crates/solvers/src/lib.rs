@@ -15,8 +15,8 @@
 //! * [`qbsolv`] — [`Qbsolv`]: the decomposition loop of Booth et al. (2017);
 //! * [`exhaustive`] — [`ExhaustiveSolver`]: exact enumeration for ≤ 24
 //!   variables, the ground-truth oracle in tests;
-//! * [`noise`] — solver wrappers injecting *analog control error* and
-//!   coefficient quantisation (paper appendix B);
+//! * [`noise`] — [`AnalogNoise`]: a solver wrapper injecting *analog
+//!   control error* (paper appendix B);
 //! * [`sample`] — [`Sample`]/[`SampleSet`]: the batch-of-solutions result
 //!   format whose statistics (`Pf`, `Eavg`, `Estd`) the surrogate learns.
 //!
@@ -32,7 +32,7 @@
 //! O(degree), and the cached energy/delta caches agree with a full
 //! recomputation to ≤ 1e-9 over arbitrary flip sequences. No solver calls
 //! the full O(n + couplings) `model.energy()` inside its sweep loop — full
-//! evaluations appear only at batch boundaries (e.g. the noise wrappers
+//! evaluations appear only at batch boundaries (e.g. the noise wrapper
 //! re-scoring solutions on the true Hamiltonian) and in test oracles. Even
 //! [`ExhaustiveSolver`] enumerates by Gray code, one incremental flip per
 //! assignment.
@@ -79,7 +79,7 @@ pub mod tabu;
 
 pub use da::DigitalAnnealer;
 pub use exhaustive::ExhaustiveSolver;
-pub use noise::{AnalogNoise, Quantizer};
+pub use noise::AnalogNoise;
 pub use qbsolv::Qbsolv;
 pub use sa::SimulatedAnnealer;
 pub use sample::{Sample, SampleSet};

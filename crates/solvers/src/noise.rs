@@ -1,26 +1,20 @@
-//! Hardware-degradation models: analog control error and coefficient
-//! quantisation (paper appendix B).
+//! Hardware-degradation model: analog control error (paper appendix B).
 //!
 //! Appendix B shows that on both quantum annealers (DW_2000Q) and classical
 //! solvers, solution quality degrades as the penalty weight grows, because
 //! the *objective* part of the Hamiltonian shrinks relative to the
-//! hardware's coefficient resolution:
+//! hardware's coefficient resolution. Quantum annealers suffer **analog
+//! control error** — "the coefficients of the Hamiltonian implemented
+//! differ from those intended" (Barends et al.; Pearson et al.).
+//! [`AnalogNoise`] models this, and it is the only model of appendix B
+//! here: it rescales the model to the hardware coefficient range and adds
+//! i.i.d. Gaussian error proportional to that full range before the
+//! wrapped solver runs.
 //!
-//! * Quantum annealers suffer **analog control error** — "the coefficients
-//!   of the Hamiltonian implemented differ from those intended" (Barends et
-//!   al.; Pearson et al.). [`AnalogNoise`] models this by rescaling the
-//!   model to the hardware coefficient range and adding i.i.d. Gaussian
-//!   error proportional to that full range before the wrapped solver runs.
-//! * Classical solvers suffer **finite-precision arithmetic**.
-//!   [`Quantizer`] rounds every coefficient to a fixed-point grid of
-//!   `bits` bits spanning the coefficient range (the Digital Annealer's
-//!   integer pipeline; FP error is the analogous mechanism for CPUs).
-//!
-//! Both wrappers report energies on the **true** model, so the measured
+//! The wrapper reports energies on the **true** model, so the measured
 //! degradation is exactly "solver optimised the wrong Hamiltonian".
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mathkit::rng::derive_rng;
 use qubo::QuboModel;
@@ -75,11 +69,6 @@ impl<S: Solver> AnalogNoise<S> {
         self.error_rate
     }
 
-    /// Consumes the wrapper and returns the inner solver.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
     fn perturb(&self, model: &QuboModel, seed: u64) -> QuboModel {
         if self.error_rate == 0.0 || model.max_abs_coefficient() == 0.0 {
             return model.clone();
@@ -125,77 +114,6 @@ impl<S: Solver> Solver for AnalogNoise<S> {
         let noisy = self.perturb(model, seed);
         let raw = self.inner.sample(&noisy, batch, seed);
         // Re-score assignments on the true Hamiltonian.
-        SampleSet::from_samples(
-            raw.into_samples()
-                .into_iter()
-                .map(|s| Sample {
-                    energy: model.energy(&s.assignment),
-                    assignment: s.assignment,
-                })
-                .collect(),
-        )
-    }
-}
-
-/// Fixed-point quantisation wrapper: rounds every coefficient to the grid
-/// `step = max|coefficient| / 2^(bits−1)`.
-#[derive(Debug, Clone)]
-pub struct Quantizer<S> {
-    inner: S,
-    bits: u32,
-    name: String,
-}
-
-/// Serialisable description of a quantisation setting (for experiment
-/// manifests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QuantizerConfig {
-    /// coefficient bit width
-    pub bits: u32,
-}
-
-impl<S: Solver> Quantizer<S> {
-    /// Wraps `inner` with `bits`-bit fixed-point coefficient resolution
-    /// (the production Digital Annealer quantises couplings to 16–64 bit
-    /// integers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is zero or above 52 (beyond f64 mantissa).
-    pub fn new(inner: S, bits: u32) -> Self {
-        assert!((1..=52).contains(&bits), "bits must be in 1..=52");
-        let name = format!("quant{}({})", bits, inner.name());
-        Quantizer { inner, bits, name }
-    }
-
-    /// The configured bit width.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Consumes the wrapper and returns the inner solver.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    fn quantize(&self, model: &QuboModel) -> QuboModel {
-        let scale = model.max_abs_coefficient();
-        if scale == 0.0 {
-            return model.clone();
-        }
-        let step = scale / (1u64 << (self.bits - 1)) as f64;
-        model.map_coefficients(|w| (w / step).round() * step)
-    }
-}
-
-impl<S: Solver> Solver for Quantizer<S> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn sample(&self, model: &QuboModel, batch: usize, seed: u64) -> SampleSet {
-        let coarse = self.quantize(model);
-        let raw = self.inner.sample(&coarse, batch, seed);
         SampleSet::from_samples(
             raw.into_samples()
                 .into_iter()
@@ -281,49 +199,9 @@ mod tests {
     }
 
     #[test]
-    fn quantizer_rounds_to_grid() {
-        let mut b = QuboBuilder::new(2);
-        b.add_linear(0, 1.0);
-        b.add_linear(1, 0.013);
-        b.add_quadratic(0, 1, -0.49);
-        let m = b.build();
-        let q = Quantizer::new(ExhaustiveSolver::new(), 4);
-        let coarse = q.quantize(&m);
-        // step = 1.0 / 2^3 = 0.125: 0.013 → 0, −0.49 → −0.5
-        assert_eq!(coarse.linear(1), 0.0);
-        assert_eq!(coarse.quadratic(0, 1), -0.5);
-        assert_eq!(coarse.linear(0), 1.0);
-    }
-
-    #[test]
-    fn many_bits_is_nearly_identity() {
-        let m = mvc_like(3.0);
-        let q = Quantizer::new(ExhaustiveSolver::new(), 40);
-        let coarse = q.quantize(&m);
-        assert!((coarse.energy(&[1, 0, 1, 0, 1]) - m.energy(&[1, 0, 1, 0, 1])).abs() < 1e-6);
-    }
-
-    #[test]
-    fn quantized_energies_scored_on_true_model() {
-        let m = mvc_like(100.0);
-        let q = Quantizer::new(SimulatedAnnealer::default(), 6);
-        for s in q.sample(&m, 4, 5).iter() {
-            assert!((m.energy(&s.assignment) - s.energy).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn names_compose() {
         let a = AnalogNoise::new(ExhaustiveSolver::new(), 0.1);
         assert_eq!(a.name(), "analog(exhaustive)");
-        let q = Quantizer::new(ExhaustiveSolver::new(), 8);
-        assert_eq!(q.name(), "quant8(exhaustive)");
-    }
-
-    #[test]
-    #[should_panic(expected = "bits")]
-    fn quantizer_rejects_zero_bits() {
-        let _ = Quantizer::new(ExhaustiveSolver::new(), 0);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! JSON fallback for every artifact — human-readable and diffable.
+//! Write-only JSON dump — human-readable and diffable, never read back.
 //!
-//! The binary container is the production format (bit-exact, checksummed,
-//! versioned); JSON is the debugging format. Both decode to the same
-//! structs. JSON cannot represent NaN or infinities, so the fallback is
-//! restricted to finite values — the binary codec has no such limit.
+//! The binary container is the only format an artifact loads from
+//! (bit-exact, checksummed, versioned); JSON is a debugging dump of the
+//! same structs. JSON cannot represent NaN or infinities, so a dump shows
+//! them as `null`.
 //!
-//! These helpers are also the single JSON write path for the experiment
-//! harness: `bench`'s figure binaries route their `results/*.json`
+//! This is also the single JSON write path for the experiment harness:
+//! `bench`'s figure binaries and manifests route their `results/*.json`
 //! artefacts through [`write_json_file`] instead of hand-rolling paths
 //! and `fs::write` calls.
 
@@ -14,29 +14,8 @@ use std::path::Path;
 
 use crate::StoreError;
 
-/// Serialises `value` as pretty-printed JSON.
-///
-/// # Errors
-///
-/// [`StoreError::Json`] when serialisation fails.
-pub fn to_json_string<T: serde::Serialize>(value: &T) -> Result<String, StoreError> {
-    serde_json::to_string_pretty(value).map_err(|e| StoreError::Json {
-        message: e.to_string(),
-    })
-}
-
-/// Deserialises a value from a JSON string.
-///
-/// # Errors
-///
-/// [`StoreError::Json`] for malformed input.
-pub fn from_json_str<T: serde::Deserialize>(json: &str) -> Result<T, StoreError> {
-    serde_json::from_str(json).map_err(|e| StoreError::Json {
-        message: e.to_string(),
-    })
-}
-
-/// Writes `value` as pretty-printed JSON to `path`, creating parent
+/// Writes `value` as pretty-printed JSON to `path`, atomically as
+/// [`Artifact::save`](crate::Artifact::save) does, creating parent
 /// directories on demand.
 ///
 /// # Errors
@@ -46,29 +25,10 @@ pub fn write_json_file<T: serde::Serialize>(
     path: impl AsRef<Path>,
     value: &T,
 ) -> Result<(), StoreError> {
-    let path = path.as_ref();
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir).map_err(|e| StoreError::Io {
-            message: format!("create {}: {e}", dir.display()),
-        })?;
-    }
-    let json = to_json_string(value)?;
-    std::fs::write(path, json).map_err(|e| StoreError::Io {
-        message: format!("write {}: {e}", path.display()),
-    })
-}
-
-/// Reads a JSON value from `path`.
-///
-/// # Errors
-///
-/// [`StoreError::Io`] / [`StoreError::Json`].
-pub fn read_json_file<T: serde::Deserialize>(path: impl AsRef<Path>) -> Result<T, StoreError> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path).map_err(|e| StoreError::Io {
-        message: format!("read {}: {e}", path.display()),
+    let json = serde_json::to_string_pretty(value).map_err(|e| StoreError::Json {
+        message: e.to_string(),
     })?;
-    from_json_str(&text)
+    crate::write_atomic(path.as_ref(), json.as_bytes())
 }
 
 #[cfg(test)]
@@ -76,26 +36,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn string_roundtrip() {
-        let v = vec![1.5f64, -2.25, 0.0];
-        let json = to_json_string(&v).unwrap();
-        let back: Vec<f64> = from_json_str(&json).unwrap();
-        assert_eq!(back, v);
-    }
-
-    #[test]
-    fn malformed_json_is_typed_error() {
-        let r: Result<Vec<f64>, _> = from_json_str("{nope");
-        assert!(matches!(r, Err(StoreError::Json { .. })));
-    }
-
-    #[test]
-    fn file_roundtrip_creates_dirs() {
+    fn file_dump_creates_dirs() {
         let dir = std::env::temp_dir().join("qross_store_json_io");
         let path = dir.join("nested/value.json");
-        write_json_file(&path, &42u64).unwrap();
-        let back: u64 = read_json_file(&path).unwrap();
-        assert_eq!(back, 42);
+        write_json_file(&path, &vec![1.5f64, -2.25]).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("1.5") && text.contains("-2.25"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

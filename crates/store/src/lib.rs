@@ -5,17 +5,18 @@
 //! unseen instances. This crate is the persistence layer that makes the
 //! split real — every pipeline artifact (datasets, surrogate snapshots,
 //! trained bundles, evaluation curves) is written through one [`Artifact`]
-//! trait in either of two interchangeable formats:
+//! trait and read back through one decoder:
 //!
 //! * the **`.qross` binary container** — a versioned, length-framed
 //!   little-endian codec with a magic header, a per-artifact kind tag, a
 //!   section table and a CRC-32 per section. `f64` values travel as raw
 //!   bit patterns, so round-trips are *bit-exact* (NaN payloads, signed
 //!   zeros and infinities included) and a reloaded surrogate reproduces
-//!   its in-memory predictions to the last bit;
-//! * a **JSON fallback** ([`json`]) for debuggability — human-readable,
-//!   diffable, and decoding to the same structs (finite values only; JSON
-//!   has no NaN/infinity literals).
+//!   its in-memory predictions to the last bit. It is the only format
+//!   [`Artifact::load`] accepts;
+//! * a **write-only JSON dump** ([`json`], [`Artifact::save_json`]) for
+//!   debugging — human-readable and diffable, but never read back, so
+//!   every artifact that reaches memory has passed the container's checks.
 //!
 //! The wire format is specified in `ARTIFACTS.md` at the repository root.
 //!
@@ -109,7 +110,7 @@ pub enum StoreError {
         /// explanation
         message: String,
     },
-    /// JSON fallback failure.
+    /// The JSON dump could not be serialised.
     Json {
         /// explanation
         message: String,
@@ -153,6 +154,55 @@ fn io_err(context: &str, e: std::io::Error) -> StoreError {
     StoreError::Io {
         message: format!("{context}: {e}"),
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: the next [`write_atomic`] on this thread fails after the
+    /// temp file is written and synced, before it is renamed.
+    static FAIL_BEFORE_RENAME: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Writes `bytes` to `path` so that `path` holds either its old content
+/// or all of the new: the bytes go to a sibling temp file, which is
+/// synced and renamed over `path`, and then the directory is synced.
+/// Parent directories are created on demand; on error the temp file is
+/// removed.
+fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(), StoreError> {
+    use std::io::Write;
+    static TEMPS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    let dir = path
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(std::path::Path::new("."));
+    std::fs::create_dir_all(dir).map_err(|e| io_err(&format!("create {}", dir.display()), e))?;
+    let mut temp = path.as_os_str().to_os_string();
+    temp.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        TEMPS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    let temp = std::path::PathBuf::from(temp);
+    let written = std::fs::File::create(&temp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| {
+            #[cfg(test)]
+            if FAIL_BEFORE_RENAME.with(|fail| fail.replace(false)) {
+                return Err(std::io::Error::other("injected fault before rename"));
+            }
+            std::fs::rename(&temp, path)
+        });
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&temp);
+        return Err(io_err(&format!("write {}", path.display()), e));
+    }
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err(&format!("sync {}", dir.display()), e))
 }
 
 /// Accumulates named sections for one container.
@@ -311,9 +361,10 @@ impl<'a> SectionReader<'a> {
 ///
 /// Implementors describe how to lay their fields out into named container
 /// sections; the trait supplies file and byte-level `save`/`load` on top,
-/// plus a JSON fallback via the serde supertraits. Both formats decode to
-/// the same struct, and the binary format is bit-exact for every `f64`.
-pub trait Artifact: serde::Serialize + serde::Deserialize + Sized {
+/// plus a write-only JSON dump via the `Serialize` supertrait. The binary
+/// container is the only format that loads, and it is bit-exact for every
+/// `f64`.
+pub trait Artifact: serde::Serialize + Sized {
     /// 4-byte ASCII artifact kind tag (e.g. `*b"DSET"`).
     const KIND: [u8; 4];
     /// Payload version written by this build; readers reject newer ones.
@@ -360,19 +411,14 @@ pub trait Artifact: serde::Serialize + serde::Deserialize + Sized {
         Self::read_sections(&reader)
     }
 
-    /// Writes the binary container to `path`.
+    /// Writes the binary container to `path` atomically: a crash or an
+    /// error mid-write leaves the previous file at `path` intact.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on filesystem failure.
     fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), StoreError> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| io_err(&format!("create {}", dir.display()), e))?;
-        }
-        std::fs::write(path, self.to_store_bytes())
-            .map_err(|e| io_err(&format!("write {}", path.display()), e))
+        write_atomic(path.as_ref(), &self.to_store_bytes())
     }
 
     /// Reads a binary container from `path`.
@@ -380,7 +426,8 @@ pub trait Artifact: serde::Serialize + serde::Deserialize + Sized {
     /// # Errors
     ///
     /// [`StoreError::Io`] on filesystem failure, else as
-    /// [`Artifact::from_store_bytes`].
+    /// [`Artifact::from_store_bytes`] — a JSON dump is
+    /// [`StoreError::BadMagic`].
     fn load(path: impl AsRef<std::path::Path>) -> Result<Self, StoreError> {
         let path = path.as_ref();
         let bytes =
@@ -388,62 +435,14 @@ pub trait Artifact: serde::Serialize + serde::Deserialize + Sized {
         Self::from_store_bytes(&bytes)
     }
 
-    /// Writes the JSON fallback representation to `path`.
+    /// Writes the write-only JSON debugging dump to `path`. Nothing reads
+    /// it back: [`Artifact::load`] rejects it.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] / [`StoreError::Json`].
     fn save_json(&self, path: impl AsRef<std::path::Path>) -> Result<(), StoreError> {
         json::write_json_file(path, self)
-    }
-
-    /// Reads the JSON fallback representation from `path`.
-    ///
-    /// The decoded value is [revalidated](Artifact::revalidated) so the
-    /// JSON path enforces the same invariants as the binary one.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] / [`StoreError::Json`], or any decode error
-    /// from revalidation.
-    fn load_json(path: impl AsRef<std::path::Path>) -> Result<Self, StoreError> {
-        json::read_json_file(path).and_then(Self::revalidated)
-    }
-
-    /// Loads from `path` in whichever format the file is in, sniffing the
-    /// binary magic first and falling back to (revalidated) JSON.
-    ///
-    /// # Errors
-    ///
-    /// As [`Artifact::load`] / [`Artifact::load_json`].
-    fn load_auto(path: impl AsRef<std::path::Path>) -> Result<Self, StoreError> {
-        let path = path.as_ref();
-        let bytes =
-            std::fs::read(path).map_err(|e| io_err(&format!("read {}", path.display()), e))?;
-        if bytes.starts_with(&MAGIC) {
-            Self::from_store_bytes(&bytes)
-        } else {
-            json::from_json_str(std::str::from_utf8(&bytes).map_err(|e| StoreError::Json {
-                message: format!("not UTF-8: {e}"),
-            })?)
-            .and_then(Self::revalidated)
-        }
-    }
-
-    /// Re-runs the binary decoder's structural validation on an
-    /// already-decoded value by round-tripping it through the codec.
-    ///
-    /// `serde`-derived JSON decoding enforces none of the shape or
-    /// finiteness invariants [`Artifact::read_sections`] checks — and the
-    /// JSON format silently degrades non-finite values to `null`/NaN —
-    /// so every JSON load funnels through here before the value escapes.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`Artifact::read_sections`] rejects (inconsistent
-    /// shapes, invariant-violating values) as a typed [`StoreError`].
-    fn revalidated(self) -> Result<Self, StoreError> {
-        Self::from_store_bytes(&self.to_store_bytes())
     }
 }
 
@@ -567,6 +566,10 @@ mod tests {
             .to_state()
     }
 
+    fn other_state() -> MlpState {
+        MlpBuilder::new(2).dense(1).build(7).to_state()
+    }
+
     #[test]
     fn mlp_state_binary_roundtrip() {
         let state = sample_state();
@@ -652,19 +655,58 @@ mod tests {
         }
     }
 
+    fn temp_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn dir_entries(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn json_fallback_roundtrip() {
+    fn json_dump_is_written_but_never_loads() {
         let state = sample_state();
-        let dir = std::env::temp_dir().join("qross_store_test_json");
+        let dir = temp_dir("qross_store_test_json");
         let path = dir.join("mlp.json");
         state.save_json(&path).unwrap();
-        let back = MlpState::load_json(&path).unwrap();
-        assert_eq!(back, state);
-        // load_auto sniffs both formats.
-        let bin_path = dir.join("mlp.qross");
-        state.save(&bin_path).unwrap();
-        assert_eq!(MlpState::load_auto(&bin_path).unwrap(), state);
-        assert_eq!(MlpState::load_auto(&path).unwrap(), state);
+        assert!(std::fs::metadata(&path).unwrap().len() > 0);
+        assert_eq!(MlpState::load(&path).unwrap_err(), StoreError::BadMagic);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_replaces_the_target_and_leaves_no_temp_file() {
+        let dir = temp_dir("qross_store_test_save");
+        let path = dir.join("mlp.qross");
+        other_state().save(&path).unwrap();
+        let state = sample_state();
+        state.save(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), state.to_store_bytes());
+        assert_eq!(dir_entries(&dir), ["mlp.qross"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_save_keeps_the_old_artifact() {
+        let dir = temp_dir("qross_store_test_fault");
+        let path = dir.join("mlp.qross");
+        let old = sample_state();
+        old.save(&path).unwrap();
+        let old_bytes = std::fs::read(&path).unwrap();
+
+        FAIL_BEFORE_RENAME.with(|fail| fail.set(true));
+        let err = other_state().save(&path).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "{err:?}");
+        assert_eq!(std::fs::read(&path).unwrap(), old_bytes);
+        assert_eq!(MlpState::load(&path).unwrap(), old);
+        assert_eq!(dir_entries(&dir), ["mlp.qross"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,6 +10,7 @@
 //!   a round-trip through disk.
 //! * The committed golden fixture from container-format v1 keeps
 //!   decoding (forward-compatibility gate).
+//! * A JSON dump (`qross-train --format json`) is never loaded back.
 
 use bench::serve::proposal_trace;
 use problems::TspInstance;
@@ -20,9 +21,10 @@ use qross_repro::qross::pipeline::{
     CollectedCorpus, Pipeline, PipelineConfig, QrossBundle, TrainedQross,
 };
 use qross_repro::qross::surrogate::{SurrogateState, TrainReport};
+use qross_repro::qross::QrossError;
 use qross_repro::qross::{FeaturizerSpec, Surrogate};
 use qross_repro::solvers::sa::{SaConfig, SimulatedAnnealer};
-use qross_store::Artifact;
+use qross_store::{Artifact, StoreError};
 
 fn solver() -> SimulatedAnnealer {
     SimulatedAnnealer::new(SaConfig {
@@ -410,4 +412,31 @@ fn golden_bundle_v1_reloads_with_bit_identical_predict_grid() {
             assert_eq!(pr.e_std.to_bits(), pe.e_std.to_bits());
         }
     }
+}
+
+/// What `qross-train --format json` writes — a bundle's or a surrogate
+/// snapshot's JSON dump — is for reading only: the loaders behind
+/// `qross-predict` reject it as a bad magic instead of decoding it.
+#[test]
+fn json_dumps_are_rejected_as_bad_magic() {
+    let bundle_dump = temp_path("dump_bundle.json");
+    golden_bundle()
+        .save_json(&bundle_dump)
+        .expect("dump bundle");
+    match TrainedQross::load(&bundle_dump) {
+        Err(QrossError::Persistence { message }) => {
+            assert_eq!(message, StoreError::BadMagic.to_string())
+        }
+        other => panic!("bundle dump was not rejected as a bad magic: {other:?}"),
+    }
+
+    let state_dump = temp_path("dump_state.json");
+    golden_state()
+        .save_json(&state_dump)
+        .expect("dump snapshot");
+    assert!(std::fs::metadata(&state_dump).expect("dump written").len() > 0);
+    assert_eq!(
+        SurrogateState::load(&state_dump).unwrap_err(),
+        StoreError::BadMagic
+    );
 }

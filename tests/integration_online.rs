@@ -376,8 +376,7 @@ fn checkpoints_are_restartable_models() {
     let served = eng.predict(&f, a).expect("serve");
     drop(eng);
 
-    let ckpt =
-        SurrogateCheckpoint::load_auto(dir.join("ckpt-g000001.qross")).expect("checkpoint loads");
+    let ckpt = SurrogateCheckpoint::load(dir.join("ckpt-g000001.qross")).expect("checkpoint loads");
     let restarted = ServeEngine::new(
         ServeModel::Surrogate(Arc::new(
             Surrogate::from_state(ckpt.state).expect("state rebuilds"),
