@@ -238,12 +238,17 @@ fn surrogate_model(state: SurrogateState) -> Result<ServeModel, String> {
 /// fine-tune: a bare `DSET` dataset or a full `CORP` collect-stage
 /// corpus (its dataset is used).
 fn load_corpus(path: &str) -> Result<SurrogateDataset, String> {
-    if let Ok(ds) = SurrogateDataset::load(path) {
-        return Ok(ds);
-    }
+    let dataset_err = match SurrogateDataset::load(path) {
+        Ok(ds) => return Ok(ds),
+        Err(e) => e,
+    };
+    // As in `load_model`: a corrupt dataset must surface its own
+    // diagnosis, not only the corpus decoder's kind mismatch.
     CollectedCorpus::load(path)
         .map(|corpus| corpus.dataset)
-        .map_err(|e| format!("loading corpus failed: {e}"))
+        .map_err(|corpus_err| {
+            format!("loading corpus failed — as dataset: {dataset_err}; as corpus: {corpus_err}")
+        })
 }
 
 fn main() {

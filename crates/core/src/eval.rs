@@ -55,23 +55,6 @@ pub struct StrategyRun {
     pub trials: Vec<SolverObservation>,
 }
 
-impl StrategyRun {
-    /// Best feasible fitness over the first `t+1` trials (0-based `t`,
-    /// clamped to the recorded length). Returns `None` for an empty run or
-    /// when no trial in the window found a feasible solution.
-    pub fn best_fitness_through(&self, t: usize) -> Option<f64> {
-        if self.trials.is_empty() {
-            return None;
-        }
-        self.trials[..=t.min(self.trials.len() - 1)]
-            .iter()
-            .filter_map(|o| o.best_fitness)
-            .fold(None, |acc: Option<f64>, f| {
-                Some(acc.map_or(f, |a| a.min(f)))
-            })
-    }
-}
-
 /// Drives `strategy` against `(problem, solver)` for `trials` trials.
 ///
 /// Each trial performs exactly one solver call of `batch` samples — the
@@ -372,43 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn best_fitness_through_tracks_minimum() {
-        let run = StrategyRun {
-            strategy: "x".to_string(),
-            instance: "i".to_string(),
-            trials: vec![
-                SolverObservation {
-                    a: 1.0,
-                    pf: 0.0,
-                    e_avg: 0.0,
-                    e_std: 0.0,
-                    best_fitness: None,
-                    min_energy: 0.0,
-                },
-                SolverObservation {
-                    a: 1.0,
-                    pf: 1.0,
-                    e_avg: 0.0,
-                    e_std: 0.0,
-                    best_fitness: Some(5.0),
-                    min_energy: 0.0,
-                },
-                SolverObservation {
-                    a: 1.0,
-                    pf: 1.0,
-                    e_avg: 0.0,
-                    e_std: 0.0,
-                    best_fitness: Some(7.0),
-                    min_energy: 0.0,
-                },
-            ],
-        };
-        assert_eq!(run.best_fitness_through(0), None);
-        assert_eq!(run.best_fitness_through(1), Some(5.0));
-        assert_eq!(run.best_fitness_through(2), Some(5.0));
-    }
-
-    #[test]
     #[should_panic(expected = "share a length")]
     fn aggregation_rejects_ragged() {
         let _ = aggregate_gap_curves(&[vec![0.1], vec![0.1, 0.2]]);
@@ -423,8 +369,6 @@ mod tests {
             instance: "i".to_string(),
             trials: Vec::new(),
         };
-        assert_eq!(empty.best_fitness_through(0), None);
-        assert_eq!(empty.best_fitness_through(17), None);
         assert!(gap_curve(&empty, 10.0, 30.0).is_empty());
         // All-empty strategy runs aggregate to an empty curve, not NaN.
         let cis = aggregate_gap_curves(&[Vec::new(), Vec::new()]);

@@ -229,8 +229,6 @@ pub struct ReplayBuffer {
     /// records that have entered the reservoir stream (aged out of the
     /// recency window), 1-based stream position of the last one
     aged: u64,
-    /// total records ever pushed
-    total: u64,
 }
 
 impl ReplayBuffer {
@@ -252,7 +250,6 @@ impl ReplayBuffer {
             recent: std::collections::VecDeque::with_capacity(recent_cap + 1),
             reservoir: Vec::with_capacity(capacity - recent_cap),
             aged: 0,
-            total: 0,
         }
     }
 
@@ -266,14 +263,8 @@ impl ReplayBuffer {
         self.len() == 0
     }
 
-    /// Total records ever pushed (admitted or since evicted).
-    pub fn total_pushed(&self) -> u64 {
-        self.total
-    }
-
     /// Admits one record, evicting deterministically once full.
     pub fn push(&mut self, record: FeedbackRecord) {
-        self.total += 1;
         self.recent.push_back(record);
         if self.recent.len() <= self.recent_cap {
             return;
@@ -394,7 +385,6 @@ mod tests {
             buf.push(record(k));
             assert!(buf.len() <= 8, "buffer overflowed at push {k}");
         }
-        assert_eq!(buf.total_pushed(), 100);
         let snap = buf.snapshot();
         assert_eq!(snap.len(), 8);
         // The recency window holds exactly the last 4 records, in order.

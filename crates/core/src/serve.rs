@@ -310,6 +310,9 @@ pub struct ServeObs {
     batched_rows: Arc<obs::Counter>,
     rejected_quota: Arc<obs::Counter>,
     rejected_capacity: Arc<obs::Counter>,
+    /// drained batches whose computation panicked (each job answered
+    /// with an error; the thread lives on)
+    worker_panics: Arc<obs::Counter>,
     feedback: Arc<obs::Counter>,
     refreshes: Arc<obs::Counter>,
     /// submit→answer latency of every accepted request
@@ -355,6 +358,10 @@ impl ServeObs {
             rejected_capacity: r.counter(
                 obs::labeled("qross_serve_rejected_total", &[("reason", "capacity")]),
                 "requests rejected, by reason (tenant quota vs global capacity)",
+            ),
+            worker_panics: r.counter(
+                "qross_serve_worker_panics_total",
+                "drained batches whose computation panicked (their jobs answered with an error)",
             ),
             feedback: r.counter(
                 "qross_online_feedback_total",
@@ -651,18 +658,15 @@ impl Job {
         self.results.iter().filter(|r| r.is_none()).count()
     }
 
-    /// Records the computed job's latency and engine stages; returns its
-    /// answer and the route a worker delivers it on.
-    fn finish(self, serve_obs: &ServeObs) -> (Answer, Reply) {
-        (
-            serve_obs.answer(self.submitted, self.span, self.results),
-            self.reply,
-        )
+    /// Records the computed job's latency and engine stages and returns
+    /// its answer.
+    fn finish(&mut self, serve_obs: &ServeObs) -> Answer {
+        serve_obs.answer(self.submitted, self.span, std::mem::take(&mut self.results))
     }
 }
 
 /// Sends a worker-computed answer down its reply route.
-fn deliver((answer, (tx, notify)): (Answer, Reply)) {
+fn deliver(answer: Answer, (tx, notify): Reply) {
     // A dropped receiver just means the client went away; ignore.
     let _ = tx.send(answer);
     // Wake the submitter's event loop (if any) only after the answer is
@@ -993,6 +997,9 @@ struct Shared {
     cache: Mutex<LruCache>,
     obs: ServeObs,
     online: Option<OnlineShared>,
+    /// makes the next drained batch panic, to test worker supervision
+    #[cfg(test)]
+    panic_next_batch: std::sync::atomic::AtomicBool,
 }
 
 /// Locks a mutex, recovering from poisoning: a panicking thread must not
@@ -1003,6 +1010,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
+}
+
+/// The message a panic was raised with.
+fn panic_reason(panic: &(dyn std::any::Any + Send)) -> String {
+    panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown cause".to_string())
 }
 
 impl Shared {
@@ -1192,9 +1208,13 @@ impl Shared {
             // A held job is the only one queued, so this drains it alone.
             q.drain_batch(1)
         };
-        SCRATCH.with(|scratch| self.process_batch(&mut scratch.borrow_mut(), &mut batch));
-        let job = batch.pop().expect("the held job was queued");
-        Some(job.finish(&self.obs).0)
+        let mut answer = None;
+        SCRATCH.with(|scratch| {
+            self.run_batch(&mut scratch.borrow_mut(), &mut batch, |_, a| {
+                answer = Some(a);
+            });
+        });
+        Some(answer.expect("the held job was queued"))
     }
 
     /// Point-in-time metrics snapshot. Counters are relaxed atomics and
@@ -1288,9 +1308,53 @@ impl Shared {
                 }
                 q.drain_batch(self.config.max_batch_rows)
             };
-            self.process_batch(&mut scratch, &mut batch);
-            for job in batch {
-                deliver(job.finish(&self.obs));
+            self.run_batch(&mut scratch, &mut batch, |job, answer| {
+                deliver(answer, job.reply)
+            });
+        }
+    }
+
+    /// Computes `batch` ([`Shared::process_batch`]), finishes each job
+    /// and hands it with its answer to `answered`, in order, under one
+    /// `catch_unwind`; `batch` is empty afterwards. A panic is caught on
+    /// whichever thread runs the batch (a worker, or the thread claiming a
+    /// held job): every job not yet answered gets a [`QrossError::Serve`]
+    /// naming the panic, the panic is counted
+    /// (`qross_serve_worker_panics_total`), and the thread carries on.
+    /// The jobs' rows left the queue's accounting when it drained them.
+    fn run_batch(
+        &self,
+        scratch: &mut PredictScratch,
+        batch: &mut Vec<Job>,
+        mut answered: impl FnMut(Job, Answer),
+    ) {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            #[cfg(test)]
+            if self.panic_next_batch.swap(false, Ordering::SeqCst) {
+                panic!("injected worker panic");
+            }
+            self.process_batch(scratch, batch);
+            // Answered jobs leave `batch` one at a time (from the back of
+            // the reversed batch), so each is freed as soon as it is
+            // answered, and a panic leaves exactly the unanswered ones.
+            batch.reverse();
+            while let Some(job) = batch.last_mut() {
+                let answer = job.finish(&self.obs);
+                let job = batch.pop().expect("last job exists");
+                answered(job, answer);
+            }
+        }));
+        if let Err(panic) = outcome {
+            self.obs.worker_panics.inc();
+            let message = format!("serving worker panicked: {}", panic_reason(&*panic));
+            // The unanswered jobs (reversed if the panic came while
+            // answering; error answers need no order).
+            for job in std::mem::take(batch) {
+                let error = QrossError::Serve {
+                    message: message.clone(),
+                };
+                let span = job.span;
+                answered(job, (span, Err(error)));
             }
         }
     }
@@ -1518,13 +1582,8 @@ impl Shared {
             let result =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_retrain(&job)))
                     .unwrap_or_else(|panic| {
-                        let reason = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "unknown cause".to_string());
                         Err(QrossError::Serve {
-                            message: format!("online retrain panicked: {reason}"),
+                            message: format!("online retrain panicked: {}", panic_reason(&*panic)),
                         })
                     });
             if let Some(online) = &self.online {
@@ -1972,6 +2031,8 @@ impl ServeEngine {
             work_ready: Condvar::new(),
             obs,
             online: online_shared,
+            #[cfg(test)]
+            panic_next_batch: std::sync::atomic::AtomicBool::new(false),
         });
         let trainer = shared.online.as_ref().map(|online| {
             let (tx, rx) = mpsc::channel();
@@ -2717,6 +2778,7 @@ mod tests {
             cache: Mutex::new(LruCache::new(0)),
             obs,
             online: None,
+            panic_next_batch: std::sync::atomic::AtomicBool::new(false),
         })
     }
 
@@ -2992,11 +3054,10 @@ mod tests {
     fn run_queued_by_hand(shared: &Shared) -> usize {
         let mut batch = lock(&shared.queue).drain_batch(shared.config.max_batch_rows);
         assert!(!batch.is_empty(), "nothing was queued");
-        shared.process_batch(&mut PredictScratch::new(), &mut batch);
         let jobs = batch.len();
-        for job in batch {
-            deliver(job.finish(&shared.obs));
-        }
+        shared.run_batch(&mut PredictScratch::new(), &mut batch, |job, answer| {
+            deliver(answer, job.reply)
+        });
         jobs
     }
 
@@ -3238,6 +3299,68 @@ mod tests {
         assert_eq!(gen, 1);
         assert_eq!(eng.generation(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn panicking_batch_is_answered_and_the_worker_survives() {
+        let sur = tiny_surrogate();
+        let eng = engine(ServeConfig {
+            workers: 1,
+            cache_capacity: 0,
+            ..Default::default()
+        });
+        eng.shared.panic_next_batch.store(true, Ordering::SeqCst);
+        let grid = [0.5, 1.0, 2.0];
+        let first = eng
+            .submit_opts(None, vec![0.3, 0.1], grid.to_vec(), None)
+            .expect("submit");
+        let err = first.wait().unwrap_err();
+        assert!(
+            matches!(&err, QrossError::Serve { message } if message.contains("injected worker panic")),
+            "{err}"
+        );
+        assert_eq!(eng.shared.obs.worker_panics.get(), 1);
+        assert_eq!(lock(&eng.shared.queue).pending_rows, 0);
+        // The worker lives on: a second grid is answered, within a bound
+        // so that a dead worker fails the test instead of hanging it.
+        let (tx, rx) = mpsc::channel();
+        let second = eng
+            .submit_opts(
+                None,
+                vec![0.3, 0.1],
+                grid.to_vec(),
+                Some(Arc::new(move || {
+                    let _ = tx.send(());
+                })),
+            )
+            .expect("submit");
+        rx.recv_timeout(std::time::Duration::from_secs(1))
+            .expect("second grid answered within 1 s");
+        let served = second.wait().expect("answered");
+        for (served, &a) in served.iter().zip(&grid) {
+            assert_bits(served, &sur.predict(&[0.3, 0.1], a));
+        }
+    }
+
+    #[test]
+    fn panicking_held_job_is_answered_on_the_claiming_thread() {
+        let (f, a) = ([0.6, -0.4], 1.75);
+        let eng = engine(ServeConfig {
+            workers: 1,
+            cache_capacity: 0,
+            ..Default::default()
+        });
+        wait_until_parked(&eng.shared);
+        eng.shared.panic_next_batch.store(true, Ordering::SeqCst);
+        let mut pending = eng
+            .submit_opts(None, f.to_vec(), vec![a], None)
+            .expect("admitted");
+        assert!(pending.poll(), "claimed and answered by the first poll");
+        let err = pending.wait().unwrap_err();
+        assert!(matches!(&err, QrossError::Serve { .. }), "{err}");
+        assert_eq!(eng.shared.obs.worker_panics.get(), 1);
+        let served = eng.predict(&f, a).expect("the engine still serves");
+        assert_bits(&served, &tiny_surrogate().predict(&f, a));
     }
 
     #[test]

@@ -15,10 +15,8 @@
 //! | type                 | kind tag | sections |
 //! |----------------------|----------|----------|
 //! | [`SurrogateDataset`] | `DSET`   | `DATA` |
-//! | [`Scalers`]          | `SCLR`   | `DATA` |
 //! | [`SurrogateState`]   | `SURR`   | `SURR` |
 //! | [`SurrogateCheckpoint`] | `SURR` (payload v2) | `SURR`, `LINE` (optional) |
-//! | [`PipelineConfig`]   | `PCFG`   | `DATA` |
 //! | [`CollectedCorpus`]  | `CORP` (payload v2) | `PCFG`, `FEAT`, `INST`, `DSET` |
 //! | [`QrossBundle`]      | `BNDL` (payload v2) | `PCFG`, `FEAT`, `SURR`, `INST`, `RPRT` |
 //!
@@ -481,21 +479,6 @@ impl Artifact for SurrogateDataset {
     }
 }
 
-impl Artifact for Scalers {
-    const KIND: [u8; 4] = *b"SCLR";
-
-    fn write_sections(&self, out: &mut SectionWriter) {
-        out.section(*b"DATA", |w| put_scalers(w, self));
-    }
-
-    fn read_sections(reader: &SectionReader<'_>) -> Result<Self, StoreError> {
-        let mut r = reader.section(*b"DATA")?;
-        let s = get_scalers(&mut r)?;
-        r.finish()?;
-        Ok(s)
-    }
-}
-
 impl Artifact for SurrogateState {
     const KIND: [u8; 4] = *b"SURR";
 
@@ -566,21 +549,6 @@ impl Artifact for SurrogateCheckpoint {
             None
         };
         Ok(SurrogateCheckpoint { lineage, state })
-    }
-}
-
-impl Artifact for PipelineConfig {
-    const KIND: [u8; 4] = *b"PCFG";
-
-    fn write_sections(&self, out: &mut SectionWriter) {
-        out.section(*b"DATA", |w| put_pipeline_config(w, self));
-    }
-
-    fn read_sections(reader: &SectionReader<'_>) -> Result<Self, StoreError> {
-        let mut r = reader.section(*b"DATA")?;
-        let cfg = get_pipeline_config(&mut r)?;
-        r.finish()?;
-        Ok(cfg)
     }
 }
 
@@ -792,8 +760,12 @@ mod tests {
     #[test]
     fn scalers_roundtrip() {
         let s = sample_scalers();
-        let back = Scalers::from_store_bytes(&s.to_store_bytes()).unwrap();
-        assert_eq!(back, s);
+        let mut w = ByteWriter::new();
+        put_scalers(&mut w, &s);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(get_scalers(&mut r).unwrap(), s);
+        r.finish().unwrap();
     }
 
     #[test]
@@ -803,8 +775,12 @@ mod tests {
             PipelineConfig::quick(),
             PipelineConfig::paper(),
         ] {
-            let back = PipelineConfig::from_store_bytes(&cfg.to_store_bytes()).unwrap();
-            assert_eq!(back, cfg);
+            let mut w = ByteWriter::new();
+            put_pipeline_config(&mut w, &cfg);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(get_pipeline_config(&mut r).unwrap(), cfg);
+            r.finish().unwrap();
         }
     }
 

@@ -164,23 +164,6 @@ impl OnlineFitting {
             (0.5 * (lo + hi)).exp()
         }
     }
-
-    /// Returns the best observed `A` by a caller-maintained criterion —
-    /// Algorithm 1 line 9 returns "the best A among history of F", which
-    /// the evaluation harness tracks via fitness; this helper returns the
-    /// `A` whose observed `Pf` is closest to `target` as a surrogate-free
-    /// tie-breaker.
-    pub fn closest_to(&self, target: f64) -> Option<f64> {
-        self.history
-            .iter()
-            .min_by(|x, y| {
-                (x.1 - target)
-                    .abs()
-                    .partial_cmp(&(y.1 - target).abs())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|&(a, _)| a)
-    }
 }
 
 #[cfg(test)]
@@ -252,16 +235,6 @@ mod tests {
         let ofs = OnlineFitting::new((0.01, 100.0), 4);
         let probe = ofs.bound_probe().unwrap();
         assert!((probe - 1.0).abs() < 1e-9); // sqrt(0.01 * 100)
-    }
-
-    #[test]
-    fn closest_to_picks_nearest_pf() {
-        let mut ofs = OnlineFitting::new((0.1, 10.0), 5);
-        ofs.observe(1.0, 0.1);
-        ofs.observe(2.0, 0.55);
-        ofs.observe(4.0, 0.95);
-        assert_eq!(ofs.closest_to(0.5), Some(2.0));
-        assert_eq!(ofs.closest_to(1.0), Some(4.0));
     }
 
     #[test]

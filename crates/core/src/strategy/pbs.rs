@@ -60,20 +60,6 @@ pub fn propose(
     Ok(m.x.exp())
 }
 
-/// Proposes one `A` per target in `targets`, skipping targets the
-/// surrogate cannot resolve.
-pub fn propose_ladder(
-    surrogate: &Surrogate,
-    features: &[f64],
-    domain: (f64, f64),
-    targets: &[f64],
-) -> Vec<f64> {
-    targets
-        .iter()
-        .filter_map(|&p| propose(surrogate, features, domain, p).ok())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,8 +113,10 @@ mod tests {
         // Higher target Pf should require larger A (Pf rises with A).
         let sur = trained_surrogate();
         let domain = ((-3.0f64).exp(), (3.0f64).exp());
-        let ladder = propose_ladder(&sur, &[0.4], domain, &[0.2, 0.5, 0.8]);
-        assert_eq!(ladder.len(), 3);
+        let ladder: Vec<f64> = [0.2, 0.5, 0.8]
+            .iter()
+            .map(|&p| propose(&sur, &[0.4], domain, p).unwrap())
+            .collect();
         assert!(ladder[0] < ladder[1] && ladder[1] < ladder[2], "{ladder:?}");
     }
 

@@ -46,8 +46,7 @@
 //!   own accumulators and never stored.
 //!
 //! The packed tile loop is compiled once per ISA, and the widest copy
-//! the host runs (checked with `is_x86_feature_detected!`) is chosen per
-//! call:
+//! the host runs ([`Isa::detect`]) is chosen per call:
 //!
 //! | copy    | tile | accumulators       |
 //! |---------|------|--------------------|
@@ -369,50 +368,72 @@ fn tiles_avx512(
     tiles(m, n, kk, blocks, panels, out)
 }
 
-/// A compiled copy of [`tiles`] that this host runs: only
-/// [`Isa::detect`] and [`Isa::supported`] make one, after checking the
-/// host's features, and the field is private to this module.
+/// An instruction-set level this host runs: the one detector behind every
+/// runtime-dispatched kernel copy, here and in the Digital Annealer's lane
+/// kernel (`solvers::da`).
+///
+/// Only [`Isa::detect`] and [`Isa::supported`] make one, after checking
+/// the host's features with `is_x86_feature_detected!`, and the field is
+/// private to this module. So holding an `Isa` whose [`Isa::level`] is
+/// [`Level::Avx2`] (or [`Level::Avx512`]) proves that the host executes
+/// AVX2 (or AVX-512F) and POPCNT instructions: every `unsafe` call of a
+/// `target_feature` copy rests on that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Isa(Level);
+pub struct Isa(Level);
 
+/// The instruction-set levels an [`Isa`] can hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Level {
+pub enum Level {
+    /// Baseline code (SSE2 on x86-64).
     Plain,
+    /// AVX2 and POPCNT.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// AVX-512F and POPCNT.
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
 
 impl Isa {
-    /// The widest copy this host runs.
-    fn detect() -> Isa {
+    /// The widest level this host runs. The wide levels also require
+    /// POPCNT, which the Digital Annealer's copies enable; the matmul
+    /// copies do not use it, and every copy is bit-identical to its
+    /// oracle, so a host lacking it only runs the plain copies.
+    pub fn detect() -> Isa {
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Isa(Level::Avx512);
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Isa(Level::Avx2);
+            if std::arch::is_x86_feature_detected!("popcnt") {
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    return Isa(Level::Avx512);
+                }
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    return Isa(Level::Avx2);
+                }
             }
         }
         Isa(Level::Plain)
     }
 
-    /// Every copy this host runs, widest last.
-    #[cfg(test)]
-    fn supported() -> Vec<Isa> {
+    /// Every level this host runs, widest last (the copies a test checks).
+    pub fn supported() -> Vec<Isa> {
         let mut copies = vec![Isa(Level::Plain)];
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                copies.push(Isa(Level::Avx2));
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                copies.push(Isa(Level::Avx512));
+            if std::arch::is_x86_feature_detected!("popcnt") {
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    copies.push(Isa(Level::Avx2));
+                }
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    copies.push(Isa(Level::Avx512));
+                }
             }
         }
         copies
+    }
+
+    /// The level, for a dispatch `match`.
+    pub fn level(self) -> Level {
+        self.0
     }
 
     /// `out = a · b` (`m x kk` times `kk x n`) on this copy: pack both
@@ -442,14 +463,14 @@ impl Isa {
             Level::Plain => tiles_plain(m, n, kk, &a.pack(m, kk), &b.pack(n, kk), out),
             // SAFETY: an `Isa(Level::Avx2)` exists only after
             // `is_x86_feature_detected!("avx2")` returned true (see
-            // `Isa::detect` and `Isa::supported`), so the host executes
-            // AVX2 instructions.
+            // `Isa::detect` and `Isa::supported`, the one detector), so
+            // the host executes AVX2 instructions.
             #[cfg(target_arch = "x86_64")]
             Level::Avx2 => unsafe { tiles_avx2(m, n, kk, &a.pack(m, kk), &b.pack(n, kk), out) },
             // SAFETY: an `Isa(Level::Avx512)` exists only after
             // `is_x86_feature_detected!("avx512f")` returned true (see
-            // `Isa::detect` and `Isa::supported`), so the host executes
-            // AVX-512F instructions.
+            // `Isa::detect` and `Isa::supported`, the one detector), so
+            // the host executes AVX-512F instructions.
             #[cfg(target_arch = "x86_64")]
             Level::Avx512 => unsafe { tiles_avx512(m, n, kk, &a.pack(m, kk), &b.pack(n, kk), out) },
         }

@@ -9,11 +9,12 @@
 //! * [`linalg`] — Cholesky factorisation and triangular solves for symmetric
 //!   positive-definite systems (Gaussian-process regression);
 //! * [`stats`] — descriptive statistics and confidence intervals;
-//! * [`special`] — error function, Gaussian pdf/cdf and its inverse;
+//! * [`special`] — complementary error function, Gaussian pdf/cdf and its
+//!   inverse;
 //! * [`integrate`] — adaptive Simpson and fixed-order Gauss–Legendre
 //!   quadrature (used by the Minimum Fitness Strategy integral);
-//! * [`optimize`] — bisection, golden-section, grid and Nelder–Mead
-//!   optimisers (the stand-in for scipy's `shgo` in the paper);
+//! * [`optimize`] — bisection, golden-section and grid optimisers (the
+//!   stand-in for scipy's `shgo` in the paper);
 //! * [`fit`] — damped Gauss–Newton sigmoid fitting (Online Fitting Strategy)
 //!   and linear least squares;
 //! * [`kde`] — 1-D truncated Parzen (Gaussian-mixture) estimators for the

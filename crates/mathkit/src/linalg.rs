@@ -163,12 +163,6 @@ impl Cholesky {
         let y = self.solve_lower(b)?;
         self.solve_upper(&y)
     }
-
-    /// Log-determinant of `A = L L^T`, i.e. `2 * sum(log L_ii)`.
-    pub fn log_det(&self) -> f64 {
-        let n = self.l.rows();
-        2.0 * (0..n).map(|i| self.l[(i, i)].ln()).sum::<f64>()
-    }
 }
 
 /// Dot product of two equal-length slices.
@@ -263,21 +257,6 @@ mod tests {
             Cholesky::factor(&a),
             Err(MathError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn log_det_identity_is_zero() {
-        let ch = Cholesky::factor(&Matrix::identity(4)).unwrap();
-        assert!(ch.log_det().abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_det_diagonal() {
-        let mut a = Matrix::identity(2);
-        a[(0, 0)] = 4.0;
-        a[(1, 1)] = 9.0;
-        let ch = Cholesky::factor(&a).unwrap();
-        assert!((ch.log_det() - (4.0_f64 * 9.0).ln()).abs() < 1e-12);
     }
 
     #[test]

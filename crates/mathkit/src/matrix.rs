@@ -8,8 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{MathError, Result};
-
 /// A dense, row-major `rows x cols` matrix of `f64`.
 ///
 /// # Examples
@@ -447,11 +445,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Extracts rows `indices` into a new matrix (used for mini-batching).
     ///
     /// # Panics
@@ -464,27 +457,6 @@ impl Matrix {
             out.row_slice_mut(dst).copy_from_slice(self.row_slice(src));
         }
         out
-    }
-
-    /// Horizontally concatenates `self` and `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] when the row counts differ.
-    pub fn hcat(&self, other: &Matrix) -> Result<Matrix> {
-        if self.rows != other.rows {
-            return Err(MathError::DimensionMismatch {
-                expected: format!("{} rows", self.rows),
-                found: format!("{} rows", other.rows),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.data[r * out.cols..r * out.cols + self.cols].copy_from_slice(self.row_slice(r));
-            out.data[r * out.cols + self.cols..(r + 1) * out.cols]
-                .copy_from_slice(other.row_slice(r));
-        }
-        Ok(out)
     }
 
     /// Returns `true` if any element is NaN or infinite.
@@ -608,23 +580,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]);
         let sel = a.select_rows(&[2, 0]);
         assert_eq!(sel, Matrix::from_rows(&[&[3.0], &[1.0]]));
-    }
-
-    #[test]
-    fn hcat_and_mismatch() {
-        let a = Matrix::from_rows(&[&[1.0], &[2.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]);
-        let c = a.hcat(&b).unwrap();
-        assert_eq!(c.shape(), (2, 3));
-        assert_eq!(c[(1, 2)], 6.0);
-        let bad = Matrix::zeros(3, 1);
-        assert!(a.hcat(&bad).is_err());
-    }
-
-    #[test]
-    fn frobenius_norm_known() {
-        let a = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]

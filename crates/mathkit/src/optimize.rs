@@ -1,12 +1,11 @@
-//! Derivative-free optimisation: bisection, golden-section, grid search,
-//! multi-start global 1-D minimisation, and Nelder–Mead.
+//! Derivative-free optimisation: bisection, golden-section, grid search
+//! and multi-start global 1-D minimisation.
 //!
 //! The paper uses scipy's `shgo` to minimise the surrogate-predicted
 //! expected-minimum-fitness over the relaxation parameter `A` (§3.4.1).
 //! `A` is one-dimensional, so a dense-grid scan followed by golden-section
 //! refinement of the best basins ([`minimize_global_1d`]) is an equivalent
-//! global strategy; Nelder–Mead is provided for the multi-dimensional
-//! fits (sigmoid calibration fallback, GP hyper-parameters).
+//! global strategy.
 
 use crate::{MathError, Result};
 
@@ -245,158 +244,6 @@ pub fn refine_grid_minimum<F: Fn(f64) -> f64>(
     Ok(best)
 }
 
-/// Configuration for [`nelder_mead`].
-#[derive(Debug, Clone, Copy)]
-pub struct NelderMeadConfig {
-    /// maximum number of simplex iterations
-    pub max_iter: usize,
-    /// convergence threshold on the simplex value spread
-    pub f_tol: f64,
-    /// initial simplex edge length (relative perturbation per coordinate)
-    pub initial_step: f64,
-}
-
-impl Default for NelderMeadConfig {
-    fn default() -> Self {
-        NelderMeadConfig {
-            max_iter: 500,
-            f_tol: 1e-10,
-            initial_step: 0.1,
-        }
-    }
-}
-
-/// Nelder–Mead simplex minimisation in `R^n`.
-///
-/// Standard reflection/expansion/contraction/shrink coefficients
-/// (1, 2, 0.5, 0.5).
-///
-/// # Errors
-///
-/// Returns [`MathError::EmptyInput`] for an empty starting point.
-///
-/// # Examples
-///
-/// ```
-/// use mathkit::optimize::{nelder_mead, NelderMeadConfig};
-/// let rosen = |x: &[f64]| {
-///     (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2)
-/// };
-/// let cfg = NelderMeadConfig { max_iter: 5000, ..Default::default() };
-/// let (x, v) = nelder_mead(&rosen, &[-1.2, 1.0], &cfg)?;
-/// assert!(v < 1e-6);
-/// assert!((x[0] - 1.0).abs() < 1e-2);
-/// # Ok::<(), mathkit::MathError>(())
-/// ```
-pub fn nelder_mead<F: Fn(&[f64]) -> f64>(
-    f: &F,
-    x0: &[f64],
-    cfg: &NelderMeadConfig,
-) -> Result<(Vec<f64>, f64)> {
-    let n = x0.len();
-    if n == 0 {
-        return Err(MathError::EmptyInput);
-    }
-    // Build initial simplex: x0 plus n perturbed vertices.
-    let mut simplex: Vec<Vec<f64>> = Vec::with_capacity(n + 1);
-    simplex.push(x0.to_vec());
-    for i in 0..n {
-        let mut v = x0.to_vec();
-        let h = if v[i].abs() > 1e-8 {
-            cfg.initial_step * v[i].abs()
-        } else {
-            cfg.initial_step
-        };
-        v[i] += h;
-        simplex.push(v);
-    }
-    let mut values: Vec<f64> = simplex.iter().map(|v| f(v)).collect();
-
-    for _ in 0..cfg.max_iter {
-        // Order vertices by objective value.
-        let mut idx: Vec<usize> = (0..=n).collect();
-        idx.sort_by(|&a, &b| {
-            values[a]
-                .partial_cmp(&values[b])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let ordered: Vec<Vec<f64>> = idx.iter().map(|&i| simplex[i].clone()).collect();
-        let ordered_vals: Vec<f64> = idx.iter().map(|&i| values[i]).collect();
-        simplex = ordered;
-        values = ordered_vals;
-
-        if (values[n] - values[0]).abs() < cfg.f_tol {
-            break;
-        }
-
-        // Centroid of all but the worst vertex.
-        let mut centroid = vec![0.0; n];
-        for v in simplex.iter().take(n) {
-            for (c, x) in centroid.iter_mut().zip(v.iter()) {
-                *c += x / n as f64;
-            }
-        }
-
-        let lerp = |from: &[f64], to: &[f64], t: f64| -> Vec<f64> {
-            from.iter()
-                .zip(to.iter())
-                .map(|(a, b)| a + t * (b - a))
-                .collect()
-        };
-
-        // Reflection.
-        let xr = lerp(&centroid, &simplex[n], -1.0);
-        let fr = f(&xr);
-        if fr < values[0] {
-            // Expansion.
-            let xe = lerp(&centroid, &simplex[n], -2.0);
-            let fe = f(&xe);
-            if fe < fr {
-                simplex[n] = xe;
-                values[n] = fe;
-            } else {
-                simplex[n] = xr;
-                values[n] = fr;
-            }
-        } else if fr < values[n - 1] {
-            simplex[n] = xr;
-            values[n] = fr;
-        } else {
-            // Contraction (outside if reflected point improved on worst).
-            let (xc, fc) = if fr < values[n] {
-                let xc = lerp(&centroid, &simplex[n], -0.5);
-                let fc = f(&xc);
-                (xc, fc)
-            } else {
-                let xc = lerp(&centroid, &simplex[n], 0.5);
-                let fc = f(&xc);
-                (xc, fc)
-            };
-            if fc < values[n].min(fr) {
-                simplex[n] = xc;
-                values[n] = fc;
-            } else {
-                // Shrink towards the best vertex.
-                let best = simplex[0].clone();
-                for v in simplex.iter_mut().skip(1) {
-                    *v = lerp(&best, v, 0.5);
-                }
-                for (val, v) in values.iter_mut().zip(simplex.iter()).skip(1) {
-                    *val = f(v);
-                }
-            }
-        }
-    }
-
-    let mut best_i = 0;
-    for i in 1..=n {
-        if values[i] < values[best_i] {
-            best_i = i;
-        }
-    }
-    Ok((simplex[best_i].clone(), values[best_i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,35 +308,5 @@ mod tests {
         let m = minimize_global_1d(&f, 0.0, 20.0, 400, 5, 1e-10).unwrap();
         // global min near x = 3*pi/2 + small shift ~ 4.612
         assert!((m.x - 4.612).abs() < 0.05, "x = {}", m.x);
-    }
-
-    #[test]
-    fn nelder_mead_sphere() {
-        let f = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
-        let (x, v) = nelder_mead(&f, &[2.0, -3.0, 1.0], &NelderMeadConfig::default()).unwrap();
-        assert!(v < 1e-8, "v={v}");
-        for xi in x {
-            assert!(xi.abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn nelder_mead_rosenbrock() {
-        let rosen = |x: &[f64]| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
-        let cfg = NelderMeadConfig {
-            max_iter: 10_000,
-            ..Default::default()
-        };
-        let (x, v) = nelder_mead(&rosen, &[-1.2, 1.0], &cfg).unwrap();
-        assert!(v < 1e-6, "v={v}, x={x:?}");
-    }
-
-    #[test]
-    fn nelder_mead_empty_input() {
-        let f = |_: &[f64]| 0.0;
-        assert!(matches!(
-            nelder_mead(&f, &[], &NelderMeadConfig::default()),
-            Err(MathError::EmptyInput)
-        ));
     }
 }

@@ -1,27 +1,12 @@
-//! Special functions: error function, Gaussian density/distribution and its
-//! inverse, numerically-stable sigmoid utilities.
+//! Special functions: complementary error function, Gaussian
+//! density/distribution and its inverse, numerically-stable sigmoid
+//! utilities.
 //!
 //! The Minimum Fitness Strategy (paper eq. 2 / appendix F) integrates powers
 //! of the Gaussian survival function, so an accurate `erf` matters: we use
 //! the rational-polynomial `erfc` approximation from Numerical Recipes
 //! (relative error below `1.2e-7` everywhere), which is more than enough for
 //! integrands raised to batch-size powers.
-
-/// Error function `erf(x)`.
-///
-/// Accuracy: absolute error below `1.2e-7` over the whole real line.
-///
-/// # Examples
-///
-/// ```
-/// use mathkit::special::erf;
-/// assert!((erf(0.0)).abs() < 1e-12);
-/// assert!((erf(1.0) - 0.8427007929).abs() < 1e-6);
-/// assert!((erf(-1.0) + 0.8427007929).abs() < 1e-6);
-/// ```
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
 
 /// Complementary error function `erfc(x) = 1 - erf(x)`.
 ///
@@ -219,24 +204,13 @@ pub fn logit(p: f64, eps: f64) -> f64 {
     (q / (1.0 - q)).ln()
 }
 
-/// Stable `log(1 + exp(x))` (softplus).
-pub fn softplus(x: f64) -> f64 {
-    if x > 30.0 {
-        x
-    } else if x < -30.0 {
-        x.exp()
-    } else {
-        x.exp().ln_1p()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn erf_reference_values() {
-        // Reference values from Abramowitz & Stegun tables.
+    fn erfc_reference_values() {
+        // erf reference values from Abramowitz & Stegun tables.
         let cases = [
             (0.0, 0.0),
             (0.5, 0.5204998778),
@@ -246,8 +220,8 @@ mod tests {
             (3.0, 0.9999779095),
         ];
         for (x, want) in cases {
-            assert!((erf(x) - want).abs() < 2e-7, "erf({x})");
-            assert!((erf(-x) + want).abs() < 2e-7, "erf(-{x})");
+            assert!((erfc(x) - (1.0 - want)).abs() < 2e-7, "erfc({x})");
+            assert!((erfc(-x) - (1.0 + want)).abs() < 2e-7, "erfc(-{x})");
         }
     }
 
@@ -318,12 +292,5 @@ mod tests {
         for &x in &[-7.0, -1.0, 0.0, 2.0, 9.0] {
             assert!((sigmoid(x) + sigmoid(-x) - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn softplus_limits() {
-        assert!((softplus(100.0) - 100.0).abs() < 1e-9);
-        assert!(softplus(-100.0) < 1e-30);
-        assert!((softplus(0.0) - 2.0_f64.ln()).abs() < 1e-12);
     }
 }

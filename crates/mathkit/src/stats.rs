@@ -1,4 +1,4 @@
-//! Descriptive statistics, online accumulators and confidence intervals.
+//! Descriptive statistics and confidence intervals.
 //!
 //! The experiment harness reports "normalised optimality gap averaged across
 //! all test instances" with a 95% confidence band (paper Figs. 3–4); the
@@ -55,34 +55,6 @@ pub fn std_sample(xs: &[f64]) -> f64 {
     variance_sample(xs).sqrt()
 }
 
-/// Minimum of a slice.
-///
-/// # Errors
-///
-/// Returns [`MathError::EmptyInput`] for an empty slice.
-pub fn min(xs: &[f64]) -> Result<f64> {
-    xs.iter()
-        .copied()
-        .fold(None, |acc: Option<f64>, x| {
-            Some(acc.map_or(x, |a| a.min(x)))
-        })
-        .ok_or(MathError::EmptyInput)
-}
-
-/// Maximum of a slice.
-///
-/// # Errors
-///
-/// Returns [`MathError::EmptyInput`] for an empty slice.
-pub fn max(xs: &[f64]) -> Result<f64> {
-    xs.iter()
-        .copied()
-        .fold(None, |acc: Option<f64>, x| {
-            Some(acc.map_or(x, |a| a.max(x)))
-        })
-        .ok_or(MathError::EmptyInput)
-}
-
 /// Linear-interpolated quantile (same convention as NumPy's default).
 ///
 /// `q` is clamped to `[0, 1]`.
@@ -136,41 +108,6 @@ pub fn median(xs: &[f64]) -> Result<f64> {
     quantile(xs, 0.5)
 }
 
-/// Pearson correlation coefficient of two equal-length slices.
-///
-/// # Errors
-///
-/// * [`MathError::DimensionMismatch`] for unequal lengths.
-/// * [`MathError::EmptyInput`] for empty input.
-/// * [`MathError::Domain`] when either series is constant.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> Result<f64> {
-    if xs.len() != ys.len() {
-        return Err(MathError::DimensionMismatch {
-            expected: format!("length {}", xs.len()),
-            found: format!("length {}", ys.len()),
-        });
-    }
-    if xs.is_empty() {
-        return Err(MathError::EmptyInput);
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (x, y) in xs.iter().zip(ys.iter()) {
-        sxy += (x - mx) * (y - my);
-        sxx += (x - mx) * (x - mx);
-        syy += (y - my) * (y - my);
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        return Err(MathError::Domain {
-            message: "correlation of a constant series".to_string(),
-        });
-    }
-    Ok(sxy / (sxx * syy).sqrt())
-}
-
 /// Mean together with a normal-approximation confidence half-width.
 ///
 /// `half_width = z * s / sqrt(n)` with `z = 1.959964` for the default 95%
@@ -215,21 +152,6 @@ pub fn mean_ci95(xs: &[f64]) -> MeanCi {
         half_width: hw,
         n,
     }
-}
-
-/// Min-max normalisation of a slice to `[0, 1]`; a constant slice maps to
-/// all zeros.
-pub fn minmax_normalize(xs: &[f64]) -> Vec<f64> {
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let lo = min(xs).expect("non-empty");
-    let hi = max(xs).expect("non-empty");
-    let span = hi - lo;
-    if span == 0.0 {
-        return vec![0.0; xs.len()];
-    }
-    xs.iter().map(|x| (x - lo) / span).collect()
 }
 
 /// Z-score standardisation parameters learned from data.
@@ -283,8 +205,6 @@ mod tests {
     fn empty_inputs() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance_population(&[]), 0.0);
-        assert!(min(&[]).is_err());
-        assert!(max(&[]).is_err());
         assert!(quantile(&[], 0.5).is_err());
     }
 
@@ -304,23 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn pearson_perfect_correlation() {
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [2.0, 4.0, 6.0];
-        assert!((pearson(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-        let neg = [3.0, 2.0, 1.0];
-        assert!((pearson(&xs, &neg).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_constant_is_domain_error() {
-        assert!(matches!(
-            pearson(&[1.0, 1.0], &[1.0, 2.0]),
-            Err(MathError::Domain { .. })
-        ));
-    }
-
-    #[test]
     fn ci95_shrinks_with_n() {
         let small: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let large: Vec<f64> = (0..1000).map(|i| (i % 10) as f64).collect();
@@ -335,13 +238,6 @@ mod tests {
         let ci = mean_ci95(&[3.0]);
         assert_eq!(ci.half_width, 0.0);
         assert_eq!(ci.mean, 3.0);
-    }
-
-    #[test]
-    fn minmax_normalize_range() {
-        let out = minmax_normalize(&[10.0, 20.0, 15.0]);
-        assert_eq!(out, vec![0.0, 1.0, 0.5]);
-        assert_eq!(minmax_normalize(&[7.0, 7.0]), vec![0.0, 0.0]);
     }
 
     #[test]

@@ -49,13 +49,6 @@ pub use network::{Mlp, MlpBuilder};
 /// Errors from network construction and persistence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NeuralError {
-    /// Input dimensionality did not match the first layer.
-    ShapeMismatch {
-        /// expected input width
-        expected: usize,
-        /// provided input width
-        found: usize,
-    },
     /// Weight deserialisation failed (corrupt or incompatible data).
     InvalidModel {
         /// explanation
@@ -66,12 +59,6 @@ pub enum NeuralError {
 impl std::fmt::Display for NeuralError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            NeuralError::ShapeMismatch { expected, found } => {
-                write!(
-                    f,
-                    "input width {found} does not match network input {expected}"
-                )
-            }
             NeuralError::InvalidModel { message } => write!(f, "invalid model: {message}"),
         }
     }

@@ -55,13 +55,6 @@ impl Mlp {
         self.layers.len()
     }
 
-    /// Total trainable scalar parameters.
-    pub fn num_parameters(&mut self) -> usize {
-        let mut count = 0;
-        self.visit_params(&mut |v, _| count += v.rows() * v.cols());
-        count
-    }
-
     /// Forward pass over a batch (rows = samples). Caches intermediate
     /// activations for a subsequent [`Mlp::backward`].
     ///
@@ -120,21 +113,6 @@ impl Mlp {
             x = layer.infer(&x);
         }
         x
-    }
-
-    /// Checked forward pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NeuralError::ShapeMismatch`] on wrong input width.
-    pub fn try_forward(&mut self, input: &Matrix) -> Result<Matrix, NeuralError> {
-        if input.cols() != self.input_dim {
-            return Err(NeuralError::ShapeMismatch {
-                expected: self.input_dim,
-                found: input.cols(),
-            });
-        }
-        Ok(self.forward(input))
     }
 
     /// Backward pass: propagates the loss gradient and accumulates
@@ -338,12 +316,10 @@ mod tests {
 
     #[test]
     fn builder_shapes() {
-        let mut net = MlpBuilder::new(4).dense(16).relu().dense(3).build(1);
+        let net = MlpBuilder::new(4).dense(16).relu().dense(3).build(1);
         assert_eq!(net.input_dim(), 4);
         assert_eq!(net.output_dim(), 3);
         assert_eq!(net.num_layers(), 3);
-        // 4*16 + 16 + 16*3 + 3 = 131
-        assert_eq!(net.num_parameters(), 131);
     }
 
     #[test]
@@ -532,16 +508,6 @@ mod tests {
             Mlp::from_state(&state),
             Err(NeuralError::InvalidModel { .. })
         ));
-    }
-
-    #[test]
-    fn try_forward_checks_width() {
-        let mut net = MlpBuilder::new(2).dense(1).build(1);
-        assert!(matches!(
-            net.try_forward(&Matrix::zeros(1, 3)),
-            Err(NeuralError::ShapeMismatch { .. })
-        ));
-        assert!(net.try_forward(&Matrix::zeros(1, 2)).is_ok());
     }
 
     #[test]

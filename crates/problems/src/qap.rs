@@ -27,7 +27,11 @@ use crate::RelaxableProblem;
 /// ```
 /// use problems::{QapInstance, RelaxableProblem};
 /// let inst = QapInstance::random("q", 4, 42);
-/// let x = inst.encode_assignment(&[2, 0, 3, 1]);
+/// // facility f at location p[f] for p = [2, 0, 3, 1]: bit f·4 + p[f]
+/// let mut x = vec![0u8; 16];
+/// for (f, l) in [2, 0, 3, 1].into_iter().enumerate() {
+///     x[f * 4 + l] = 1;
+/// }
 /// assert!(inst.is_feasible(&x));
 /// assert!(inst.fitness(&x).is_some());
 /// ```
@@ -122,24 +126,6 @@ impl QapInstance {
             }
         }
         acc
-    }
-
-    /// Encodes a permutation into the flat binary QUBO assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment` is not a permutation of `0..n`.
-    pub fn encode_assignment(&self, assignment: &[usize]) -> Vec<u8> {
-        let n = self.size();
-        assert!(
-            crate::tsp::is_permutation(assignment, n),
-            "assignment must be a permutation"
-        );
-        let mut x = vec![0u8; n * n];
-        for (f, &l) in assignment.iter().enumerate() {
-            x[f * n + l] = 1;
-        }
-        x
     }
 
     /// Decodes an assignment, or `None` if it is not a permutation matrix.
@@ -243,6 +229,16 @@ mod tests {
         QapInstance::new("tiny", flow, dist).unwrap()
     }
 
+    /// The indicator vector of a permutation: bit `f·n + p[f]` is set.
+    fn encode(p: &[usize]) -> Vec<u8> {
+        let n = p.len();
+        let mut x = vec![0u8; n * n];
+        for (f, &l) in p.iter().enumerate() {
+            x[f * n + l] = 1;
+        }
+        x
+    }
+
     #[test]
     fn assignment_cost_identity_permutation() {
         let q = tiny();
@@ -257,7 +253,7 @@ mod tests {
         let model = q.to_qubo(a);
         let perms = [[0usize, 1, 2], [0, 2, 1], [1, 0, 2], [2, 1, 0], [1, 2, 0]];
         for p in &perms {
-            let x = q.encode_assignment(p);
+            let x = encode(p);
             assert!(
                 (model.energy(&x) - q.assignment_cost(p)).abs() < 1e-9,
                 "perm {p:?}"
@@ -269,7 +265,7 @@ mod tests {
     fn encode_decode_roundtrip() {
         let q = tiny();
         for p in [[0usize, 1, 2], [2, 0, 1], [1, 2, 0]] {
-            let x = q.encode_assignment(&p);
+            let x = encode(&p);
             assert_eq!(q.decode_assignment(&x).unwrap(), p.to_vec());
             assert!(q.is_feasible(&x));
             assert!(q.fitness(&x).is_some());

@@ -98,17 +98,6 @@ impl TspEncoding {
         self.qubo_instance.num_cities()
     }
 
-    /// Flat variable index of "city `v` at position `j`".
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` or `j` is out of range.
-    pub fn var_index(&self, v: usize, j: usize) -> usize {
-        let n = self.num_cities();
-        assert!(v < n && j < n, "city/position out of range");
-        v * n + j
-    }
-
     /// Encodes a tour (`tour[j]` = city at position `j`) into a binary
     /// assignment.
     ///
@@ -152,11 +141,6 @@ impl TspEncoding {
             tour[j] = v;
         }
         Some(tour)
-    }
-
-    /// The QUBO objective part `HB` alone (relaxation 0).
-    pub fn objective_qubo(&self) -> QuboModel {
-        self.program.objective().clone()
     }
 
     /// The constraint penalty `HA(x)` of an assignment.
@@ -257,20 +241,22 @@ mod tests {
     fn infeasible_assignments_detected() {
         let enc = tri();
         let n = 3;
+        // flat index of "city v at position j"
+        let at = |v: usize, j: usize| v * n + j;
         // empty assignment
         assert!(!enc.is_feasible(&vec![0u8; n * n]));
         // duplicate city in two positions
         let mut x = vec![0u8; n * n];
-        x[enc.var_index(0, 0)] = 1;
-        x[enc.var_index(0, 1)] = 1;
-        x[enc.var_index(1, 2)] = 1;
+        x[at(0, 0)] = 1;
+        x[at(0, 1)] = 1;
+        x[at(1, 2)] = 1;
         assert!(!enc.is_feasible(&x));
         assert!(enc.fitness(&x).is_none());
         // two cities in one position
         let mut y = vec![0u8; n * n];
-        y[enc.var_index(0, 0)] = 1;
-        y[enc.var_index(1, 0)] = 1;
-        y[enc.var_index(2, 1)] = 1;
+        y[at(0, 0)] = 1;
+        y[at(1, 0)] = 1;
+        y[at(2, 1)] = 1;
         assert!(!enc.is_feasible(&y));
     }
 
@@ -292,8 +278,8 @@ mod tests {
         let q = enc.to_qubo(a);
         // For any assignment: E = HB + A * HA.
         let mut x = vec![0u8; 9];
-        x[enc.var_index(1, 0)] = 1; // lone city, infeasible
-        let hb = enc.objective_qubo().energy(&x);
+        x[3] = 1; // city 1 alone at position 0, infeasible
+        let hb = enc.to_qubo(0.0).energy(&x);
         let ha = enc.constraint_penalty(&x);
         assert!((q.energy(&x) - (hb + a * ha)).abs() < 1e-9);
     }
@@ -309,8 +295,8 @@ mod tests {
         // Fitness identical in original units regardless of preprocessing.
         assert!((pre.fitness(&x).unwrap() - plain.fitness(&x).unwrap()).abs() < 1e-9);
         // But the QUBO objective differs (scaled + MVODM-flattened).
-        let qx = pre.objective_qubo().energy(&x);
-        let px = plain.objective_qubo().energy(&x);
+        let qx = pre.to_qubo(0.0).energy(&x);
+        let px = plain.to_qubo(0.0).energy(&x);
         assert!((qx - px).abs() > 1e-9);
     }
 
@@ -329,7 +315,7 @@ mod tests {
             vec![0, 3, 1, 2, 4],
             vec![0, 1, 3, 2, 4],
         ];
-        let obj = pre.objective_qubo();
+        let obj = pre.to_qubo(0.0);
         for a in &tours {
             for b in &tours {
                 let la = inst.tour_length(a);

@@ -169,11 +169,6 @@ pub fn binary_to_spins(x: &[u8]) -> Vec<i8> {
     x.iter().map(|&b| if b == 0 { -1 } else { 1 }).collect()
 }
 
-/// Maps spins back to binaries (`−1 → 0`, `+1 → 1`).
-pub fn spins_to_binary(s: &[i8]) -> Vec<u8> {
-    s.iter().map(|&v| if v > 0 { 1 } else { 0 }).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,11 +218,8 @@ mod tests {
     }
 
     #[test]
-    fn spin_binary_maps_are_inverse() {
-        let x = vec![0, 1, 1, 0, 1];
-        assert_eq!(spins_to_binary(&binary_to_spins(&x)), x);
-        let s = vec![-1, 1, -1];
-        assert_eq!(binary_to_spins(&spins_to_binary(&s)), s);
+    fn binary_to_spins_maps_each_bit() {
+        assert_eq!(binary_to_spins(&[0, 1, 1, 0, 1]), vec![-1, 1, 1, -1, 1]);
     }
 
     #[test]

@@ -63,13 +63,6 @@ pub enum QuboError {
         /// declared number of variables
         num_vars: usize,
     },
-    /// An assignment slice had the wrong length.
-    StateLengthMismatch {
-        /// expected number of variables
-        expected: usize,
-        /// provided length
-        found: usize,
-    },
     /// A coefficient was NaN or infinite.
     NonFiniteCoefficient,
 }
@@ -81,12 +74,6 @@ impl std::fmt::Display for QuboError {
                 write!(
                     f,
                     "variable index {index} out of range for {num_vars} variables"
-                )
-            }
-            QuboError::StateLengthMismatch { expected, found } => {
-                write!(
-                    f,
-                    "state length {found} does not match {expected} variables"
                 )
             }
             QuboError::NonFiniteCoefficient => write!(f, "non-finite coefficient"),

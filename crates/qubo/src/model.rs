@@ -21,8 +21,6 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-use crate::QuboError;
-
 /// Incremental builder for [`QuboModel`].
 ///
 /// Repeated contributions to the same linear or quadratic coefficient are
@@ -107,32 +105,6 @@ impl QuboBuilder {
             *self.quadratic.entry(key).or_insert(0.0) += value;
         }
         self
-    }
-
-    /// Checked variant of [`QuboBuilder::add_quadratic`].
-    ///
-    /// # Errors
-    ///
-    /// * [`QuboError::VariableOutOfRange`] for an out-of-range index.
-    /// * [`QuboError::NonFiniteCoefficient`] for NaN/infinite `value`.
-    pub fn try_add_quadratic(&mut self, i: usize, j: usize, value: f64) -> Result<(), QuboError> {
-        if i >= self.num_vars {
-            return Err(QuboError::VariableOutOfRange {
-                index: i,
-                num_vars: self.num_vars,
-            });
-        }
-        if j >= self.num_vars {
-            return Err(QuboError::VariableOutOfRange {
-                index: j,
-                num_vars: self.num_vars,
-            });
-        }
-        if !value.is_finite() {
-            return Err(QuboError::NonFiniteCoefficient);
-        }
-        self.add_quadratic(i, j, value);
-        Ok(())
     }
 
     /// Finalises the model, dropping exact-zero couplings.
@@ -336,22 +308,6 @@ impl QuboModel {
         e
     }
 
-    /// Checked energy evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuboError::StateLengthMismatch`] when the slice length is
-    /// wrong.
-    pub fn try_energy(&self, x: &[u8]) -> Result<f64, QuboError> {
-        if x.len() != self.num_vars() {
-            return Err(QuboError::StateLengthMismatch {
-                expected: self.num_vars(),
-                found: x.len(),
-            });
-        }
-        Ok(self.energy(x))
-    }
-
     /// Iterates over all couplings as `(i, j, w)` with `i < j`.
     pub fn couplings(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.num_vars()).flat_map(move |i| {
@@ -467,30 +423,6 @@ mod tests {
         assert_eq!(m.max_abs_coefficient(), 3.0);
         let empty = QuboBuilder::new(2).build();
         assert_eq!(empty.max_abs_coefficient(), 0.0);
-    }
-
-    #[test]
-    fn try_energy_length_check() {
-        let m = toy();
-        assert!(matches!(
-            m.try_energy(&[0, 1]),
-            Err(QuboError::StateLengthMismatch { .. })
-        ));
-        assert!(m.try_energy(&[0, 1, 0]).is_ok());
-    }
-
-    #[test]
-    fn try_add_quadratic_checks() {
-        let mut b = QuboBuilder::new(2);
-        assert!(matches!(
-            b.try_add_quadratic(0, 2, 1.0),
-            Err(QuboError::VariableOutOfRange { .. })
-        ));
-        assert!(matches!(
-            b.try_add_quadratic(0, 1, f64::NAN),
-            Err(QuboError::NonFiniteCoefficient)
-        ));
-        assert!(b.try_add_quadratic(0, 1, 1.0).is_ok());
     }
 
     #[test]

@@ -30,7 +30,6 @@
 use rand::Rng;
 
 use crate::model::QuboModel;
-use crate::QuboError;
 
 /// A binary assignment with cached energy and flip-delta vector.
 ///
@@ -74,22 +73,6 @@ impl<'m> QuboState<'m> {
         };
         state.rebuild_caches();
         state
-    }
-
-    /// Checked constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuboError::StateLengthMismatch`] for a wrong-length
-    /// assignment.
-    pub fn try_new(model: &'m QuboModel, x: Vec<u8>) -> Result<Self, QuboError> {
-        if x.len() != model.num_vars() {
-            return Err(QuboError::StateLengthMismatch {
-                expected: model.num_vars(),
-                found: x.len(),
-            });
-        }
-        Ok(Self::new(model, x))
     }
 
     /// Builds a uniformly random assignment.
@@ -404,13 +387,6 @@ mod tests {
         let fresh = QuboState::random(&m, &mut rng_b);
         assert_eq!(reused.assignment(), fresh.assignment());
         assert!((reused.energy() - fresh.energy()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn try_new_length_check() {
-        let m = random_model(4, 2);
-        assert!(QuboState::try_new(&m, vec![0; 3]).is_err());
-        assert!(QuboState::try_new(&m, vec![0; 4]).is_ok());
     }
 
     #[test]

@@ -57,16 +57,18 @@
 //! One step (scan, pick, flip, log) is one `#[inline(always)]` safe
 //! function compiled three times: plain, with AVX2 and POPCNT, and with
 //! AVX-512F and POPCNT enabled. The copy is chosen once per
-//! [`Solver::sample`] call by runtime feature detection; targets other than
-//! x86_64 always run the plain copy. Lane rows are walked in whole blocks
-//! (the batch is padded to a multiple of 8 lanes). Idle lanes of a partial
-//! block are scanned on the padding lanes' valid caches and draw from their
-//! own generators, but never pick or flip, so the lane width stays a pure
-//! performance setting.
+//! [`Solver::sample`] call by runtime feature detection
+//! ([`mathkit::kernel::Isa`], shared with the matmul kernels); targets
+//! other than x86_64 always run the plain copy. Lane rows are walked in
+//! whole blocks (the batch is padded to a multiple of 8 lanes). Idle lanes
+//! of a partial block are scanned on the padding lanes' valid caches and
+//! draw from their own generators, but never pick or flip, so the lane
+//! width stays a pure performance setting.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use mathkit::kernel::Isa;
 use mathkit::rng::{derive_rng, derive_seed};
 use qubo::{QuboModel, QuboState, ReplicaBatch};
 
@@ -74,7 +76,7 @@ use crate::parallel::parallel_map_with;
 use crate::sample::{Sample, SampleSet};
 use crate::schedule::BetaSchedule;
 use crate::Solver;
-use kernel::{Isa, Lanes, RngBlock, BLOCK};
+use kernel::{Lanes, RngBlock, BLOCK};
 
 /// Per-worker scratch for the lane-batched replica loop.
 struct DaScratch<'m> {
@@ -246,7 +248,7 @@ impl DigitalAnnealer {
         let offset_step = self.config.offset_step_fraction * model.max_abs_coefficient().max(1e-12);
         scratch.e_off.fill([0.0; BLOCK]);
         for beta in schedule.iter() {
-            isa.step(scratch, count, beta, offset_step);
+            kernel::step(isa, scratch, count, beta, offset_step);
         }
         let rb = &scratch.replicas;
         (0..count)
@@ -330,6 +332,7 @@ impl Solver for DigitalAnnealer {
 /// The lane kernel: lane generators, the bracketed Metropolis test and
 /// the step with its compiled copies.
 mod kernel {
+    use mathkit::kernel::{Isa, Level};
     use qubo::ReplicaBatch;
     use rand::{Rng, RngCore};
 
@@ -598,80 +601,28 @@ mod kernel {
         step_body(scratch, count, beta, offset_step)
     }
 
-    /// A compiled copy of the scan kernel that this host runs: only
-    /// [`Isa::detect`] and [`Isa::supported`] make one, after checking the
-    /// host's features, and the field is private to this module.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub(super) struct Isa(Level);
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Level {
-        Plain,
-        #[cfg(target_arch = "x86_64")]
-        Avx2,
-        #[cfg(target_arch = "x86_64")]
-        Avx512,
-    }
-
-    impl Isa {
-        /// The widest copy this host runs.
-        pub(super) fn detect() -> Isa {
+    /// Runs `isa`'s copy of [`step_body`] on lanes `0 .. count`.
+    pub(super) fn step(
+        isa: Isa,
+        scratch: &mut DaScratch<'_>,
+        count: usize,
+        beta: f64,
+        offset_step: f64,
+    ) {
+        match isa.level() {
+            Level::Plain => step_body(scratch, count, beta, offset_step),
+            // SAFETY: an `Isa` at `Level::Avx2` exists only after the host
+            // reported POPCNT and AVX2 (`mathkit::kernel::Isa` is the one
+            // detector, and only its `detect` and `supported` make one), so
+            // the host executes POPCNT and AVX2 instructions.
             #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("popcnt") {
-                    if std::arch::is_x86_feature_detected!("avx512f") {
-                        return Isa(Level::Avx512);
-                    }
-                    if std::arch::is_x86_feature_detected!("avx2") {
-                        return Isa(Level::Avx2);
-                    }
-                }
-            }
-            Isa(Level::Plain)
-        }
-
-        /// Every copy this host runs, widest last.
-        #[cfg(test)]
-        pub(super) fn supported() -> Vec<Isa> {
-            let mut copies = vec![Isa(Level::Plain)];
+            Level::Avx2 => unsafe { step_avx2(scratch, count, beta, offset_step) },
+            // SAFETY: an `Isa` at `Level::Avx512` exists only after the host
+            // reported POPCNT and AVX-512F (`mathkit::kernel::Isa` is the one
+            // detector, and only its `detect` and `supported` make one), so
+            // the host executes POPCNT and AVX-512F instructions.
             #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("popcnt") {
-                    if std::arch::is_x86_feature_detected!("avx2") {
-                        copies.push(Isa(Level::Avx2));
-                    }
-                    if std::arch::is_x86_feature_detected!("avx512f") {
-                        copies.push(Isa(Level::Avx512));
-                    }
-                }
-            }
-            copies
-        }
-
-        /// Runs this copy of [`step_body`] on lanes `0 .. count`.
-        pub(super) fn step(
-            self,
-            scratch: &mut DaScratch<'_>,
-            count: usize,
-            beta: f64,
-            offset_step: f64,
-        ) {
-            match self.0 {
-                Level::Plain => step_body(scratch, count, beta, offset_step),
-                // SAFETY: an `Isa(Level::Avx2)` exists only after
-                // `is_x86_feature_detected!("popcnt")` and `("avx2")` both
-                // returned true (see `Isa::detect` and `Isa::supported`), so
-                // the host executes POPCNT and AVX2 instructions.
-                #[cfg(target_arch = "x86_64")]
-                Level::Avx2 => unsafe { step_avx2(scratch, count, beta, offset_step) },
-                // SAFETY: an `Isa(Level::Avx512)` exists only after
-                // `is_x86_feature_detected!("popcnt")` and `("avx512f")`
-                // both returned true (see `Isa::detect` and
-                // `Isa::supported`), so the host executes POPCNT and
-                // AVX-512F instructions.
-                #[cfg(target_arch = "x86_64")]
-                Level::Avx512 => unsafe { step_avx512(scratch, count, beta, offset_step) },
-            }
+            Level::Avx512 => unsafe { step_avx512(scratch, count, beta, offset_step) },
         }
     }
 

@@ -64,30 +64,12 @@ fn run_in_sequential_region<R>(f: impl FnOnce() -> R) -> R {
 /// Worker-count value meaning "one worker per available core".
 pub const AUTO_WORKERS: usize = 0;
 
-/// Runs `f(replica_index)` for `count` replicas across the available
-/// cores and returns the results in replica order.
+/// Runs `f(&mut scratch, replica_index)` for `count` replicas across the
+/// available cores and returns the results in replica order.
 ///
 /// Falls back to a sequential loop when `count <= 1` or only one core is
 /// available. `f` must be deterministic per index (seed-derived RNG) so the
 /// parallel and sequential paths produce identical output.
-///
-/// # Examples
-///
-/// ```
-/// use solvers::parallel::parallel_map_indexed;
-/// let xs = parallel_map_indexed(8, |i| i * i);
-/// assert_eq!(xs, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-pub fn parallel_map_indexed<T, F>(count: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Send + Sync,
-{
-    parallel_map_with(count, || (), move |(), i| f(i))
-}
-
-/// Chunked variant of [`parallel_map_indexed`] with per-worker scratch
-/// reuse.
 ///
 /// Each worker thread calls `init()` once, then runs `f(&mut scratch, i)`
 /// for every replica index in its contiguous chunk. The scratch lets
@@ -193,7 +175,7 @@ mod tests {
 
     #[test]
     fn preserves_order() {
-        let xs = parallel_map_indexed(100, |i| i as u64 * 3);
+        let xs = parallel_map_with(100, || (), |(), i| i as u64 * 3);
         for (i, &x) in xs.iter().enumerate() {
             assert_eq!(x, i as u64 * 3);
         }
@@ -202,25 +184,29 @@ mod tests {
     #[test]
     fn runs_every_index_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let xs = parallel_map_indexed(64, |i| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            i
-        });
+        let xs = parallel_map_with(
+            64,
+            || (),
+            |(), i| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                i
+            },
+        );
         assert_eq!(counter.load(Ordering::SeqCst), 64);
         assert_eq!(xs.len(), 64);
     }
 
     #[test]
     fn zero_and_one_replicas() {
-        let none: Vec<usize> = parallel_map_indexed(0, |i| i);
+        let none: Vec<usize> = parallel_map_with(0, || (), |(), i| i);
         assert!(none.is_empty());
-        let one = parallel_map_indexed(1, |i| i + 10);
+        let one = parallel_map_with(1, || (), |(), i| i + 10);
         assert_eq!(one, vec![10]);
     }
 
     #[test]
     fn matches_sequential_reference() {
-        let par = parallel_map_indexed(37, |i| (i as f64).sin());
+        let par = parallel_map_with(37, || (), |(), i| (i as f64).sin());
         let seq: Vec<f64> = (0..37).map(|i| (i as f64).sin()).collect();
         assert_eq!(par, seq);
     }
