@@ -90,7 +90,6 @@ fn online_engine(epochs: usize, checkpoint_dir: Option<std::path::PathBuf>) -> S
             epochs,
             learning_rate: 1e-3,
             batch_size: 16,
-            max_pending_retrains: 2,
             seed: 11,
             checkpoint_dir,
         },

@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use bench::net::{serve_event_loop, EventLoopConfig};
 use bench::protocol::serve_connection;
-use bench::serve::usage_exit;
+use bench::serve::{usage_exit, walk_args};
 use qross::dataset::SurrogateDataset;
 use qross::online::{OnlineConfig, SurrogateCheckpoint};
 use qross::pipeline::{CollectedCorpus, TrainedQross};
@@ -121,78 +121,55 @@ fn parse_cli() -> ServeCli {
         corpus: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].clone();
-        if flag == "--help" || flag == "-h" {
-            usage_exit(USAGE, "");
-        }
-        if flag == "--online" {
-            cli.online = true;
-            i += 1;
-            continue;
-        }
-        if !matches!(
-            flag.as_str(),
-            "--model"
-                | "--listen"
-                | "--metrics-listen"
-                | "--max-conns"
-                | "--tenant"
-                | "--workers"
-                | "--batch"
-                | "--queue"
-                | "--cache"
-                | "--refresh-after"
-                | "--checkpoint-dir"
-                | "--corpus"
-                | "--online-seed"
-                | "--online-epochs"
-        ) {
-            usage_exit(USAGE, &format!("unknown argument `{flag}`"));
-        }
-        i += 1;
-        let Some(value) = argv
-            .get(i)
-            .filter(|v| !v.is_empty() && !v.starts_with("--"))
-        else {
-            usage_exit(USAGE, &format!("flag `{flag}` needs a value"));
+    let valued = [
+        "--model",
+        "--listen",
+        "--metrics-listen",
+        "--max-conns",
+        "--tenant",
+        "--workers",
+        "--batch",
+        "--queue",
+        "--cache",
+        "--refresh-after",
+        "--checkpoint-dir",
+        "--corpus",
+        "--online-seed",
+        "--online-epochs",
+    ];
+    walk_args(&argv, &valued, &["--online"], |flag, value| {
+        let count = || {
+            value
+                .parse::<usize>()
+                .map_err(|_| format!("bad {flag} value `{value}`"))
         };
-        let parse_count = |what: &str, v: &str| -> usize {
-            v.parse::<usize>()
-                .unwrap_or_else(|_| usage_exit(USAGE, &format!("bad {what} value `{v}`")))
-        };
-        match flag.as_str() {
-            "--model" => cli.model = value.clone(),
-            "--listen" => cli.listen = Listen::EventLoop(value.clone()),
-            "--metrics-listen" => cli.metrics_listen = Some(value.clone()),
-            "--max-conns" => cli.max_conns = parse_count("--max-conns", value).max(1),
+        match flag {
+            "--online" => cli.online = true,
+            "--model" => cli.model = value.to_string(),
+            "--listen" => cli.listen = Listen::EventLoop(value.to_string()),
+            "--metrics-listen" => cli.metrics_listen = Some(value.to_string()),
+            "--max-conns" => cli.max_conns = count()?.max(1),
             "--tenant" => parse_tenant_spec(&mut cli.config.tenants, value),
-            "--workers" => cli.config.workers = parse_count("--workers", value),
-            "--batch" => {
-                cli.config.max_batch_rows = parse_count("--batch", value).max(1);
-            }
-            "--queue" => cli.config.queue_capacity = parse_count("--queue", value).max(1),
-            "--cache" => cli.config.cache_capacity = parse_count("--cache", value),
-            "--refresh-after" => {
-                cli.online_config.refresh_after = parse_count("--refresh-after", value);
-            }
+            "--workers" => cli.config.workers = count()?,
+            "--batch" => cli.config.max_batch_rows = count()?.max(1),
+            "--queue" => cli.config.queue_capacity = count()?.max(1),
+            "--cache" => cli.config.cache_capacity = count()?,
+            "--refresh-after" => cli.online_config.refresh_after = count()?,
             "--checkpoint-dir" => {
                 cli.online_config.checkpoint_dir = Some(std::path::PathBuf::from(value));
             }
-            "--corpus" => cli.corpus = Some(value.clone()),
+            "--corpus" => cli.corpus = Some(value.to_string()),
             "--online-seed" => {
-                cli.online_config.seed = value.parse::<u64>().unwrap_or_else(|_| {
-                    usage_exit(USAGE, &format!("bad --online-seed value `{value}`"))
-                });
+                cli.online_config.seed = value
+                    .parse::<u64>()
+                    .map_err(|_| format!("bad --online-seed value `{value}`"))?;
             }
-            "--online-epochs" => {
-                cli.online_config.epochs = parse_count("--online-epochs", value);
-            }
+            "--online-epochs" => cli.online_config.epochs = count()?,
             _ => unreachable!("flag already screened"),
         }
-        i += 1;
-    }
+        Ok(())
+    })
+    .unwrap_or_else(|message| usage_exit(USAGE, &message));
     if cli.model.is_empty() {
         usage_exit(USAGE, "--model is required");
     }

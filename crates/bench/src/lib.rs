@@ -79,44 +79,36 @@ impl Default for Cli {
 }
 
 impl Cli {
-    /// Parses `--scale` and `--seed` from `std::env::args`, exiting with a
-    /// usage message on malformed input.
-    pub fn from_args() -> Cli {
+    /// Parses `--scale` and `--seed` from `argv` (without the program
+    /// name) through [`serve::walk_args`].
+    ///
+    /// # Errors
+    ///
+    /// The message [`serve::usage_exit`] prints: empty for `--help`.
+    pub fn parse(argv: &[String]) -> Result<Cli, String> {
         let mut cli = Cli::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    i += 1;
-                    let v = args.get(i).map(String::as_str).unwrap_or("");
-                    match Scale::parse(v) {
-                        Some(s) => cli.scale = s,
-                        None => usage_exit(&format!("bad --scale value `{v}`")),
-                    }
-                }
-                "--seed" => {
-                    i += 1;
-                    let v = args.get(i).map(String::as_str).unwrap_or("");
-                    match v.parse::<u64>() {
-                        Ok(s) => cli.seed = s,
-                        Err(_) => usage_exit(&format!("bad --seed value `{v}`")),
-                    }
-                }
-                "--help" | "-h" => usage_exit(""),
-                other => usage_exit(&format!("unknown argument `{other}`")),
+        serve::walk_args(argv, &["--scale", "--seed"], &[], |flag, value| {
+            if flag == "--scale" {
+                cli.scale = serve::parse_scale(value)?;
+            } else {
+                cli.seed = serve::parse_seed(value)?;
             }
-            i += 1;
-        }
-        cli
+            Ok(())
+        })?;
+        Ok(cli)
     }
-}
 
-fn usage_exit(message: &str) -> ! {
-    serve::usage_exit(
-        "<experiment> [--scale micro|quick|paper] [--seed N]",
-        message,
-    )
+    /// Parses `std::env::args`, exiting with a usage message on
+    /// malformed input.
+    pub fn from_args() -> Cli {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Cli::parse(&argv).unwrap_or_else(|message| {
+            serve::usage_exit(
+                "<experiment> [--scale micro|quick|paper] [--seed N]",
+                &message,
+            )
+        })
+    }
 }
 
 /// The shared experiment-runner skeleton every figure binary follows:
@@ -235,6 +227,31 @@ mod tests {
         assert_eq!(Scale::parse("PAPER"), Some(Scale::Paper));
         assert_eq!(Scale::parse("Micro"), Some(Scale::Micro));
         assert_eq!(Scale::parse("huge"), None);
+    }
+
+    fn argv(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|t| t.to_string()).collect()
+    }
+
+    #[test]
+    fn cli_parses_scale_and_seed() {
+        let cli = Cli::parse(&argv(&["--seed", "5", "--scale", "micro"])).unwrap();
+        assert_eq!((cli.scale, cli.seed), (Scale::Micro, 5));
+        let cli = Cli::parse(&[]).unwrap();
+        assert_eq!((cli.scale, cli.seed), (Scale::Quick, 2021));
+        assert_eq!(Cli::parse(&argv(&["--help"])).unwrap_err(), "");
+    }
+
+    #[test]
+    fn a_flag_followed_by_a_flag_has_no_value() {
+        let err = Cli::parse(&argv(&["--scale", "--seed", "5"])).unwrap_err();
+        assert_eq!(err, "flag `--scale` needs a value");
+        let err = Cli::parse(&argv(&["--seed"])).unwrap_err();
+        assert_eq!(err, "flag `--seed` needs a value");
+        let err = Cli::parse(&argv(&["--scale", "huge"])).unwrap_err();
+        assert_eq!(err, "bad --scale value `huge`");
+        let err = Cli::parse(&argv(&["--bogus"])).unwrap_err();
+        assert_eq!(err, "unknown argument `--bogus`");
     }
 
     #[test]

@@ -691,7 +691,7 @@ fn model_info(engine: &ServeEngine) -> ModelInfo {
         dataset_len: trained.map(|t| t.dataset_len as u64),
         train_instances: trained.map(|t| t.train_encodings.len() as u64),
         generation: snapshot.generation,
-        online: engine.is_online(),
+        online: status.is_some(),
         feedback_count: status.map(|s| s.feedback_count),
         buffer_len: status.map(|s| s.buffer_len as u64),
         refresh_after: status.map(|s| s.refresh_after as u64),

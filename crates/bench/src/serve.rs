@@ -214,10 +214,50 @@ pub fn usage_exit(usage: &str, message: &str) -> ! {
     std::process::exit(if message.is_empty() { 0 } else { 2 });
 }
 
-/// Parses the serve-side flags shared by both binaries. Every flag
-/// requires a value — a trailing `--model` with nothing after it is an
-/// error, not a silent fall-through to the default path. `with_format`
-/// additionally accepts `--format binary|json` (the train side).
+/// The one command-line walker of every bench binary. `--help` / `-h`
+/// stops the walk with an empty message (the [`usage_exit`] code for
+/// "print the usage, exit 0"). A token in `switches` is passed to `set`
+/// with an empty value. A token in `valued` must be followed by its
+/// value: a missing, empty or `--`-prefixed next token is an error, so
+/// `--model --seed` is rejected instead of writing a file named
+/// `./--seed`. Any other token is an unknown argument. The first error,
+/// the walker's or one `set` returns, ends the walk.
+///
+/// # Errors
+///
+/// Returns the message to print before the usage line.
+pub fn walk_args(
+    argv: &[String],
+    valued: &[&str],
+    switches: &[&str],
+    mut set: impl FnMut(&str, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut tokens = argv.iter().map(String::as_str);
+    while let Some(flag) = tokens.next() {
+        if flag == "--help" || flag == "-h" {
+            return Err(String::new());
+        }
+        if switches.contains(&flag) {
+            set(flag, "")?;
+            continue;
+        }
+        if !valued.contains(&flag) {
+            return Err(format!("unknown argument `{flag}`"));
+        }
+        match tokens
+            .next()
+            .filter(|v| !v.is_empty() && !v.starts_with("--"))
+        {
+            Some(value) => set(flag, value)?,
+            None => return Err(format!("flag `{flag}` needs a value")),
+        }
+    }
+    Ok(())
+}
+
+/// Parses the serve-side flags shared by both binaries; every flag
+/// requires a value. `with_format` additionally accepts
+/// `--format binary|json` (the train side).
 pub fn parse_serve_cli(usage: &str, with_format: bool) -> ServeCli {
     let mut cli = ServeCli {
         problem: lookup_family("tsp").expect("tsp is registered"),
@@ -228,51 +268,46 @@ pub fn parse_serve_cli(usage: &str, with_format: bool) -> ServeCli {
         json_model: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].clone();
-        match flag.as_str() {
-            "--help" | "-h" => usage_exit(usage, ""),
-            "--problem" | "--scale" | "--seed" | "--model" | "--manifest" => {}
-            "--format" if with_format => {}
-            other => usage_exit(usage, &format!("unknown argument `{other}`")),
-        }
-        i += 1;
-        // A following `--flag` token is not a value — reject it so
-        // `--model --seed` errors instead of writing a file named
-        // `./--seed`.
-        let Some(value) = argv
-            .get(i)
-            .filter(|v| !v.is_empty() && !v.starts_with("--"))
-        else {
-            usage_exit(usage, &format!("flag `{flag}` needs a value"));
-        };
-        match flag.as_str() {
-            "--problem" => match lookup_family(value) {
-                Ok(f) => cli.problem = f,
-                // The registry error already names every known family.
-                Err(e) => usage_exit(usage, &e.to_string()),
-            },
-            "--scale" => match Scale::parse(value) {
-                Some(s) => cli.scale = s,
-                None => usage_exit(usage, &format!("bad --scale value `{value}`")),
-            },
-            "--seed" => match value.parse::<u64>() {
-                Ok(s) => cli.seed = s,
-                Err(_) => usage_exit(usage, &format!("bad --seed value `{value}`")),
-            },
-            "--model" => cli.model = value.clone(),
-            "--manifest" => cli.manifest = value.clone(),
-            "--format" => match value.as_str() {
+    let flags = [
+        "--problem",
+        "--scale",
+        "--seed",
+        "--model",
+        "--manifest",
+        "--format",
+    ];
+    let flags = if with_format { &flags[..] } else { &flags[..5] };
+    walk_args(&argv, flags, &[], |flag, value| {
+        match flag {
+            // The registry error already names every known family.
+            "--problem" => cli.problem = lookup_family(value).map_err(|e| e.to_string())?,
+            "--scale" => cli.scale = parse_scale(value)?,
+            "--seed" => cli.seed = parse_seed(value)?,
+            "--model" => cli.model = value.to_string(),
+            "--manifest" => cli.manifest = value.to_string(),
+            "--format" => match value {
                 "binary" => cli.json_model = false,
                 "json" => cli.json_model = true,
-                other => usage_exit(usage, &format!("bad --format value `{other}`")),
+                other => return Err(format!("bad --format value `{other}`")),
             },
             _ => unreachable!("flag already screened"),
         }
-        i += 1;
-    }
+        Ok(())
+    })
+    .unwrap_or_else(|message| usage_exit(usage, &message));
     cli
+}
+
+/// Parses a `--scale` value; the error names it.
+pub(crate) fn parse_scale(value: &str) -> Result<Scale, String> {
+    Scale::parse(value).ok_or_else(|| format!("bad --scale value `{value}`"))
+}
+
+/// Parses a `--seed` value; the error names it.
+pub(crate) fn parse_seed(value: &str) -> Result<u64, String> {
+    value
+        .parse()
+        .map_err(|_| format!("bad --seed value `{value}`"))
 }
 
 /// `qross-train`'s usage string, with the family list pulled from the

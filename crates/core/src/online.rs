@@ -13,7 +13,10 @@
 //!
 //! # Determinism contract
 //!
-//! The whole loop is **bit-reproducible from `(seed, feedback log)`**:
+//! The whole loop is a **pure function of the online seed and the
+//! ordered feedback records**: the same records, fed in the same order
+//! under the same seed, give bit-identical buffers, retrains and
+//! checkpoints:
 //!
 //! * buffer eviction is driven by per-record RNGs derived with
 //!   [`mathkit::rng::derive_seed`] from the buffer seed and the record's
@@ -27,6 +30,9 @@
 //! * every training seed derives from the online seed and the retrain
 //!   index, so retrain `k` produces bit-identical weights wherever and
 //!   whenever it runs.
+//!
+//! The server does not journal those records yet (ROADMAP item 10(c)),
+//! so a restarted process cannot replay them.
 //!
 //! The serving integration (model slots, generation-keyed caching, the
 //! background trainer) lives in [`crate::serve`]; checkpoint persistence
@@ -145,15 +151,6 @@ pub struct OnlineConfig {
     pub learning_rate: f64,
     /// fine-tune mini-batch size
     pub batch_size: usize,
-    /// bound on retrains queued behind the trainer thread (min 1).
-    /// Automatic triggers arriving while this many retrains are already
-    /// pending are **coalesced** — skipped without dropping anything,
-    /// since the triggering records stay in the buffer and the next
-    /// retrain trains on them anyway. Forced refreshes beyond the bound
-    /// are rejected with a typed backpressure error. Keeps a feedback
-    /// flood from queuing unbounded buffer snapshots (the engine's
-    /// reject-never-OOM rule applies to the trainer too).
-    pub max_pending_retrains: usize,
     /// root seed of the online loop — buffer eviction and every retrain
     /// derive from it (see the module docs)
     pub seed: u64,
@@ -172,7 +169,6 @@ impl Default for OnlineConfig {
             epochs: 60,
             learning_rate: 5e-4,
             batch_size: 32,
-            max_pending_retrains: 2,
             seed: 0,
             checkpoint_dir: None,
         }
@@ -281,7 +277,7 @@ impl ReplayBuffer {
         // Reservoir sampling (Algorithm R): the t-th streamed record
         // replaces a uniform slot with probability k/t. The RNG is
         // derived from the stream position, so this decision is the same
-        // on every replay of the same feedback log.
+        // whenever the same records arrive in the same order.
         let slot = derive_rng(self.seed, self.aged).gen_range(0..self.aged) as usize;
         if slot < self.reservoir_cap {
             self.reservoir[slot] = aged;

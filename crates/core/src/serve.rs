@@ -46,8 +46,9 @@
 //!   the generation, so a hit can never serve a stale generation's value.
 //!   Each swap checkpoints the new model (with lineage) through
 //!   `qross-store` *before* installing it, making every served generation
-//!   reloadable and the whole loop bit-reproducible from
-//!   `(seed, feedback log)`.
+//!   reloadable. The loop is a pure function of the online seed and the
+//!   ordered feedback records; the server does not journal those
+//!   records yet (ROADMAP item 10(c)), so a restart cannot replay them.
 //!
 //! The wire protocols — NDJSON and the binary QBIN, over stdin/stdout and
 //! TCP — live in the `bench` crate (`bench::protocol`, the `qross-serve`
@@ -941,6 +942,16 @@ impl Queue {
     }
 }
 
+/// Bound on retrains handed to the trainer thread and not yet completed.
+/// Automatic triggers arriving while this many retrains are pending are
+/// **coalesced** — skipped without dropping anything, since the
+/// triggering records stay in the buffer and the next retrain trains on
+/// them anyway. Forced refreshes beyond the bound are rejected with a
+/// typed backpressure error. Keeps a feedback flood from queuing
+/// unbounded buffer snapshots (the engine's reject-never-OOM rule applies
+/// to the trainer too).
+const MAX_PENDING_RETRAINS: usize = 2;
+
 /// Mutable online-learning state, guarded by one lock so a feedback push
 /// and its (possible) retrain snapshot are atomic — the snapshot of
 /// retrain `k` is exactly the buffer contents after the record that
@@ -970,7 +981,7 @@ struct OnlineShared {
     base: Option<SurrogateDataset>,
     state: Mutex<OnlineState>,
     /// retrains handed to the trainer and not yet completed — bounded by
-    /// `config.max_pending_retrains` so a feedback flood cannot queue
+    /// [`MAX_PENDING_RETRAINS`] so a feedback flood cannot queue
     /// unbounded buffer snapshots behind a slow fine-tune
     pending_retrains: AtomicU64,
     /// trainer-thread inbox; taken (and dropped) on engine shutdown so
@@ -1481,8 +1492,7 @@ impl Shared {
 
     /// Whether another retrain may be queued right now.
     fn retrain_capacity_left(&self, online: &OnlineShared) -> bool {
-        let cap = online.config.max_pending_retrains.max(1) as u64;
-        online.pending_retrains.load(Ordering::SeqCst) < cap
+        online.pending_retrains.load(Ordering::SeqCst) < MAX_PENDING_RETRAINS as u64
     }
 
     /// Validates and ingests one feedback record; triggers a retrain when
@@ -1497,7 +1507,7 @@ impl Shared {
             // Triggers landing while the trainer is already saturated are
             // coalesced: the record stays in the buffer (nothing is
             // dropped) and a later retrain trains on it. This bounds
-            // queued snapshots at `max_pending_retrains`.
+            // queued snapshots at `MAX_PENDING_RETRAINS`.
             let trigger = online.config.refresh_after > 0
                 && st.feedback_count % online.config.refresh_after as u64 == 0
                 && self.retrain_capacity_left(online);
@@ -1549,7 +1559,7 @@ impl Shared {
             // Backpressure, same rule as the request queue: reject
             // instead of queueing snapshots without bound.
             return Err(QrossError::Overloaded {
-                capacity: online.config.max_pending_retrains.max(1),
+                capacity: MAX_PENDING_RETRAINS,
             });
         }
         let (reply, rx) = mpsc::channel();
@@ -1899,8 +1909,6 @@ pub struct OnlineStatus {
     pub feedback_count: u64,
     /// current replay-buffer occupancy
     pub buffer_len: usize,
-    /// retrains triggered (automatic + forced) since start
-    pub retrain_count: u64,
     /// the configured automatic trigger period (0 = manual only)
     pub refresh_after: usize,
 }
@@ -2065,11 +2073,6 @@ impl ServeEngine {
         self.shared.generation.load(Ordering::SeqCst)
     }
 
-    /// Whether the engine ingests feedback and hot-swaps.
-    pub fn is_online(&self) -> bool {
-        self.shared.online.is_some()
-    }
-
     /// Live online-loop counters; `None` for offline engines.
     pub fn online_status(&self) -> Option<OnlineStatus> {
         let online = self.shared.online.as_ref()?;
@@ -2077,7 +2080,6 @@ impl ServeEngine {
         Some(OnlineStatus {
             feedback_count: st.feedback_count,
             buffer_len: st.buffer.len(),
-            retrain_count: st.retrain_count,
             refresh_after: online.config.refresh_after,
         })
     }
@@ -2464,7 +2466,7 @@ mod tests {
     #[test]
     fn retrain_backpressure_is_bounded_and_recoverable() {
         // A refresh storm without waits must never queue snapshots
-        // beyond `max_pending_retrains`: excess forced refreshes bounce
+        // beyond `MAX_PENDING_RETRAINS`: excess forced refreshes bounce
         // with typed backpressure, nothing deadlocks, and once the
         // trainer drains, refreshes work again.
         let dir = temp_dir("retrain_bp");
@@ -2473,7 +2475,6 @@ mod tests {
             ServeConfig::default(),
             OnlineConfig {
                 refresh_after: 0,
-                max_pending_retrains: 1,
                 epochs: 40, // slow enough for the storm to pile up
                 ..online_config(&dir)
             },
@@ -2489,7 +2490,7 @@ mod tests {
             match eng.refresh() {
                 Ok(pending) => handles.push(pending),
                 Err(QrossError::Overloaded { capacity }) => {
-                    assert_eq!(capacity, 1);
+                    assert_eq!(capacity, 2);
                     bounced += 1;
                 }
                 Err(e) => panic!("unexpected refresh error: {e}"),
@@ -2498,7 +2499,7 @@ mod tests {
         for pending in handles {
             pending.wait().expect("queued refresh completes");
         }
-        // The storm outran a 1-deep trainer queue at least once (each
+        // The storm outran the 2-deep trainer queue at least once (each
         // accepted refresh fine-tunes for 40 epochs before the next can
         // start), and the engine recovered: a fresh awaited refresh
         // lands the next generation.
@@ -2515,7 +2516,7 @@ mod tests {
 
     #[test]
     fn saturated_trigger_coalesces_without_losing_feedback() {
-        // refresh_after = 1 with a 1-deep trainer queue: most triggers
+        // refresh_after = 1 with a 2-deep trainer queue: most triggers
         // coalesce, but every record still lands in the buffer and the
         // loop keeps making progress (some swaps, no deadlock, no error).
         let dir = temp_dir("coalesce");
@@ -2524,7 +2525,6 @@ mod tests {
             ServeConfig::default(),
             OnlineConfig {
                 refresh_after: 1,
-                max_pending_retrains: 1,
                 epochs: 10,
                 ..online_config(&dir)
             },
@@ -2588,7 +2588,6 @@ mod tests {
             epochs: 3,
             learning_rate: 1e-3,
             batch_size: 8,
-            max_pending_retrains: 2,
             seed: 13,
             checkpoint_dir: Some(dir.to_path_buf()),
         }
@@ -2603,7 +2602,6 @@ mod tests {
     #[test]
     fn offline_engine_rejects_feedback_and_refresh() {
         let eng = engine(ServeConfig::default());
-        assert!(!eng.is_online());
         assert!(eng.online_status().is_none());
         assert!(matches!(
             eng.submit_feedback(feedback(0)),
@@ -3271,7 +3269,6 @@ mod tests {
             ServeConfig::default(),
             OnlineConfig {
                 refresh_after: 0,
-                max_pending_retrains: 1,
                 ..online_config(&dir)
             },
             None,
@@ -3289,8 +3286,9 @@ mod tests {
         );
         assert_eq!(eng.generation(), 0);
         assert!(eng.predict(&[0.0, 0.0], 1.0).is_ok());
-        // The one retrain slot was released and the trainer still runs:
-        // the next refresh is admitted and installs a generation.
+        // The panicked retrain's slot was released and the trainer still
+        // runs: the next refresh is admitted and installs a generation.
+        assert_eq!(online.pending_retrains.load(Ordering::SeqCst), 0);
         let gen = eng
             .refresh()
             .expect("refresh admitted after a panic")

@@ -16,7 +16,6 @@ use crate::surrogate::Surrogate;
 pub struct ComposedStrategy<'s> {
     surrogate: &'s Surrogate,
     domain: (f64, f64),
-    pbs_targets: Vec<f64>,
     ofs: OnlineFitting,
     /// fallback ladder position when an offline proposal fails
     planned: Vec<f64>,
@@ -58,7 +57,6 @@ impl<'s> ComposedStrategy<'s> {
         ComposedStrategy {
             surrogate,
             domain,
-            pbs_targets: vec![0.8, 0.2],
             ofs: OnlineFitting::new(domain, seed),
             planned,
         }
@@ -72,11 +70,6 @@ impl<'s> ComposedStrategy<'s> {
     /// The surrogate driving the offline phase.
     pub fn surrogate(&self) -> &Surrogate {
         self.surrogate
-    }
-
-    /// The PBS targets used for trials 2–3.
-    pub fn pbs_targets(&self) -> &[f64] {
-        &self.pbs_targets
     }
 }
 

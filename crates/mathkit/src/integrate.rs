@@ -1,95 +1,9 @@
-//! Numerical quadrature: adaptive Simpson and fixed-order Gauss–Legendre.
+//! Numerical quadrature: fixed-order and composite Gauss–Legendre.
 //!
 //! The Minimum Fitness Strategy evaluates
 //! `E[min] ≈ ∫_0^∞ (1 − Φ(z; Eavg, Estd))^(Pf·B) dz` (paper eq. 2); the
-//! integrand is a smooth sigmoid-like step, so adaptive Simpson on a finite
-//! window chosen from the Gaussian parameters converges quickly.
-
-use crate::{MathError, Result};
-
-/// Adaptive Simpson quadrature of `f` over `[a, b]`.
-///
-/// `tol` is an absolute error target; `max_depth` bounds the recursion.
-///
-/// # Errors
-///
-/// Returns [`MathError::Domain`] if `a > b` or either endpoint is not
-/// finite, and [`MathError::NoConvergence`] when the integrand produces a
-/// non-finite value.
-///
-/// # Examples
-///
-/// ```
-/// use mathkit::integrate::adaptive_simpson;
-/// let v = adaptive_simpson(|x| x * x, 0.0, 1.0, 1e-10, 30)?;
-/// assert!((v - 1.0 / 3.0).abs() < 1e-9);
-/// # Ok::<(), mathkit::MathError>(())
-/// ```
-pub fn adaptive_simpson<F: Fn(f64) -> f64>(
-    f: F,
-    a: f64,
-    b: f64,
-    tol: f64,
-    max_depth: usize,
-) -> Result<f64> {
-    if !(a.is_finite() && b.is_finite()) || a > b {
-        return Err(MathError::Domain {
-            message: format!("invalid interval [{a}, {b}]"),
-        });
-    }
-    if a == b {
-        return Ok(0.0);
-    }
-    let fa = f(a);
-    let fb = f(b);
-    let m = 0.5 * (a + b);
-    let fm = f(m);
-    if !(fa.is_finite() && fb.is_finite() && fm.is_finite()) {
-        return Err(MathError::NoConvergence {
-            routine: "adaptive_simpson",
-        });
-    }
-    let whole = simpson_rule(a, b, fa, fm, fb);
-    simpson_recurse(&f, a, b, fa, fm, fb, whole, tol, max_depth)
-}
-
-fn simpson_rule(a: f64, b: f64, fa: f64, fm: f64, fb: f64) -> f64 {
-    (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simpson_recurse<F: Fn(f64) -> f64>(
-    f: &F,
-    a: f64,
-    b: f64,
-    fa: f64,
-    fm: f64,
-    fb: f64,
-    whole: f64,
-    tol: f64,
-    depth: usize,
-) -> Result<f64> {
-    let m = 0.5 * (a + b);
-    let lm = 0.5 * (a + m);
-    let rm = 0.5 * (m + b);
-    let flm = f(lm);
-    let frm = f(rm);
-    if !(flm.is_finite() && frm.is_finite()) {
-        return Err(MathError::NoConvergence {
-            routine: "adaptive_simpson",
-        });
-    }
-    let left = simpson_rule(a, m, fa, flm, fm);
-    let right = simpson_rule(m, b, fm, frm, fb);
-    let delta = left + right - whole;
-    if depth == 0 || delta.abs() <= 15.0 * tol {
-        // Richardson extrapolation term improves the final estimate.
-        return Ok(left + right + delta / 15.0);
-    }
-    let lv = simpson_recurse(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)?;
-    let rv = simpson_recurse(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)?;
-    Ok(lv + rv)
-}
+//! integrand is a smooth sigmoid-like step, so composite Gauss–Legendre on a
+//! finite window chosen from the Gaussian parameters converges quickly.
 
 /// Nodes and weights for 32-point Gauss–Legendre quadrature on `[-1, 1]`
 /// (positive half; the rule is symmetric).
@@ -172,34 +86,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn simpson_polynomial_exact() {
-        let v = adaptive_simpson(|x| 3.0 * x * x, 0.0, 2.0, 1e-12, 40).unwrap();
-        assert!((v - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn simpson_transcendental() {
-        let v = adaptive_simpson(|x| x.exp(), 0.0, 1.0, 1e-12, 40).unwrap();
-        assert!((v - (std::f64::consts::E - 1.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn simpson_zero_width() {
-        assert_eq!(adaptive_simpson(|x| x, 1.0, 1.0, 1e-9, 10).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn simpson_invalid_interval() {
-        assert!(adaptive_simpson(|x| x, 1.0, 0.0, 1e-9, 10).is_err());
-        assert!(adaptive_simpson(|x| x, f64::NAN, 1.0, 1e-9, 10).is_err());
-    }
-
-    #[test]
-    fn simpson_rejects_nan_integrand() {
-        assert!(adaptive_simpson(|_| f64::NAN, 0.0, 1.0, 1e-9, 10).is_err());
-    }
-
-    #[test]
     fn gl32_sin_integral() {
         let v = gauss_legendre_32(|x| x.sin(), 0.0, std::f64::consts::PI);
         assert!((v - 2.0).abs() < 1e-12);
@@ -226,16 +112,9 @@ mod tests {
         use crate::special::normal_sf;
         let m = 4.0;
         // E[min] = ∫_{-∞}^{0} (sf^m − 1) dz + ∫_0^∞ sf^m dz
-        let left = adaptive_simpson(
-            |z| normal_sf(z, 0.0, 1.0).powf(m) - 1.0,
-            -8.0,
-            0.0,
-            1e-10,
-            40,
-        )
-        .unwrap();
-        let right =
-            adaptive_simpson(|z| normal_sf(z, 0.0, 1.0).powf(m), 0.0, 8.0, 1e-10, 40).unwrap();
+        let left =
+            gauss_legendre_composite(|z| normal_sf(z, 0.0, 1.0).powf(m) - 1.0, -8.0, 0.0, 16);
+        let right = gauss_legendre_composite(|z| normal_sf(z, 0.0, 1.0).powf(m), 0.0, 8.0, 16);
         let e_min = left + right;
         assert!((e_min - (-1.029375)).abs() < 1e-3, "got {e_min}");
     }

@@ -134,16 +134,6 @@ impl ParzenEstimator {
         c.clamp(self.lo, self.hi)
     }
 
-    /// Domain lower bound.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Domain upper bound.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-
     /// Number of observation kernels.
     pub fn len(&self) -> usize {
         self.centers.len()

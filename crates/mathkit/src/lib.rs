@@ -9,11 +9,11 @@
 //! * [`linalg`] — Cholesky factorisation and triangular solves for symmetric
 //!   positive-definite systems (Gaussian-process regression);
 //! * [`stats`] — descriptive statistics and confidence intervals;
-//! * [`special`] — complementary error function, Gaussian pdf/cdf and its
-//!   inverse;
-//! * [`integrate`] — adaptive Simpson and fixed-order Gauss–Legendre
-//!   quadrature (used by the Minimum Fitness Strategy integral);
-//! * [`optimize`] — bisection, golden-section and grid optimisers (the
+//! * [`special`] — complementary error function, Gaussian pdf/cdf and a
+//!   stable sigmoid;
+//! * [`integrate`] — fixed-order and composite Gauss–Legendre quadrature
+//!   (used by the Minimum Fitness Strategy integral);
+//! * [`optimize`] — golden-section refinement of a precomputed grid (the
 //!   stand-in for scipy's `shgo` in the paper);
 //! * [`fit`] — damped Gauss–Newton sigmoid fitting (Online Fitting Strategy)
 //!   and linear least squares;
@@ -65,11 +65,6 @@ pub enum MathError {
         /// textual description of the shape that was provided
         found: String,
     },
-    /// An iterative routine failed to converge within its iteration budget.
-    NoConvergence {
-        /// name of the routine that failed
-        routine: &'static str,
-    },
     /// The input was empty where at least one element is required.
     EmptyInput,
     /// An argument was outside its mathematical domain.
@@ -85,9 +80,6 @@ impl std::fmt::Display for MathError {
             MathError::NotPositiveDefinite => write!(f, "matrix is not positive definite"),
             MathError::DimensionMismatch { expected, found } => {
                 write!(f, "dimension mismatch: expected {expected}, found {found}")
-            }
-            MathError::NoConvergence { routine } => {
-                write!(f, "routine `{routine}` failed to converge")
             }
             MathError::EmptyInput => write!(f, "empty input"),
             MathError::Domain { message } => write!(f, "domain error: {message}"),

@@ -97,11 +97,6 @@ impl Cholesky {
         Err(MathError::NotPositiveDefinite)
     }
 
-    /// Borrow of the lower-triangular factor `L`.
-    pub fn l(&self) -> &Matrix {
-        &self.l
-    }
-
     /// Solves `L y = b` (forward substitution).
     ///
     /// # Errors
@@ -165,32 +160,6 @@ impl Cholesky {
     }
 }
 
-/// Dot product of two equal-length slices.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-}
-
-/// Squared Euclidean distance between two equal-length slices.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "sq_dist: length mismatch");
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| {
-            let d = x - y;
-            d * d
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,7 +178,7 @@ mod tests {
     fn factor_reconstructs() {
         let a = spd3();
         let ch = Cholesky::factor(&a).unwrap();
-        let rec = ch.l().matmul_t(ch.l());
+        let rec = ch.l.matmul_t(&ch.l);
         for i in 0..3 {
             for j in 0..3 {
                 assert!((rec[(i, j)] - a[(i, j)]).abs() < 1e-10, "({i},{j})");
@@ -247,7 +216,7 @@ mod tests {
         // Rank-deficient Gram matrix: [1 1; 1 1].
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
         let ch = Cholesky::factor_with_jitter(&a, 1e-10, 12).unwrap();
-        assert!(ch.l()[(0, 0)] > 0.0);
+        assert!(ch.l[(0, 0)] > 0.0);
     }
 
     #[test]
@@ -257,12 +226,6 @@ mod tests {
             Cholesky::factor(&a),
             Err(MathError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn dot_and_sq_dist() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert_eq!(sq_dist(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
     }
 
     #[test]

@@ -100,15 +100,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a single-column matrix from a slice.
-    pub fn column(values: &[f64]) -> Self {
-        Matrix {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
     /// Creates a single-row matrix from a slice.
     pub fn row(values: &[f64]) -> Self {
         Matrix {
@@ -317,15 +308,6 @@ impl Matrix {
     /// Panics on shape mismatch.
     pub fn add(&self, other: &Matrix) -> Matrix {
         self.zip_with(other, |a, b| a + b)
-    }
-
-    /// Element-wise subtraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub(&self, other: &Matrix) -> Matrix {
-        self.zip_with(other, |a, b| a - b)
     }
 
     /// Element-wise combination with an arbitrary binary function.
@@ -551,10 +533,10 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_roundtrip() {
+    fn add_is_elementwise() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[0.5, -1.0], &[2.0, 0.0]]);
-        assert_eq!(a.add(&b).sub(&b), a);
+        assert_eq!(a.add(&b), Matrix::from_rows(&[&[1.5, 1.0], &[5.0, 4.0]]));
     }
 
     #[test]

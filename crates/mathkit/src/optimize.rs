@@ -1,10 +1,10 @@
-//! Derivative-free optimisation: bisection, golden-section, grid search
-//! and multi-start global 1-D minimisation.
+//! Derivative-free 1-D minimisation: golden-section search and the
+//! multi-start refinement of a precomputed grid.
 //!
 //! The paper uses scipy's `shgo` to minimise the surrogate-predicted
 //! expected-minimum-fitness over the relaxation parameter `A` (§3.4.1).
 //! `A` is one-dimensional, so a dense-grid scan followed by golden-section
-//! refinement of the best basins ([`minimize_global_1d`]) is an equivalent
+//! refinement of the best basins ([`refine_grid_minimum`]) is an equivalent
 //! global strategy.
 
 use crate::{MathError, Result};
@@ -16,65 +16,6 @@ pub struct Minimum {
     pub x: f64,
     /// objective value at [`Minimum::x`]
     pub value: f64,
-}
-
-/// Finds a root of `f` on `[lo, hi]` by bisection.
-///
-/// # Errors
-///
-/// * [`MathError::Domain`] if `lo >= hi` or `f(lo)` and `f(hi)` have the
-///   same sign.
-/// * [`MathError::NoConvergence`] if the interval does not shrink below
-///   `tol` within `max_iter` iterations (practically unreachable for
-///   sensible tolerances).
-///
-/// # Examples
-///
-/// ```
-/// use mathkit::optimize::bisect;
-/// let root = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-12, 200)?;
-/// assert!((root - 2.0_f64.sqrt()).abs() < 1e-10);
-/// # Ok::<(), mathkit::MathError>(())
-/// ```
-pub fn bisect<F: Fn(f64) -> f64>(
-    f: F,
-    mut lo: f64,
-    mut hi: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<f64> {
-    if lo >= hi {
-        return Err(MathError::Domain {
-            message: format!("bisect requires lo < hi, got [{lo}, {hi}]"),
-        });
-    }
-    let mut flo = f(lo);
-    let fhi = f(hi);
-    if flo == 0.0 {
-        return Ok(lo);
-    }
-    if fhi == 0.0 {
-        return Ok(hi);
-    }
-    if flo.signum() == fhi.signum() {
-        return Err(MathError::Domain {
-            message: "bisect requires a sign change over the interval".to_string(),
-        });
-    }
-    for _ in 0..max_iter {
-        let mid = 0.5 * (lo + hi);
-        let fmid = f(mid);
-        if fmid == 0.0 || hi - lo < tol {
-            return Ok(mid);
-        }
-        if fmid.signum() == flo.signum() {
-            lo = mid;
-            flo = fmid;
-        } else {
-            hi = mid;
-        }
-    }
-    Err(MathError::NoConvergence { routine: "bisect" })
 }
 
 /// Golden-section minimisation of a unimodal `f` on `[lo, hi]`.
@@ -123,83 +64,14 @@ pub fn golden_section<F: Fn(f64) -> f64>(
     Ok(Minimum { x, value: f(x) })
 }
 
-/// Evaluates `f` on `points` evenly-spaced grid nodes over `[lo, hi]` and
-/// returns the best node.
+/// Global 1-D minimisation over a *precomputed* grid: given ascending
+/// sample points `xs` and their objective values, golden-sections the
+/// neighbourhoods of the `refine_top` best cells.
 ///
-/// # Errors
-///
-/// Returns [`MathError::Domain`] for an empty grid or inverted interval.
-pub fn grid_search<F: Fn(f64) -> f64>(f: F, lo: f64, hi: f64, points: usize) -> Result<Minimum> {
-    if points == 0 || lo > hi {
-        return Err(MathError::Domain {
-            message: "grid_search requires points > 0 and lo <= hi".to_string(),
-        });
-    }
-    let mut best = Minimum {
-        x: lo,
-        value: f64::INFINITY,
-    };
-    for i in 0..points {
-        let x = if points == 1 {
-            0.5 * (lo + hi)
-        } else {
-            lo + (hi - lo) * i as f64 / (points - 1) as f64
-        };
-        let v = f(x);
-        if v < best.value {
-            best = Minimum { x, value: v };
-        }
-    }
-    Ok(best)
-}
-
-/// Global 1-D minimisation: dense grid scan, then golden-section refinement
-/// around the `refine_top` best grid basins.
-///
-/// This is the repo's stand-in for scipy's `shgo` (see DESIGN.md): for a
-/// one-dimensional, cheap-to-evaluate surrogate objective, a fine grid scan
-/// enumerates every basin, and local refinement recovers the global optimum
-/// to high precision.
-///
-/// # Errors
-///
-/// Returns [`MathError::Domain`] for an invalid interval or an empty grid.
-///
-/// # Examples
-///
-/// ```
-/// use mathkit::optimize::minimize_global_1d;
-/// // Bimodal objective whose global minimum is near x = 3.
-/// let f = |x: f64| (x - 3.0).powi(2).min((x + 1.0).powi(2) + 0.5);
-/// let m = minimize_global_1d(&f, -5.0, 5.0, 200, 3, 1e-9)?;
-/// assert!((m.x - 3.0).abs() < 1e-6);
-/// # Ok::<(), mathkit::MathError>(())
-/// ```
-pub fn minimize_global_1d<F: Fn(f64) -> f64>(
-    f: &F,
-    lo: f64,
-    hi: f64,
-    grid_points: usize,
-    refine_top: usize,
-    tol: f64,
-) -> Result<Minimum> {
-    if lo >= hi || grid_points < 2 {
-        return Err(MathError::Domain {
-            message: "minimize_global_1d requires lo < hi and grid_points >= 2".to_string(),
-        });
-    }
-    let step = (hi - lo) / (grid_points - 1) as f64;
-    let xs: Vec<f64> = (0..grid_points).map(|i| lo + i as f64 * step).collect();
-    let values: Vec<f64> = xs.iter().map(|&x| f(x)).collect();
-    refine_grid_minimum(&f, &xs, &values, refine_top, tol)
-}
-
-/// The refinement stage of [`minimize_global_1d`] over a *precomputed*
-/// grid: given ascending sample points `xs` and their objective values,
-/// golden-sections the neighbourhoods of the `refine_top` best cells.
-///
-/// Separating grid evaluation from refinement lets callers batch the grid
-/// through a vectorised objective (e.g. one neural-network forward pass
+/// For a one-dimensional, cheap-to-evaluate objective a fine grid
+/// enumerates every basin, and local refinement recovers the global
+/// optimum to high precision. Taking the grid as input lets callers batch
+/// it through a vectorised objective (e.g. one neural-network forward pass
 /// over all candidates) and pay the scalar closure only for the handful of
 /// refinement evaluations.
 ///
@@ -248,24 +120,12 @@ pub fn refine_grid_minimum<F: Fn(f64) -> f64>(
 mod tests {
     use super::*;
 
-    #[test]
-    fn bisect_sqrt2() {
-        let r = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-13, 200).unwrap();
-        assert!((r - std::f64::consts::SQRT_2).abs() < 1e-10);
-    }
-
-    #[test]
-    fn bisect_endpoint_roots() {
-        assert_eq!(bisect(|x| x, 0.0, 1.0, 1e-12, 100).unwrap(), 0.0);
-        assert_eq!(bisect(|x| x - 1.0, 0.0, 1.0, 1e-12, 100).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn bisect_requires_sign_change() {
-        assert!(matches!(
-            bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-9, 100),
-            Err(MathError::Domain { .. })
-        ));
+    fn refine_on_grid(f: &impl Fn(f64) -> f64, lo: f64, hi: f64, n: usize, top: usize) -> Minimum {
+        let xs: Vec<f64> = (0..n)
+            .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
+            .collect();
+        let values: Vec<f64> = xs.iter().map(|&x| f(x)).collect();
+        refine_grid_minimum(f, &xs, &values, top, 1e-10).unwrap()
     }
 
     #[test]
@@ -276,36 +136,29 @@ mod tests {
     }
 
     #[test]
+    fn refinement_rejects_mismatched_grid() {
+        assert!(refine_grid_minimum(&|x| x, &[0.0, 1.0], &[0.0], 1, 1e-9).is_err());
+    }
+
+    #[test]
     fn golden_invalid_interval() {
         assert!(golden_section(|x| x, 1.0, 0.0, 1e-9, 10).is_err());
     }
 
     #[test]
-    fn grid_finds_coarse_minimum() {
-        let m = grid_search(|x| (x - 0.3).abs(), 0.0, 1.0, 101).unwrap();
-        assert!((m.x - 0.3).abs() < 0.011);
-    }
-
-    #[test]
-    fn grid_single_point() {
-        let m = grid_search(|x| x, 0.0, 2.0, 1).unwrap();
-        assert_eq!(m.x, 1.0);
-    }
-
-    #[test]
-    fn global_1d_escapes_local_minimum() {
+    fn refinement_escapes_local_minimum() {
         // Local minimum at x=-1 (value 0.5), global at x=3 (value 0).
         let f = |x: f64| ((x + 1.0).powi(2) + 0.5).min((x - 3.0).powi(2));
-        let m = minimize_global_1d(&f, -5.0, 5.0, 100, 3, 1e-10).unwrap();
+        let m = refine_on_grid(&f, -5.0, 5.0, 100, 3);
         assert!((m.x - 3.0).abs() < 1e-5);
         assert!(m.value < 1e-9);
     }
 
     #[test]
-    fn global_1d_sine_landscape() {
+    fn refinement_finds_sine_landscape_minimum() {
         // min of sin(x) + 0.1 x over [0, 20] — multiple basins.
         let f = |x: f64| x.sin() + 0.1 * x;
-        let m = minimize_global_1d(&f, 0.0, 20.0, 400, 5, 1e-10).unwrap();
+        let m = refine_on_grid(&f, 0.0, 20.0, 400, 5);
         // global min near x = 3*pi/2 + small shift ~ 4.612
         assert!((m.x - 4.612).abs() < 0.05, "x = {}", m.x);
     }

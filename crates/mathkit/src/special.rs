@@ -1,6 +1,5 @@
 //! Special functions: complementary error function, Gaussian
-//! density/distribution and its inverse, numerically-stable sigmoid
-//! utilities.
+//! density/distribution and a numerically-stable sigmoid.
 //!
 //! The Minimum Fitness Strategy (paper eq. 2 / appendix F) integrates powers
 //! of the Gaussian survival function, so an accurate `erf` matters: we use
@@ -100,77 +99,6 @@ pub fn normal_sf(x: f64, mean: f64, std: f64) -> f64 {
     0.5 * erfc((x - mean) / (std * std::f64::consts::SQRT_2))
 }
 
-/// Inverse CDF (quantile function) of the standard normal distribution.
-///
-/// Peter Acklam's rational approximation (relative error `< 1.15e-9`),
-/// refined with one Halley step using the forward CDF.
-///
-/// # Panics
-///
-/// Panics if `p` is outside the open interval `(0, 1)`.
-///
-/// # Examples
-///
-/// ```
-/// use mathkit::special::normal_quantile;
-/// assert!((normal_quantile(0.975) - 1.959964).abs() < 1e-5);
-/// assert!(normal_quantile(0.5).abs() < 1e-9);
-/// ```
-pub fn normal_quantile(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "normal_quantile requires 0 < p < 1");
-    // Acklam's coefficients.
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-
-    // One Halley refinement step sharpens the tail behaviour.
-    let e = normal_cdf(x, 0.0, 1.0) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    x - u / (1.0 + x * u / 2.0)
-}
-
 /// Numerically-stable logistic sigmoid `1 / (1 + exp(-x))`.
 ///
 /// # Examples
@@ -258,20 +186,6 @@ mod tests {
         assert_eq!(normal_cdf(0.9, 1.0, 0.0), 0.0);
         assert_eq!(normal_cdf(1.1, 1.0, 0.0), 1.0);
         assert_eq!(normal_sf(0.9, 1.0, 0.0), 1.0);
-    }
-
-    #[test]
-    fn quantile_inverts_cdf() {
-        for &p in &[0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999] {
-            let x = normal_quantile(p);
-            assert!((normal_cdf(x, 0.0, 1.0) - p).abs() < 1e-9, "p={p}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "normal_quantile")]
-    fn quantile_domain() {
-        let _ = normal_quantile(0.0);
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl Dense {
     pub fn input_dim(&self) -> usize {
         self.weights.rows()
     }
-
-    /// Output width.
-    pub fn output_dim(&self) -> usize {
-        self.weights.cols()
-    }
 }
 
 impl Layer for Dense {

@@ -45,16 +45,6 @@ impl Mlp {
         self.input_dim
     }
 
-    /// Output width.
-    pub fn output_dim(&self) -> usize {
-        self.output_dim
-    }
-
-    /// Number of layers (dense + activations).
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Forward pass over a batch (rows = samples). Caches intermediate
     /// activations for a subsequent [`Mlp::backward`].
     ///
@@ -318,8 +308,8 @@ mod tests {
     fn builder_shapes() {
         let net = MlpBuilder::new(4).dense(16).relu().dense(3).build(1);
         assert_eq!(net.input_dim(), 4);
-        assert_eq!(net.output_dim(), 3);
-        assert_eq!(net.num_layers(), 3);
+        assert_eq!(net.output_dim, 3);
+        assert_eq!(net.layers.len(), 3);
     }
 
     #[test]

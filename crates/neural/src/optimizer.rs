@@ -73,11 +73,6 @@ impl Optimizer {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &OptimizerConfig {
-        &self.config
-    }
-
     /// Number of update steps applied so far.
     pub fn steps(&self) -> u64 {
         self.step_count

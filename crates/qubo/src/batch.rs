@@ -95,11 +95,6 @@ impl<'m> ReplicaBatch<'m> {
         self.model
     }
 
-    /// Number of replica lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
     /// Number of variables per replica.
     pub fn num_vars(&self) -> usize {
         self.model.num_vars()

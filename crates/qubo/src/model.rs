@@ -242,15 +242,6 @@ impl QuboModel {
             .map(|(&j, &w)| (j, w))
     }
 
-    /// Coupling degree of variable `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn degree(&self, i: usize) -> usize {
-        self.row(i).len()
-    }
-
     /// Coupling between `i` and `j` (`0.0` when absent).
     ///
     /// # Panics
@@ -413,7 +404,7 @@ mod tests {
                 assert_eq!(m.quadratic(j as usize, i), w);
             }
         }
-        assert_eq!(m.degree(0), 2);
+        assert_eq!(m.neighbor_cols(0).len(), 2);
         assert_eq!(m.num_couplings(), 5);
     }
 

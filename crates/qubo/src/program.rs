@@ -124,16 +124,6 @@ impl ConstrainedBinaryProgram {
         self
     }
 
-    /// The unpenalised objective.
-    pub fn objective(&self) -> &QuboModel {
-        &self.objective
-    }
-
-    /// All constraints.
-    pub fn constraints(&self) -> &[LinearConstraint] {
-        &self.constraints
-    }
-
     /// Number of binary variables.
     pub fn num_vars(&self) -> usize {
         self.objective.num_vars()

@@ -144,11 +144,6 @@ impl DigitalAnnealer {
         DigitalAnnealer { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &DaConfig {
-        &self.config
-    }
-
     /// Runs one replica in a reused scratch. The parallel-trial loop reads
     /// the maintained flip-delta vector (O(1) per candidate); the one
     /// committed flip is O(degree); incumbent tracking uses the cached

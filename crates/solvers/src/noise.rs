@@ -64,11 +64,6 @@ impl<S: Solver> AnalogNoise<S> {
         }
     }
 
-    /// The configured relative error rate.
-    pub fn error_rate(&self) -> f64 {
-        self.error_rate
-    }
-
     fn perturb(&self, model: &QuboModel, seed: u64) -> QuboModel {
         if self.error_rate == 0.0 || model.max_abs_coefficient() == 0.0 {
             return model.clone();

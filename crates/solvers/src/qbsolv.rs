@@ -80,11 +80,6 @@ impl Qbsolv {
         Qbsolv { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &QbsolvConfig {
-        &self.config
-    }
-
     /// Extracts the sub-QUBO over `vars` with every other variable clamped
     /// to its value in `state`. Clamped couplings fold into the sub-model's
     /// linear terms; the clamped-part energy goes into the offset so that

@@ -75,11 +75,6 @@ impl SimulatedAnnealer {
         SimulatedAnnealer { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &SaConfig {
-        &self.config
-    }
-
     /// Anneals a single replica in a reused scratch state and returns
     /// `(assignment, energy)`.
     ///

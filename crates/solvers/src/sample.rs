@@ -111,16 +111,6 @@ impl SampleSet {
         self.samples.iter().find(|s| is_feasible(&s.assignment))
     }
 
-    /// Merges another batch into this one, preserving the energy order.
-    pub fn merge(&mut self, other: SampleSet) {
-        self.samples.extend(other.samples);
-        self.samples.sort_by(|a, b| {
-            a.energy
-                .partial_cmp(&b.energy)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-    }
-
     /// Consumes the set and returns the sorted samples.
     pub fn into_samples(self) -> Vec<Sample> {
         self.samples
@@ -225,18 +215,6 @@ mod tests {
         // Feasible = energy >= 0 here (first bit 1): best is energy 2.0.
         let best = s.best_feasible(|x| x[0] == 1).unwrap();
         assert_eq!(best.energy, 2.0);
-    }
-
-    #[test]
-    fn merge_keeps_sorted() {
-        let mut a = set3();
-        let b = SampleSet::from_samples(vec![Sample {
-            assignment: vec![0, 0],
-            energy: -10.0,
-        }]);
-        a.merge(b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.best().unwrap().energy, -10.0);
     }
 
     #[test]

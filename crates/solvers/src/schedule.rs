@@ -77,16 +77,6 @@ impl BetaSchedule {
         BetaSchedule::geometric(beta_hot, beta_cold, steps)
     }
 
-    /// Hot (initial) β.
-    pub fn beta_hot(&self) -> f64 {
-        self.beta_hot
-    }
-
-    /// Cold (final) β.
-    pub fn beta_cold(&self) -> f64 {
-        self.beta_cold
-    }
-
     /// Number of steps.
     pub fn steps(&self) -> usize {
         self.steps
@@ -151,16 +141,16 @@ mod tests {
         let large = BetaSchedule::auto(&b2.build(), 4);
 
         // Hotter (smaller β) start for larger coefficients.
-        assert!(large.beta_hot() < small.beta_hot());
-        assert!((small.beta_hot() / large.beta_hot() - 100.0).abs() < 1e-9);
+        assert!(large.beta_hot < small.beta_hot);
+        assert!((small.beta_hot / large.beta_hot - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn auto_zero_model_fallback() {
         let empty = QuboBuilder::new(3).build();
         let s = BetaSchedule::auto(&empty, 5);
-        assert_eq!(s.beta_hot(), 0.1);
-        assert_eq!(s.beta_cold(), 10.0);
+        assert_eq!(s.beta_hot, 0.1);
+        assert_eq!(s.beta_cold, 10.0);
     }
 
     #[test]

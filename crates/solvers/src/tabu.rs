@@ -63,11 +63,6 @@ impl TabuSearch {
         TabuSearch { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &TabuConfig {
-        &self.config
-    }
-
     fn tenure_for(&self, n: usize) -> usize {
         self.config.tenure.unwrap_or_else(|| (n / 4).min(20) + 1)
     }

@@ -122,7 +122,6 @@ fn online_config(dir: std::path::PathBuf, refresh_after: usize) -> OnlineConfig 
         epochs: 4,
         learning_rate: 1e-3,
         batch_size: 16,
-        max_pending_retrains: 2,
         seed: 2021,
         checkpoint_dir: Some(dir),
     }

@@ -134,7 +134,6 @@ proptest! {
                 epochs: 2,
                 learning_rate: 1e-3,
                 batch_size: 8,
-                max_pending_retrains: 2,
                 seed: model_seed ^ 0xF00D,
                 checkpoint_dir: Some(dir.clone()),
             },
