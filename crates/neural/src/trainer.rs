@@ -332,6 +332,72 @@ mod tests {
         assert_eq!(tuned.to_state(), tuned2.to_state());
     }
 
+    /// FNV-1a over the bits of every weight and bias in `to_state()`
+    /// order.
+    fn weight_digest(net: &Mlp, mut hash: u64) -> u64 {
+        for spec in net.to_state().layers {
+            if let crate::layers::LayerSpec::Dense { weights, bias, .. } = spec {
+                for v in weights.iter().chain(&bias) {
+                    for b in v.to_bits().to_le_bytes() {
+                        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+                    }
+                }
+            }
+        }
+        hash
+    }
+
+    /// Adam training (with a validation set) and a fine-tune through a
+    /// dense/ReLU/tanh/sigmoid stack hash to a committed constant. The
+    /// other tests compare run against run; this pins the trained bits
+    /// across commits and kernel copies, so it must never be regenerated
+    /// to make a change pass.
+    #[test]
+    fn trained_weights_match_the_committed_digest() {
+        let n = 40;
+        let x = Matrix::from_vec(n, 3, (0..3 * n).map(|i| (i as f64 * 0.61).sin()).collect());
+        let y = Matrix::from_vec(
+            n,
+            2,
+            (0..2 * n)
+                .map(|i| 0.5 + 0.45 * (i as f64 * 0.29).cos())
+                .collect(),
+        );
+        let (vx, vy) = (
+            x.select_rows(&[1, 5, 9, 33]),
+            y.select_rows(&[2, 6, 30, 39]),
+        );
+        let mut net = MlpBuilder::new(3)
+            .dense(8)
+            .relu()
+            .dense(6)
+            .tanh()
+            .dense(2)
+            .sigmoid()
+            .build(21);
+        let cfg = TrainConfig {
+            epochs: 25,
+            batch_size: 7,
+            seed: 5,
+            ..Default::default()
+        };
+        let h = train_with_validation(&mut net, &x, &y, Some((&vx, &vy)), &Loss::Bce, &cfg);
+        assert!(!h.diverged);
+        assert_eq!(h.val_loss.len(), 25);
+        let tune = TrainConfig {
+            epochs: 6,
+            seed: 6,
+            ..cfg
+        };
+        let (tuned, th) = fine_tune(&net, &x, &y, Some((&vx, &vy)), &Loss::Bce, &tune).unwrap();
+        assert_eq!(th.val_loss.len(), 6);
+        let hash = weight_digest(&tuned, weight_digest(&net, 0xCBF2_9CE4_8422_2325));
+        assert_eq!(
+            hash, 0x9e47_fbe6_70e9_9d18,
+            "trained weights changed: digest {hash:#018x}"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "empty")]
     fn empty_training_set_panics() {
