@@ -463,8 +463,6 @@ pub fn write_frame(out: &mut Vec<u8>, op: u8, build: impl FnOnce(&mut ByteWriter
 /// codec's read buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame<'a> {
-    /// protocol version (always [`QBIN_VERSION`] once decoded)
-    pub version: u8,
     /// op tag
     pub op: u8,
     /// raw payload bytes, zero-copy
@@ -604,7 +602,6 @@ impl FrameCodec {
             return Some(Err(BinError::CrcMismatch { expected, actual }));
         }
         Some(Ok(Frame {
-            version,
             op,
             payload: &self.buf[start + HEADER_LEN..start + crc_off],
         }))
@@ -1344,7 +1341,6 @@ mod tests {
         write_frame(&mut out, 0x42, |p| p.put_opt_u64(None));
         let (op, payload) = single_frame(&out).expect("frame itself is well-formed");
         let frame = Frame {
-            version: QBIN_VERSION,
             op,
             payload: &payload,
         };

@@ -441,7 +441,7 @@ impl ServeObs {
     /// assembles its answer from the filled result slots.
     fn answer(
         &self,
-        submitted: Instant,
+        submitted: obs::Stopwatch,
         span: obs::Span,
         results: Vec<Option<SurrogatePrediction>>,
     ) -> Answer {
@@ -450,7 +450,7 @@ impl ServeObs {
             .map(|r| r.expect("all slots computed"))
             .collect();
         if obs::ENABLED {
-            self.latency.record(submitted.elapsed().as_nanos() as u64);
+            self.latency.record(submitted.elapsed_ns());
             self.record_engine_stages(&span);
         }
         (span, Ok(out))
@@ -647,7 +647,9 @@ struct Job {
     a_values: Vec<f64>,
     results: Vec<Option<SurrogatePrediction>>,
     model: Arc<VersionedModel>,
-    submitted: Instant,
+    /// started at admission; the queue stage and the engine latency read
+    /// it
+    submitted: obs::Stopwatch,
     /// the request's trace span, accumulated through the pipeline and
     /// returned to the submitter alongside the result
     span: obs::Span,
@@ -1082,7 +1084,7 @@ impl Shared {
             });
         }
         let mut span = obs::Span::begin();
-        let submitted = Instant::now();
+        let submitted = obs::Stopwatch::start();
         // Accepted-work counters are bumped only once a request is
         // actually admitted (inline or enqueued): a rejected request must
         // show up in `rejected`, never in `requests`/`rows`. Per-tenant
@@ -1384,8 +1386,8 @@ impl Shared {
         // assembly time lands in the batch stage, not here.
         if obs::ENABLED {
             for job in batch.iter_mut() {
-                let waited = job.submitted.elapsed().as_nanos() as u64;
-                job.span.record(obs::Stage::Queue, waited);
+                job.span
+                    .record(obs::Stage::Queue, job.submitted.elapsed_ns());
             }
         }
         let mut assembly = obs::Stopwatch::start();
@@ -2178,21 +2180,6 @@ impl ServeEngine {
             .wait()?;
         Ok(out.remove(0))
     }
-
-    /// Blocking grid prediction for the default tenant —
-    /// [`ServeEngine::submit_opts`] + [`PendingPrediction::wait`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::submit_opts`].
-    pub fn predict_grid(
-        &self,
-        features: &[f64],
-        a_values: &[f64],
-    ) -> Result<Vec<SurrogatePrediction>, QrossError> {
-        self.submit_opts(None, features.to_vec(), a_values.to_vec(), None)?
-            .wait()
-    }
 }
 
 impl Drop for ServeEngine {
@@ -2290,10 +2277,14 @@ mod tests {
         let eng = engine(ServeConfig::default());
         let f = [0.3, 1.1];
         let grid = [0.1, 0.5, 1.0, 2.0, 8.0];
-        let served = eng.predict_grid(&f, &grid).expect("serve");
+        let grid_request = |a_values: &[f64]| {
+            eng.submit_opts(None, f.to_vec(), a_values.to_vec(), None)
+                .and_then(|pending| pending.wait())
+        };
+        let served = grid_request(&grid).expect("serve");
         let direct = sur.predict_grid(&f, &grid);
         assert_eq!(served, direct);
-        assert!(eng.predict_grid(&f, &[]).expect("empty").is_empty());
+        assert!(grid_request(&[]).expect("empty").is_empty());
     }
 
     #[test]

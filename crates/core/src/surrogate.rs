@@ -17,8 +17,7 @@ use serde::{Deserialize, Serialize};
 use mathkit::Matrix;
 use neural::loss::Loss;
 use neural::network::{Mlp, MlpBuilder, MlpState};
-use neural::optimizer::OptimizerConfig;
-use neural::trainer::{train_with_validation, TrainConfig, TrainHistory};
+use neural::trainer::{train, TrainConfig, TrainHistory};
 
 use crate::dataset::{to_matrices, Scalers, SurrogateDataset};
 use crate::QrossError;
@@ -255,11 +254,10 @@ impl Surrogate {
         let tc = TrainConfig {
             epochs: config.epochs,
             batch_size: config.batch_size,
-            optimizer: OptimizerConfig::adam(config.learning_rate),
+            learning_rate: config.learning_rate,
             seed: config.seed,
-            target_loss: None,
         };
-        let pf_hist = train_with_validation(
+        let pf_hist = train(
             &mut pf_net,
             &tm.x,
             &tm.y_pf,
@@ -270,7 +268,7 @@ impl Surrogate {
         if pf_hist.diverged {
             return Err(QrossError::TrainingDiverged);
         }
-        let e_hist = train_with_validation(
+        let e_hist = train(
             &mut e_net,
             &tm.x,
             &tm.y_energy,
@@ -345,9 +343,8 @@ impl Surrogate {
         let tc = TrainConfig {
             epochs: config.epochs,
             batch_size: config.batch_size,
-            optimizer: OptimizerConfig::adam(config.learning_rate),
+            learning_rate: config.learning_rate,
             seed: config.seed,
-            target_loss: None,
         };
         let tune =
             |net: &Mlp, y: &Matrix, loss: &Loss| -> Result<(Mlp, TrainHistory), QrossError> {

@@ -4,7 +4,7 @@
 //!
 //! Every product is bit-exact. [`matmul_serve`] — used by
 //! [`Matrix::matmul`](crate::Matrix::matmul) and therefore by
-//! `Dense::infer` / `Mlp::infer` / `Surrogate::predict*` and by
+//! `Layer::infer` / `Mlp::infer` / `Surrogate::predict*` and by
 //! training's forward pass — and its transposed entries
 //! [`tmatmul_serve`] / [`matmul_t_serve`] — behind
 //! [`Matrix::tmatmul`](crate::Matrix::tmatmul) and

@@ -171,7 +171,7 @@ impl Matrix {
     /// reference ikj loop ([`Matrix::matmul_reference`]): each output
     /// element is accumulated into a single `f64` in ascending-`k` order
     /// with the zero-skip on `self` preserved. Inference paths
-    /// (`Dense::infer`, `Mlp::infer`, `Surrogate::predict*`) rely on this
+    /// (`Layer::infer`, `Mlp::infer`, `Surrogate::predict*`) rely on this
     /// bit-exactness contract; see `mathkit::kernel` for the numeric
     /// tier.
     ///
@@ -363,34 +363,13 @@ impl Matrix {
         }
     }
 
-    /// Adds `row` (a 1 x cols matrix) to every row of `self`, returning a new
-    /// matrix. This is the broadcast used to apply bias vectors.
+    /// Adds `row` (a 1 x cols matrix) to every row of `self` in place.
+    /// This is the broadcast a dense layer applies its bias with.
     ///
     /// # Panics
     ///
     /// Panics if `row.rows() != 1` or the column counts differ.
-    pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
-        assert_eq!(row.rows(), 1, "broadcast operand must have exactly 1 row");
-        assert_eq!(self.cols, row.cols(), "broadcast: column mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            let dst = &mut out.data[r * out.cols..(r + 1) * out.cols];
-            for (d, s) in dst.iter_mut().zip(row.data.iter()) {
-                *d += s;
-            }
-        }
-        out
-    }
-
-    /// In-place [`Matrix::add_row_broadcast`]: adds `row` to every row of
-    /// `self` without allocating the output copy. Bit-identical to the
-    /// allocating form (same additions in the same order) — the serving
-    /// inference path uses it to cut per-batch allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.rows() != 1` or the column counts differ.
-    pub fn add_row_broadcast_inplace(&mut self, row: &Matrix) {
+    pub fn add_row_broadcast(&mut self, row: &Matrix) {
         assert_eq!(row.rows(), 1, "broadcast operand must have exactly 1 row");
         assert_eq!(self.cols, row.cols(), "broadcast: column mismatch");
         for r in 0..self.rows {
@@ -541,9 +520,9 @@ mod tests {
 
     #[test]
     fn broadcast_bias() {
-        let a = Matrix::zeros(3, 2);
+        let mut out = Matrix::zeros(3, 2);
         let bias = Matrix::row(&[1.0, -1.0]);
-        let out = a.add_row_broadcast(&bias);
+        out.add_row_broadcast(&bias);
         for r in 0..3 {
             assert_eq!(out[(r, 0)], 1.0);
             assert_eq!(out[(r, 1)], -1.0);

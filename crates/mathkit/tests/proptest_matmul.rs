@@ -1,7 +1,7 @@
 //! Property tests pinning the blocked serve-tier matmul to the reference
 //! kernel, bit for bit.
 //!
-//! The serve path (`Dense::infer` → `Matrix::matmul`) promises *exact*
+//! The serve path (`Layer::infer` → `Matrix::matmul`) promises *exact*
 //! f64 bit patterns across refactors, and training's `tmatmul` /
 //! `matmul_t` run the same kernel; these tests are the contract.
 

@@ -7,14 +7,17 @@
 //! head (appendix G). There is no mature Rust deep-learning dependency in
 //! the allowed set, so this crate implements the needed 5%:
 //!
-//! * [`layers`] — dense (affine) layers and activations with exact
-//!   backpropagation;
+//! * [`layers`] — one `Layer` type, a dense (affine) layer or a
+//!   ReLU/sigmoid/tanh activation, with exact backpropagation, and its
+//!   persisted form [`layers::LayerSpec`];
 //! * [`loss`] — MSE, Huber and binary cross-entropy losses;
-//! * [`optimizer`] — SGD (with momentum) and Adam;
+//! * `optimizer` — Adam with the standard β₁, β₂ and ε, the one optimiser
+//!   [`trainer::train`] runs;
 //! * [`network`] — [`Mlp`]: a sequential stack with a builder, forward /
 //!   backward passes and weight (de)serialisation;
-//! * [`trainer`] — mini-batch training loop with shuffling, validation
-//!   tracking and NaN guards.
+//! * [`trainer`] — one mini-batch training loop ([`trainer::train`]) with
+//!   shuffling, optional validation tracking and a NaN guard, and the
+//!   [`trainer::fine_tune`] entry that resumes from trained weights.
 //!
 //! Everything operates on [`mathkit::Matrix`] with rows = samples.
 //!
@@ -32,7 +35,7 @@
 //! let y = Matrix::from_rows(&[&[0.0], &[1.0], &[1.0], &[0.0]]);
 //! let mut net = MlpBuilder::new(2).dense(8).tanh().dense(1).sigmoid().build(7);
 //! let cfg = TrainConfig { epochs: 2000, batch_size: 4, ..Default::default() };
-//! let history = train(&mut net, &x, &y, &Loss::Mse, &cfg);
+//! let history = train(&mut net, &x, &y, None, &Loss::Mse, &cfg);
 //! assert!(*history.train_loss.last().unwrap() < 0.05);
 //! ```
 
@@ -41,7 +44,7 @@
 pub mod layers;
 pub mod loss;
 pub mod network;
-pub mod optimizer;
+mod optimizer;
 pub mod trainer;
 
 pub use network::{Mlp, MlpBuilder};

@@ -2,9 +2,10 @@
 
 use mathkit::rng::seeded_rng;
 use mathkit::Matrix;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::layers::{layer_from_spec, Dense, Layer, LayerSpec, Relu, Sigmoid, Tanh};
+use crate::layers::{Activation, Dense, Layer, LayerSpec};
 use crate::NeuralError;
 
 /// A sequential stack of layers.
@@ -19,7 +20,7 @@ use crate::NeuralError;
 /// assert_eq!(out.shape(), (5, 1));
 /// ```
 pub struct Mlp {
-    layers: Vec<Box<dyn Layer>>,
+    layers: Vec<Layer>,
     input_dim: usize,
     output_dim: usize,
     /// index of the first dense layer (`layers.len()` if there is none):
@@ -40,17 +41,13 @@ impl std::fmt::Debug for Mlp {
 }
 
 impl Mlp {
-    /// Input feature width.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
     /// Forward pass over a batch (rows = samples). Caches intermediate
     /// activations for a subsequent [`Mlp::backward`].
     ///
     /// # Panics
     ///
-    /// Panics if the input width differs from [`Mlp::input_dim`].
+    /// Panics if the input width differs from the builder's or the
+    /// snapshot's `input_dim`.
     pub fn forward(&mut self, input: &Matrix) -> Matrix {
         assert_eq!(
             input.cols(),
@@ -83,7 +80,8 @@ impl Mlp {
     ///
     /// # Panics
     ///
-    /// Panics if the input width differs from [`Mlp::input_dim`].
+    /// Panics if the input width differs from the builder's or the
+    /// snapshot's `input_dim`.
     pub fn infer(&self, input: &Matrix) -> Matrix {
         assert_eq!(
             input.cols(),
@@ -109,11 +107,12 @@ impl Mlp {
     /// parameter gradients. Must follow a `forward` on the same batch.
     ///
     /// It stops at the first dense layer, which accumulates its parameter
-    /// gradients ([`Layer::backward_params`]) but computes no input
+    /// gradients (`Dense::backward_params`) but computes no input
     /// gradient: nothing reads `dL/d(input)`, and the layers below it
     /// have no parameters.
     pub fn backward(&mut self, grad_output: &Matrix) {
-        let Some((first, above)) = self.layers[self.first_dense..].split_first_mut() else {
+        let Some((Layer::Dense(first), above)) = self.layers[self.first_dense..].split_first_mut()
+        else {
             return;
         };
         let mut g: Option<Matrix> = None;
@@ -132,9 +131,7 @@ impl Mlp {
 
     /// Zeroes all accumulated gradients.
     pub fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grad();
-        }
+        self.visit_params(&mut |_, grad| grad.map_inplace(|_| 0.0));
     }
 
     /// Serialisable snapshot of the architecture and weights.
@@ -153,35 +150,45 @@ impl Mlp {
     /// are inconsistent.
     pub fn from_state(state: &MlpState) -> Result<Self, NeuralError> {
         let mut width = state.input_dim;
-        let mut layers: Vec<Box<dyn Layer>> = Vec::with_capacity(state.layers.len());
+        let mut layers = Vec::with_capacity(state.layers.len());
         let first_dense = state
             .layers
             .iter()
             .position(|spec| matches!(spec, LayerSpec::Dense { .. }))
             .unwrap_or(state.layers.len());
+        let activation = |kind| Layer::Activation { kind, output: None };
         for (i, spec) in state.layers.iter().enumerate() {
-            if let LayerSpec::Dense {
-                input,
-                output,
-                weights,
-                bias,
-            } = spec
-            {
-                if *input != width {
-                    return Err(NeuralError::InvalidModel {
-                        message: format!(
-                            "layer {i}: expects input {input}, but previous width is {width}"
-                        ),
-                    });
+            layers.push(match spec {
+                LayerSpec::Dense {
+                    input,
+                    output,
+                    weights,
+                    bias,
+                } => {
+                    if *input != width {
+                        return Err(NeuralError::InvalidModel {
+                            message: format!(
+                                "layer {i}: expects input {input}, but previous width is {width}"
+                            ),
+                        });
+                    }
+                    if weights.len() != input * output || bias.len() != *output {
+                        return Err(NeuralError::InvalidModel {
+                            message: format!("layer {i}: weight/bias length mismatch"),
+                        });
+                    }
+                    width = *output;
+                    Layer::Dense(Dense::from_values(
+                        *input,
+                        *output,
+                        weights.clone(),
+                        bias.clone(),
+                    ))
                 }
-                if weights.len() != input * output || bias.len() != *output {
-                    return Err(NeuralError::InvalidModel {
-                        message: format!("layer {i}: weight/bias length mismatch"),
-                    });
-                }
-                width = *output;
-            }
-            layers.push(layer_from_spec(spec));
+                LayerSpec::Relu => activation(Activation::Relu),
+                LayerSpec::Sigmoid => activation(Activation::Sigmoid),
+                LayerSpec::Tanh => activation(Activation::Tanh),
+            });
         }
         Ok(Mlp {
             layers,
@@ -208,15 +215,10 @@ pub struct MlpState {
 #[derive(Debug, Clone)]
 pub struct MlpBuilder {
     input_dim: usize,
-    plan: Vec<PlanItem>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum PlanItem {
-    Dense(usize),
-    Relu,
-    Sigmoid,
-    Tanh,
+    /// output width of the last dense layer so far
+    width: usize,
+    /// the planned layers; dense weights are drawn in `build`
+    layers: Vec<LayerSpec>,
 }
 
 impl MlpBuilder {
@@ -229,7 +231,8 @@ impl MlpBuilder {
         assert!(input_dim > 0, "input dimension must be positive");
         MlpBuilder {
             input_dim,
-            plan: Vec::new(),
+            width: input_dim,
+            layers: Vec::new(),
         }
     }
 
@@ -240,25 +243,31 @@ impl MlpBuilder {
     /// Panics if `width` is zero.
     pub fn dense(mut self, width: usize) -> Self {
         assert!(width > 0, "layer width must be positive");
-        self.plan.push(PlanItem::Dense(width));
+        self.layers.push(LayerSpec::Dense {
+            input: self.width,
+            output: width,
+            weights: Vec::new(),
+            bias: Vec::new(),
+        });
+        self.width = width;
         self
     }
 
     /// Appends a ReLU activation.
     pub fn relu(mut self) -> Self {
-        self.plan.push(PlanItem::Relu);
+        self.layers.push(LayerSpec::Relu);
         self
     }
 
     /// Appends a sigmoid activation.
     pub fn sigmoid(mut self) -> Self {
-        self.plan.push(PlanItem::Sigmoid);
+        self.layers.push(LayerSpec::Sigmoid);
         self
     }
 
     /// Appends a tanh activation.
     pub fn tanh(mut self) -> Self {
-        self.plan.push(PlanItem::Tanh);
+        self.layers.push(LayerSpec::Tanh);
         self
     }
 
@@ -267,35 +276,41 @@ impl MlpBuilder {
     /// # Panics
     ///
     /// Panics if the plan contains no dense layer.
-    pub fn build(self, seed: u64) -> Mlp {
+    pub fn build(mut self, seed: u64) -> Mlp {
         assert!(
-            self.plan.iter().any(|p| matches!(p, PlanItem::Dense(_))),
+            self.layers
+                .iter()
+                .any(|l| matches!(l, LayerSpec::Dense { .. })),
             "network needs at least one dense layer"
         );
         let mut rng = seeded_rng(seed);
-        let mut width = self.input_dim;
-        let mut layers: Vec<Box<dyn Layer>> = Vec::with_capacity(self.plan.len());
-        for item in &self.plan {
-            match item {
-                PlanItem::Dense(out) => {
-                    layers.push(Box::new(Dense::new(width, *out, &mut rng)));
-                    width = *out;
-                }
-                PlanItem::Relu => layers.push(Box::new(Relu::new())),
-                PlanItem::Sigmoid => layers.push(Box::new(Sigmoid::new())),
-                PlanItem::Tanh => layers.push(Box::new(Tanh::new())),
+        for spec in &mut self.layers {
+            if let LayerSpec::Dense {
+                input,
+                output,
+                weights,
+                bias,
+            } = spec
+            {
+                // He initialisation (good default for ReLU stacks;
+                // harmless for the shallow tanh/sigmoid nets used here),
+                // one Box–Muller standard normal per weight.
+                let std = (2.0 / *input as f64).sqrt();
+                *weights = (0..*input * *output)
+                    .map(|_| {
+                        let u1: f64 = rng.gen::<f64>().max(1e-300);
+                        let u2: f64 = rng.gen();
+                        std * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+                    })
+                    .collect();
+                *bias = vec![0.0; *output];
             }
         }
-        Mlp {
-            layers,
+        Mlp::from_state(&MlpState {
             input_dim: self.input_dim,
-            output_dim: width,
-            first_dense: self
-                .plan
-                .iter()
-                .position(|p| matches!(p, PlanItem::Dense(_)))
-                .expect("asserted above"),
-        }
+            layers: self.layers,
+        })
+        .expect("the builder chains each dense layer's width into the next")
     }
 }
 
@@ -307,7 +322,7 @@ mod tests {
     #[test]
     fn builder_shapes() {
         let net = MlpBuilder::new(4).dense(16).relu().dense(3).build(1);
-        assert_eq!(net.input_dim(), 4);
+        assert_eq!(net.input_dim, 4);
         assert_eq!(net.output_dim, 3);
         assert_eq!(net.layers.len(), 3);
     }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::loss::Loss;
 use crate::network::Mlp;
-use crate::optimizer::{Optimizer, OptimizerConfig};
+use crate::optimizer::Adam;
 
 /// Training-loop configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -20,12 +20,10 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// mini-batch size (clamped to the dataset size)
     pub batch_size: usize,
-    /// optimiser
-    pub optimizer: OptimizerConfig,
-    /// shuffling / initialisation seed
+    /// Adam learning rate
+    pub learning_rate: f64,
+    /// shuffling seed
     pub seed: u64,
-    /// stop early when the training loss drops below this value
-    pub target_loss: Option<f64>,
 }
 
 impl Default for TrainConfig {
@@ -33,9 +31,8 @@ impl Default for TrainConfig {
         TrainConfig {
             epochs: 200,
             batch_size: 32,
-            optimizer: OptimizerConfig::adam(1e-2),
+            learning_rate: 1e-2,
             seed: 0,
-            target_loss: None,
         }
     }
 }
@@ -64,27 +61,13 @@ impl TrainHistory {
     }
 }
 
-/// Trains `net` on `(x, y)`.
-///
-/// # Panics
-///
-/// Panics if `x` and `y` have different row counts or are empty.
-pub fn train(
-    net: &mut Mlp,
-    x: &Matrix,
-    y: &Matrix,
-    loss: &Loss,
-    config: &TrainConfig,
-) -> TrainHistory {
-    train_with_validation(net, x, y, None, loss, config)
-}
-
-/// Trains `net`, additionally tracking loss on a held-out set.
+/// Trains `net` on `(x, y)` with Adam, tracking the loss on the held-out
+/// `validation` set after every epoch when one is given.
 ///
 /// # Panics
 ///
 /// Panics if shapes are inconsistent or the training set is empty.
-pub fn train_with_validation(
+pub fn train(
     net: &mut Mlp,
     x: &Matrix,
     y: &Matrix,
@@ -96,7 +79,7 @@ pub fn train_with_validation(
     assert!(x.rows() > 0, "training set is empty");
     let n = x.rows();
     let batch = config.batch_size.clamp(1, n);
-    let mut opt = Optimizer::new(config.optimizer);
+    let mut opt = Adam::new(config.learning_rate);
     let mut rng = derive_rng(config.seed, 0x7124);
     let mut order: Vec<usize> = (0..n).collect();
     let mut history = TrainHistory::default();
@@ -126,11 +109,6 @@ pub fn train_with_validation(
             let pred = net.forward(vx);
             history.val_loss.push(loss.value(&pred, vy));
         }
-        if let Some(target) = config.target_loss {
-            if *history.train_loss.last().expect("pushed above") < target {
-                break;
-            }
-        }
     }
     history
 }
@@ -157,7 +135,7 @@ pub fn train_with_validation(
 /// # Panics
 ///
 /// Panics if shapes are inconsistent or the training set is empty (as
-/// [`train_with_validation`]).
+/// [`train`]).
 pub fn fine_tune(
     base: &Mlp,
     x: &Matrix,
@@ -167,7 +145,7 @@ pub fn fine_tune(
     config: &TrainConfig,
 ) -> Result<(Mlp, TrainHistory), crate::NeuralError> {
     let mut net = Mlp::from_state(&base.to_state())?;
-    let history = train_with_validation(&mut net, x, y, validation, loss, config);
+    let history = train(&mut net, x, y, validation, loss, config);
     Ok((net, history))
 }
 
@@ -198,7 +176,7 @@ mod tests {
             batch_size: 16,
             ..Default::default()
         };
-        let h = train(&mut net, &x, &y, &Loss::Mse, &cfg);
+        let h = train(&mut net, &x, &y, None, &Loss::Mse, &cfg);
         assert!(!h.diverged);
         assert!(
             *h.train_loss.last().unwrap() < 1e-4,
@@ -215,7 +193,7 @@ mod tests {
             epochs: 50,
             ..Default::default()
         };
-        let h = train(&mut net, &x, &y, &Loss::Mse, &cfg);
+        let h = train(&mut net, &x, &y, None, &Loss::Mse, &cfg);
         assert!(h.train_loss.first().unwrap() > h.train_loss.last().unwrap());
     }
 
@@ -229,7 +207,7 @@ mod tests {
                 seed,
                 ..Default::default()
             };
-            train(&mut net, &x, &y, &Loss::Mse, &cfg).train_loss
+            train(&mut net, &x, &y, None, &Loss::Mse, &cfg).train_loss
         };
         assert_eq!(run(7), run(7));
     }
@@ -243,35 +221,22 @@ mod tests {
             epochs: 30,
             ..Default::default()
         };
-        let h = train_with_validation(&mut net, &x, &y, Some((&vx, &vy)), &Loss::Mse, &cfg);
+        let h = train(&mut net, &x, &y, Some((&vx, &vy)), &Loss::Mse, &cfg);
         assert_eq!(h.val_loss.len(), 30);
         assert!(h.val_loss.last().unwrap() < h.val_loss.first().unwrap());
     }
 
     #[test]
-    fn early_stopping_on_target() {
-        let (x, y) = linear_data(32);
-        let mut net = MlpBuilder::new(2).dense(1).build(5);
-        let cfg = TrainConfig {
-            epochs: 10_000,
-            target_loss: Some(1e-3),
-            ..Default::default()
-        };
-        let h = train(&mut net, &x, &y, &Loss::Mse, &cfg);
-        assert!(h.train_loss.len() < 10_000, "early stop engaged");
-    }
-
-    #[test]
     fn divergence_guard() {
-        let (x, y) = linear_data(16);
+        let (x, _) = linear_data(16);
         let mut net = MlpBuilder::new(2).dense(1).build(5);
-        // Absurd learning rate forces divergence quickly.
+        // Targets of 1e200 square to an infinite loss on the first batch.
+        let y = Matrix::filled(16, 1, 1e200);
         let cfg = TrainConfig {
             epochs: 200,
-            optimizer: OptimizerConfig::sgd(1e6),
             ..Default::default()
         };
-        let h = train(&mut net, &x, &y, &Loss::Mse, &cfg);
+        let h = train(&mut net, &x, &y, None, &Loss::Mse, &cfg);
         assert!(h.diverged);
     }
 
@@ -284,7 +249,7 @@ mod tests {
             batch_size: 1000,
             ..Default::default()
         };
-        let h = train(&mut net, &x, &y, &Loss::Mse, &cfg);
+        let h = train(&mut net, &x, &y, None, &Loss::Mse, &cfg);
         assert_eq!(h.train_loss.len(), 5);
     }
 
@@ -296,7 +261,7 @@ mod tests {
             epochs: 0,
             ..Default::default()
         };
-        let h = train(&mut net, &x, &y, &Loss::Mse, &cfg);
+        let h = train(&mut net, &x, &y, None, &Loss::Mse, &cfg);
         assert!(h.train_loss.is_empty());
         assert!(!h.diverged);
         assert_eq!(h.initial_train_loss(), None);
@@ -311,7 +276,7 @@ mod tests {
             epochs: 60,
             ..Default::default()
         };
-        let h = train(&mut net, &x, &y, &Loss::Mse, &cfg);
+        let h = train(&mut net, &x, &y, None, &Loss::Mse, &cfg);
         let partial = *h.train_loss.last().unwrap();
         // Fine-tuning must pick up where training stopped: its first epoch
         // loss is near the base's last, far below a fresh net's first.
@@ -381,7 +346,7 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let h = train_with_validation(&mut net, &x, &y, Some((&vx, &vy)), &Loss::Bce, &cfg);
+        let h = train(&mut net, &x, &y, Some((&vx, &vy)), &Loss::Bce, &cfg);
         assert!(!h.diverged);
         assert_eq!(h.val_loss.len(), 25);
         let tune = TrainConfig {
@@ -407,6 +372,7 @@ mod tests {
             &mut net,
             &Matrix::zeros(0, 2),
             &Matrix::zeros(0, 1),
+            None,
             &Loss::Mse,
             &cfg,
         );
